@@ -46,6 +46,10 @@ from .subsets import (
 # full tables have 2^n entries; past this the dense representation is hopeless
 MAX_FLAG_RANKS = 20
 
+# Every partial sum of the int64 recursion counts chains through some ranks,
+# so it is at most count_maximal_chains().  The recursion multiplies by
+# RankedPoset.comparability, which is still an int64 0/1 matrix (its float
+# kernel is internal to poset.py), so this bound is unchanged by it.
 _INT64_SAFE = 2**62
 
 

@@ -14,6 +14,18 @@ every relation x < y lies on a saturated chain.  The exhaustive Eulerian
 test checks every interval [x, y] for equal numbers of elements of even
 and odd rank.
 
+Both run their matrix products in floating point so that numpy hands them
+to BLAS, and both stay exact: every product entry counts elements of one
+level inside an interval, and every partial sum of the Eulerian test's
+signed accumulation counts elements of that interval, so each is an
+integer of absolute value at most ``num_elements``.  Binary floating
+point represents every integer up to 2^24 (float32) or 2^53 (float64)
+exactly, and sums of such integers that stay in range are computed
+without rounding; :func:`exact_float_dtype` picks float32 below 2^24
+elements and float64 otherwise.  The bound is checked on the poset
+itself, so it also covers posets loaded from files, which no element
+budget limits.  Public results are int64 0/1 matrices and exact integers.
+
 Instances are immutable after construction.  Construction itself accepts
 structurally broken data so that :meth:`RankedPoset.validate` can report
 what is wrong; every other operation requires a valid poset.
@@ -31,6 +43,17 @@ from .errors import BudgetError
 DEFAULT_ELEMENT_BUDGET = 10**6
 
 CoverPair = tuple[int, int]
+
+
+# float32 represents every integer of absolute value up to 2^24 exactly
+_FLOAT32_EXACT = 2**24
+
+
+def exact_float_dtype(num_elements: int) -> type[np.floating]:
+    """Float dtype whose matrix products count elements of a poset with
+    ``num_elements`` elements exactly: float32 below 2^24, float64 (exact
+    up to 2^53) otherwise."""
+    return np.float32 if num_elements < _FLOAT32_EXACT else np.float64
 
 
 def _check_budget(total: int, budget: int | None, what: str) -> None:
@@ -138,9 +161,9 @@ class RankedPoset:
                     out.append(f"level {r} is empty")
             for r, cs in enumerate(self.covers):
                 lo, hi = self.level_sizes[r], self.level_sizes[r + 1]
-                for i, j in sorted(cs):
-                    if not (0 <= i < lo and 0 <= j < hi):
-                        out.append(f"cover ({i}, {j}) at level {r} is out of range")
+                bad = [(i, j) for i, j in cs if not (0 <= i < lo and 0 <= j < hi)]
+                for i, j in sorted(bad):
+                    out.append(f"cover ({i}, {j}) at level {r} is out of range")
             if not out:
                 for r, cs in enumerate(self.covers):
                     ups = {i for i, _ in cs}
@@ -178,30 +201,34 @@ class RankedPoset:
         return m
 
     def comparability(self, r1: int, r2: int) -> np.ndarray:
-        """0/1 matrix over level r1 x level r2 with 1 where x <= y.
+        """0/1 int64 matrix over level r1 x level r2 with 1 where x <= y.
 
         Satisfies the composition law: comparability(r1, r3) is the boolean
-        product of comparability(r1, r2) and comparability(r2, r3).  The
-        returned array is cached and read-only.
+        product of comparability(r1, r2) and comparability(r2, r3).  Each
+        level r2 > r1 + 1 is built as the product of comparability(r1, r2 - 1)
+        with the cover level, taken in :func:`exact_float_dtype` and
+        thresholded at > 0; an entry counts elements of level r2 - 1, so it
+        is exact.  The returned array is cached and read-only.
         """
+        # the cache is filled only after validation and the poset is immutable
+        cached = self._comp.get((r1, r2))
+        if cached is not None:
+            return cached
         self._require_valid()
         if not 0 <= r1 <= r2 <= self.rank:
             raise ValueError(f"need 0 <= r1 <= r2 <= {self.rank}, got ({r1}, {r2})")
-        key = (r1, r2)
-        cached = self._comp.get(key)
-        if cached is not None:
-            return cached
         if r1 == r2:
             m = np.eye(self.level_sizes[r1], dtype=np.int64)
         elif r2 == r1 + 1:
             m = self._cover_matrix(r1)
         else:
-            m = (self.comparability(r1, r2 - 1) @ self._cover_matrix(r2 - 1) > 0).astype(
-                np.int64
-            )
+            dt = exact_float_dtype(self.num_elements)
+            lower = self.comparability(r1, r2 - 1).astype(dt)
+            cover = self.comparability(r2 - 1, r2).astype(dt)
+            m = (lower @ cover > 0).astype(np.int64)
         m.setflags(write=False)
         # benign race: concurrent readers may recompute, results are identical
-        self._comp[key] = m
+        self._comp[(r1, r2)] = m
         return m
 
     def count_maximal_chains(self) -> int:
@@ -219,31 +246,43 @@ class RankedPoset:
         """Exhaustively test that every interval [x, y], x < y, balances
         elements of even and odd rank.  Reports the first violation in
         (rank_low, rank_high, index_low, index_high) order.
+
+        For each pair of ranks r1 < r2 - 1 one signed matrix
+        sum over r of (-1)^(r - r1) comparability(r1, r) @ comparability(r, r2)
+        is accumulated in :func:`exact_float_dtype`: its (x, y) entry is the
+        even minus the odd count of [x, y].  Only inner ranks need products;
+        the endpoints add comparability(r1, r2) each with their own sign.
+        Every partial sum counts elements of one interval, so it is exact.
+        The counts of the reported interval are recomputed in int64.
         """
         self._require_valid()
+        dt = exact_float_dtype(self.num_elements)
         for r1 in range(self.rank - 1):
             for r2 in range(r1 + 2, self.rank + 1):
-                even = np.zeros(
-                    (self.level_sizes[r1], self.level_sizes[r2]), dtype=np.int64
-                )
-                odd = np.zeros_like(even)
-                for r in range(r1, r2 + 1):
-                    prod = self.comparability(r1, r) @ self.comparability(r, r2)
-                    if (r - r1) % 2 == 0:
-                        even += prod
+                # x counts with sign +1 and y with (-1)^(r2 - r1): 2 or 0 in all
+                diff = self.comparability(r1, r2).astype(dt)
+                diff *= 1 + (-1) ** (r2 - r1)
+                for r in range(r1 + 1, r2):
+                    left = self.comparability(r1, r).astype(dt)
+                    prod = left @ self.comparability(r, r2).astype(dt)
+                    if (r - r1) % 2:
+                        diff -= prod
                     else:
-                        odd += prod
-                diff = even - odd
+                        diff += prod
                 if diff.any():
-                    xs, ys = np.nonzero(diff)
-                    x, y = int(xs[0]), int(ys[0])
-                    return EulerianResult(
-                        False,
-                        IntervalViolation(
-                            r1, x, r2, y, int(even[x, y]), int(odd[x, y])
-                        ),
-                    )
+                    x, y = divmod(int(np.flatnonzero(diff)[0]), diff.shape[1])
+                    return EulerianResult(False, self._violation(r1, x, r2, y))
         return EulerianResult(True)
+
+    def _violation(self, r1: int, x: int, r2: int, y: int) -> IntervalViolation:
+        """Exact even and odd rank counts of the interval [x, y]."""
+        ends = int(self.comparability(r1, r2)[x, y])  # x and y, if x <= y
+        counts = [ends, 0]
+        counts[(r2 - r1) % 2] += ends
+        for r in range(r1 + 1, r2):
+            below = self.comparability(r1, r)[x]
+            counts[(r - r1) % 2] += int(below @ self.comparability(r, r2)[:, y])
+        return IntervalViolation(r1, x, r2, y, counts[0], counts[1])
 
     # -- serialization ------------------------------------------------
 

@@ -75,22 +75,33 @@ def flag_counts(level_sizes, covers):
 
 def eulerian(level_sizes, covers):
     """True iff every closed interval balances even and odd ranks."""
+    return first_violation(level_sizes, covers) is None
+
+
+def first_violation(level_sizes, covers):
+    """The first unbalanced interval [x, y] with rank(y) >= rank(x) + 2, in
+    (rank_low, rank_high, index_low, index_high) order, as that tuple
+    followed by its even and odd counts; None when there is none."""
     rel = closure(level_sizes, covers)
-    elements = [
-        (r, i) for r in range(len(level_sizes)) for i in range(level_sizes[r])
-    ]
-    for x in elements:
-        for y in elements:
-            if y[0] <= x[0] + 1:
-                continue
-            if (x, y) not in rel:
-                continue
-            between = [x, y] + [z for z in elements if (x, z) in rel and (z, y) in rel]
-            even = sum(1 for z in between if (z[0] - x[0]) % 2 == 0)
-            odd = len(between) - even
-            if even != odd:
-                return False
-    return True
+    above = {}
+    below = {}
+    for x, y in rel:
+        above.setdefault(x, set()).add(y)
+        below.setdefault(y, set()).add(x)
+    rank = len(level_sizes) - 1
+    for r1 in range(rank + 1):
+        for r2 in range(r1 + 2, rank + 1):
+            for i in range(level_sizes[r1]):
+                for j in range(level_sizes[r2]):
+                    x, y = (r1, i), (r2, j)
+                    if (x, y) not in rel:
+                        continue
+                    between = [x, y, *(above[x] & below[y])]
+                    even = sum(1 for z in between if (z[0] - r1) % 2 == 0)
+                    odd = len(between) - even
+                    if even != odd:
+                        return (r1, i, r2, j, even, odd)
+    return None
 
 
 def h_from_f(f, n):

@@ -88,6 +88,24 @@ def test_check_eulerian_failure_reports_interval(run):
     }
 
 
+def test_check_eulerian_file_reports_same_violation(run, tmp_path):
+    # a poset file skips the element budget and takes the same kernel path
+    expr = "dni(boolean(5),2,4,2)"
+    target = tmp_path / "p.json"
+    assert run("build", expr, "-o", str(target))[0] == 0
+    from_file = run("check-eulerian", str(target))
+    from_expr = run("check-eulerian", expr)
+    assert from_file == from_expr
+    code, out, _ = from_file
+    assert code == 1
+    assert json.loads(out)["interval"] == {
+        "low": [0, 0],
+        "high": [5, 0],
+        "even_count": 31,
+        "odd_count": 26,
+    }
+
+
 def test_cd_index_of_chain_fails_with_explanation(run):
     code, out, err = run("cd-index", "chain(4)")
     assert code == 1

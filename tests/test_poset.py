@@ -6,11 +6,17 @@ import pytest
 
 from cdposets import (
     BudgetError,
+    IntervalViolation,
     RankedPoset,
     boolean,
+    build_poset,
     chain,
     horizontal_double,
+    join,
+    parse_expression,
 )
+from cdposets import poset as poset_module
+from cdposets.poset import exact_float_dtype
 
 import oracles
 
@@ -149,3 +155,130 @@ def test_comparability_composes(corpus):
                     > 0
                 ).astype(np.int64)
                 assert np.array_equal(lhs, via), (name, r1, r2)
+
+
+def test_exact_float_dtype_bound():
+    # float32 holds every integer below 2^24; at 2^24 + 1 it starts rounding
+    assert exact_float_dtype(2**24 - 1) is np.float32
+    assert exact_float_dtype(2**24) is np.float64
+    assert int(np.float32(2**24 - 1)) == 2**24 - 1
+    assert int(np.float32(2**24 + 1)) != 2**24 + 1
+
+
+def test_kernel_takes_dtype_from_the_poset(monkeypatch):
+    # a poset read from a dict has passed no element budget; the kernel must
+    # still size its dtype from the poset, and float64 gives the same answers
+    data = build_poset(parse_expression("dni(boolean(5),2,4,2)")).to_dict()
+    expected = RankedPoset.from_dict(data).is_eulerian()
+    seen = []
+
+    def recording(num_elements):
+        seen.append(num_elements)
+        return np.float64
+
+    monkeypatch.setattr(poset_module, "exact_float_dtype", recording)
+    p = RankedPoset.from_dict(data)
+    assert p.is_eulerian() == expected
+    assert seen and set(seen) == {p.num_elements}
+    assert p.comparability(0, p.rank).tolist() == [[1]]
+
+
+def test_validate_reports_out_of_range_covers_in_order():
+    # the set iterates these in another order than sorted
+    covers = ((0, 5), (3, 0), (0, 0), (0, 1), (7, 0), (2, 9), (0, 4))
+    p = RankedPoset(2, (1, 2, 1), (covers, ((0, 0), (1, 0))))
+    assert list(p.covers[0]) != sorted(p.covers[0])
+    assert p.validate() == [
+        "cover (0, 4) at level 0 is out of range",
+        "cover (0, 5) at level 0 is out of range",
+        "cover (2, 9) at level 0 is out of range",
+        "cover (3, 0) at level 0 is out of range",
+        "cover (7, 0) at level 0 is out of range",
+    ]
+
+
+def _unbalanced_above_atom():
+    # [bottom, y] is balanced for every y, but atom 1 lies below all three
+    # coatoms, so [atom 1, top] has 2 even and 3 odd elements
+    return RankedPoset(
+        3,
+        (1, 3, 3, 1),
+        (
+            ((0, 0), (0, 1), (0, 2)),
+            ((0, 0), (1, 0), (0, 1), (1, 1), (1, 2), (2, 2)),
+            ((0, 0), (1, 0), (2, 0)),
+        ),
+    )
+
+
+def _two_unbalanced_halves():
+    # two copies of the middle of _unbalanced_above_atom under coatoms y0 and
+    # y1; atom 0 lies in the copy under y1 and atom 1 in the one under y0,
+    # so (atom 0, y1) comes first in index_low order, (atom 1, y0) would come
+    # first in index_high order
+    return RankedPoset(
+        4,
+        (1, 6, 6, 2, 1),
+        (
+            {(0, i) for i in range(6)},
+            (
+                (1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (3, 2),
+                (4, 3), (5, 3), (4, 4), (5, 4), (4, 5), (0, 5),
+            ),
+            ((0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 1)),
+            ((0, 0), (1, 0)),
+        ),
+    )
+
+
+def _random_graded(rng, level_sizes):
+    covers = []
+    for lo, hi in zip(level_sizes, level_sizes[1:]):
+        pairs = {(int(rng.integers(lo)), j) for j in range(hi)}
+        pairs |= {(i, int(rng.integers(hi))) for i in range(lo)}
+        pairs |= {(i, j) for i in range(lo) for j in range(hi) if rng.random() < 0.3}
+        covers.append(pairs)
+    return RankedPoset(len(level_sizes) - 1, level_sizes, covers)
+
+
+def _non_eulerian_posets():
+    yield "atom", _unbalanced_above_atom()
+    yield "boolean(2)+atom", join(boolean(2), _unbalanced_above_atom())
+    yield "dual atom", _unbalanced_above_atom().dual()
+    yield "two halves", _two_unbalanced_halves()
+    for expr in (
+        "dni(boolean(5),2,4,2)",
+        "dni(lemma2(7,1),2,5,2)",
+        "dni(lemma2(7,2),2,5,2)",
+        "dual(dni(boolean(6),1,2,3))",
+    ):
+        yield expr, build_poset(parse_expression(expr))
+    rng = np.random.default_rng(7)
+    for k in range(12):
+        sizes = [1, *rng.integers(2, 9, size=int(rng.integers(2, 6))), 1]
+        yield f"random {k}", _random_graded(rng, sizes)
+
+
+def test_first_violation_matches_oracle():
+    positions = set()
+    for name, p in _non_eulerian_posets():
+        assert p.validate() == [], name
+        expected = oracles.first_violation(p.level_sizes, [sorted(c) for c in p.covers])
+        assert expected is not None, name
+        v = p.is_eulerian().violation
+        got = (v.rank_low, v.index_low, v.rank_high, v.index_high)
+        assert got + (v.even_count, v.odd_count) == expected, name
+        positions.add(got)
+    # the cases reach past the bottom element and past index 0
+    assert any(r1 > 0 and i > 0 for r1, i, _, _ in positions)
+    assert any(j > 0 for _, _, _, j in positions)
+
+
+def test_non_eulerian_wide_levels_pinned():
+    # levels of up to 244 elements; counts recomputed exactly at the violation
+    v = build_poset(parse_expression("dni(lemma2(7,2),2,5,2)")).is_eulerian().violation
+    assert v == IntervalViolation(0, 0, 6, 0, 98, 94)
+    v = _unbalanced_above_atom().is_eulerian().violation
+    assert v == IntervalViolation(1, 1, 3, 0, 2, 3)
+    v = _two_unbalanced_halves().is_eulerian().violation
+    assert v == IntervalViolation(1, 0, 3, 1, 2, 1)
