@@ -142,15 +142,16 @@ def inequality_l_form(table: LVector, t_set, v_set) -> Fraction:
     t_mask, v_mask = as_mask(t_set), as_mask(v_set)
     _check_inequality_pair(table.n, t_mask, v_mask)
     free = v_mask & ~t_mask
-    total = Fraction(0)
+    numerators = table.numerators
+    total = 0
     a = free
     while True:
-        total += table.values[t_mask | a]
+        total += numerators[t_mask | a]
         if a == 0:
             break
         a = (a - 1) & free
     sign = -1 if bin(t_mask).count("1") % 2 else 1
-    return sign * total
+    return Fraction(sign * total, 1 << table.n)
 
 
 def inequality_pairs(n: int):

@@ -37,7 +37,7 @@ from .flags import (
     flag_vector,
     l_vector,
 )
-from .poset import RankedPoset, boolean
+from .poset import RankedPoset, _check_budget, boolean
 from .subsets import parse_subset, subset_label
 
 
@@ -46,6 +46,8 @@ def _load_poset(text: str, budget: int | None) -> RankedPoset:
         with open(text) as handle:
             data = json.load(handle)
         poset = RankedPoset.from_dict(data)
+        # validate() walks every declared element, so bound them first
+        _check_budget(sum(poset.level_sizes), budget, f"poset file {text}")
         diags = poset.validate()
         if diags:
             raise ValueError(f"{text}: invalid poset: " + "; ".join(diags))

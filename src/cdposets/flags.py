@@ -12,11 +12,12 @@ normalized character sum
 
     L_Q = 2^(-n) * sum over S of (-1)^|S cap Q| h_S,
 
-always an exact rational with denominator dividing 2^n.  For Eulerian
-posets L vanishes off even rank sets and the surviving values assemble
-into an integer polynomial in the noncommuting letters c (degree 1) and
-d (degree 2): writing supp(w) for the positions covered by the d's of a
-cd word w and r for the number of d's,
+always an exact rational with denominator dividing 2^n, so :class:`LVector`
+stores the integer numerators 2^n * L_Q.  For Eulerian posets L vanishes
+off even rank sets and the surviving values assemble into an integer
+polynomial in the noncommuting letters c (degree 1) and d (degree 2):
+writing supp(w) for the positions covered by the d's of a cd word w and r
+for the number of d's,
 
     [w] = (-2)^r * sum of L_Q over Q evenly containing supp(w).
 
@@ -24,6 +25,19 @@ cd word w and r for the number of d's,
 L table does not vanish off even sets.  :func:`expand_cd_to_ab` goes the
 other way, expanding c -> a + b and d -> ab + ba, which recovers the
 generating polynomial of the h table.
+
+Exactness of the numpy kernels.  :func:`flag_vector` fills one table per
+rank s whose entry (M, y) counts the chains with intermediate ranks
+M + {s} ending at the element y of rank s.  Such chains extend to maximal
+chains, and a maximal chain restricts to exactly one of them, so every
+entry, and every partial sum of the nonnegative products that build it,
+is at most ``count_maximal_chains()``; below ``_INT64_SAFE`` the tables are
+int64, otherwise Python integers (object arrays) with the same code.  The
+h and L transforms are butterflies over the n bits of the mask; a stage
+maps (a, b) to (a, b - a), (a, b + a) or, for L, (b, 2a - b), so it grows
+the largest absolute value by at most a factor 2, 2 or 3.  They run in
+int64 when 2^n, respectively 3^n, times the largest input stays below
+2^63, and in Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -37,8 +51,8 @@ from .errors import BudgetError, NotCdExpressibleError
 from .poset import RankedPoset
 from .subsets import (
     as_mask,
-    evenly_contains,
     is_even_set,
+    maximal_runs,
     parse_subset,
     subset_label,
 )
@@ -46,11 +60,18 @@ from .subsets import (
 # full tables have 2^n entries; past this the dense representation is hopeless
 MAX_FLAG_RANKS = 20
 
-# Every partial sum of the int64 recursion counts chains through some ranks,
-# so it is at most count_maximal_chains().  The recursion multiplies by
-# RankedPoset.comparability, which is still an int64 0/1 matrix (its float
-# kernel is internal to poset.py), so this bound is unchanged by it.
+# Every entry of flag_vector's chain-count tables, and every partial sum
+# of the products that build them, counts chains through some ranks, so it
+# is at most count_maximal_chains().  The products multiply by
+# RankedPoset.comparability, an int64 0/1 matrix (its float kernel is
+# internal to poset.py), so below this bound int64 cannot overflow.
 _INT64_SAFE = 2**62
+
+# Entries the chain-count tables of flag_vector may hold at once.  They
+# hold sum over s > k of 2^(s-k-1) * L[s] entries when the ranks 1..k are
+# walked depth first and only the ranks above k are batched; k is the
+# least value that fits, so 0 whenever all the tables do.
+_TABLE_ENTRIES = 1 << 22
 
 
 class FlagVector:
@@ -64,7 +85,7 @@ class FlagVector:
 
     def __init__(self, n: int, values: Iterable[int]):
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "values", tuple(int(v) for v in values))
+        object.__setattr__(self, "values", tuple(map(int, values)))
         if len(self.values) != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} entries, got {len(self.values)}")
 
@@ -101,35 +122,72 @@ class FlagVector:
 
 
 class LVector:
-    """Rational table over all 2^n subsets; denominators divide 2^n."""
+    """Rational table over all 2^n subsets whose denominators divide 2^n.
 
-    __slots__ = ("n", "values")
+    Stored as the integer ``numerators`` 2^n * L_Q; ``values``, indexing,
+    :meth:`items`, :meth:`nonzero` and :meth:`to_dict` give exact
+    :class:`~fractions.Fraction` values.
+    """
+
+    __slots__ = ("n", "numerators")
 
     def __init__(self, n: int, values: Iterable[Fraction]):
+        scale = 1 << int(n)
+        numerators = []
+        for mask, value in enumerate(values):
+            value = Fraction(value)
+            if scale % value.denominator:
+                raise ValueError(
+                    f"L value {value} on {subset_label(mask)} has a denominator "
+                    f"not dividing 2^{n}"
+                )
+            numerators.append(value.numerator * (scale // value.denominator))
+        self._set(n, numerators)
+
+    @classmethod
+    def from_numerators(cls, n: int, numerators: Iterable[int]) -> "LVector":
+        """The table with entries numerators[Q] / 2^n."""
+        table = cls.__new__(cls)
+        table._set(n, numerators)
+        return table
+
+    def _set(self, n: int, numerators: Iterable[int]) -> None:
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
-        if len(self.values) != 1 << self.n:
-            raise ValueError(f"expected {1 << self.n} entries, got {len(self.values)}")
+        object.__setattr__(self, "numerators", tuple(map(int, numerators)))
+        if len(self.numerators) != 1 << self.n:
+            raise ValueError(
+                f"expected {1 << self.n} entries, got {len(self.numerators)}"
+            )
 
     def __setattr__(self, name, value):
         raise AttributeError("LVector is immutable")
 
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        scale = 1 << self.n
+        return tuple(Fraction(v, scale) for v in self.numerators)
+
     def __getitem__(self, key: int | Iterable[int]) -> Fraction:
-        return self.values[as_mask(key)]
+        return Fraction(self.numerators[as_mask(key)], 1 << self.n)
 
     def items(self):
         return enumerate(self.values)
 
     def nonzero(self):
-        return [(m, v) for m, v in self.items() if v]
+        scale = 1 << self.n
+        return [(m, Fraction(v, scale)) for m, v in enumerate(self.numerators) if v]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LVector):
             return NotImplemented
-        return self.n == other.n and self.values == other.values
+        return self.n == other.n and self.numerators == other.numerators
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.numerators))
 
     def __repr__(self) -> str:
-        return f"LVector(n={self.n}, {len(self.nonzero())} nonzero)"
+        nonzero = sum(1 for v in self.numerators if v)
+        return f"LVector(n={self.n}, {nonzero} nonzero)"
 
     def to_dict(self) -> dict:
         """n plus the nonzero entries as exact rational strings."""
@@ -145,92 +203,109 @@ class LVector:
 def flag_vector(poset: RankedPoset) -> FlagVector:
     """Exact flag vector of a valid ranked poset.
 
-    Chain counts are assembled from the comparability matrices between the
-    selected ranks, sharing work across subsets with a common prefix.  When
-    the total number of maximal chains fits comfortably in int64 the sums
-    run vectorized; otherwise they fall back to Python integers, so results
-    are exact regardless of size.
+    Chain counts are built level by level: the table for rank s stacks,
+    for every lower rank t, the table for t times comparability(t, s), so
+    its row index is the mask of the ranks below s and the top rank's
+    single column is the flag vector.  That is O(n^2) matrix products.
+    When the tables would exceed a fixed entry cap, the lowest ranks are
+    walked depth first and only the ranks above them are batched.  The
+    tables are int64 when the number of maximal chains allows it and
+    Python integers otherwise, so results are exact regardless of size.
     """
     poset._require_valid()
     n = poset.n
     if n > MAX_FLAG_RANKS:
         raise BudgetError(f"flag vector over {n} proper ranks is out of budget")
-    if poset.count_maximal_chains() < _INT64_SAFE:
-        return _flag_vector_int64(poset)
-    return _flag_vector_bigint(poset)
+    dtype = np.int64 if poset.count_maximal_chains() < _INT64_SAFE else object
+    split = _split_rank(poset.level_sizes)
+    values = np.empty(1 << n, dtype=dtype)
+    # (rank, chain counts ending at its elements, mask) of the prefix walk
+    stack = [(0, np.ones((1, 1), dtype=dtype), 0)]
+    while stack:
+        at, vec, mask = stack.pop()
+        values[mask :: 1 << split] = _batched_counts(poset, at, vec, split)
+        for s in range(at + 1, split + 1):
+            stack.append((s, vec @ poset.comparability(at, s), mask | 1 << (s - 1)))
+    return FlagVector(n, values.tolist())
 
 
-def _flag_vector_int64(poset: RankedPoset) -> FlagVector:
-    n = poset.n
-    top = poset.rank
-    values = [0] * (1 << n)
-
-    def rec(at: int, vec: np.ndarray, mask: int) -> None:
-        values[mask] = int(vec @ poset.comparability(at, top)[:, 0])
-        for s in range(at + 1, top):
-            rec(s, vec @ poset.comparability(at, s), mask | 1 << (s - 1))
-
-    rec(0, np.ones(1, dtype=np.int64), 0)
-    return FlagVector(n, values)
+def _split_rank(sizes: tuple[int, ...]) -> int:
+    """Least k whose batched tables for the ranks above k fit the cap."""
+    top = len(sizes) - 1
+    for k in range(top - 1):
+        if sum(sizes[s] << (s - k - 1) for s in range(k + 1, top + 1)) <= _TABLE_ENTRIES:
+            return k
+    return top - 1
 
 
-def _flag_vector_bigint(poset: RankedPoset) -> FlagVector:
-    n = poset.n
-    top = poset.rank
-    values = [0] * (1 << n)
-    columns: dict[tuple[int, int], list[np.ndarray]] = {}
+def _batched_counts(
+    poset: RankedPoset, at: int, vec: np.ndarray, split: int
+) -> np.ndarray:
+    """Chain counts from the chains counted by ``vec`` (one row over the
+    elements of rank ``at`` <= ``split``) to the top, for every set of
+    intermediate ranks above ``split``, indexed by that set shifted down
+    by ``split`` bits."""
+    tables: list[np.ndarray] = []
+    for s in range(split + 1, poset.rank + 1):
+        table = np.empty((1 << (s - split - 1), poset.level_sizes[s]), dtype=vec.dtype)
+        # row 0 comes straight from rank at; the rows of the block from rank
+        # t are the masks whose highest rank is t
+        np.matmul(vec, poset.comparability(at, s), out=table[:1])
+        for t, g in enumerate(tables, split + 1):
+            np.matmul(g, poset.comparability(t, s), out=table[len(g) : 2 * len(g)])
+        tables.append(table)
+    return tables[-1][:, 0]
 
-    def cols(r1: int, r2: int) -> list[np.ndarray]:
-        key = (r1, r2)
-        if key not in columns:
-            m = poset.comparability(r1, r2)
-            columns[key] = [np.flatnonzero(m[:, j]) for j in range(m.shape[1])]
-        return columns[key]
 
-    def rec(at: int, vec: list[int], mask: int) -> None:
-        values[mask] = sum(vec[i] for i in cols(at, top)[0])
-        for s in range(at + 1, top):
-            nxt = [sum(vec[i] for i in col) for col in cols(at, s)]
-            rec(s, nxt, mask | 1 << (s - 1))
+def _butterfly_table(flags: FlagVector, growth: int) -> np.ndarray:
+    """The entries as an int64 array when n butterfly stages, each growing
+    the largest absolute value by at most ``growth``, stay below 2^63, and
+    as a Python-integer array otherwise."""
+    try:
+        table = np.array(flags.values, dtype=np.int64)
+    except OverflowError:
+        return np.array(flags.values, dtype=object)
+    largest = max(int(table.max()), -int(table.min()))
+    if growth**flags.n * largest < 2**63:
+        return table
+    return table.astype(object)
 
-    rec(0, [1], 0)
-    return FlagVector(n, values)
+
+def _stages(table: np.ndarray, n: int):
+    """The (low, high) halves of ``table`` for each of the n mask bits:
+    views pairing every mask without the bit with the mask that adds it."""
+    for bit in range(n):
+        halves = table.reshape(-1, 2, 1 << bit)
+        yield halves[:, 0], halves[:, 1]
 
 
 def flag_h(flags: FlagVector) -> FlagVector:
     """Signed transform h_S = sum over T in S of (-1)^|S - T| f_T."""
-    vals = list(flags.values)
-    for bit in range(flags.n):
-        step = 1 << bit
-        for mask in range(1 << flags.n):
-            if mask & step:
-                vals[mask] -= vals[mask ^ step]
-    return FlagVector(flags.n, vals)
+    table = _butterfly_table(flags, 2)
+    for low, high in _stages(table, flags.n):
+        high -= low
+    return FlagVector(flags.n, table.tolist())
 
 
 def flag_from_h(h: FlagVector) -> FlagVector:
     """Inverse of :func:`flag_h`: f_S = sum over T in S of h_T."""
-    vals = list(h.values)
-    for bit in range(h.n):
-        step = 1 << bit
-        for mask in range(1 << h.n):
-            if mask & step:
-                vals[mask] += vals[mask ^ step]
-    return FlagVector(h.n, vals)
+    table = _butterfly_table(h, 2)
+    for low, high in _stages(table, h.n):
+        high += low
+    return FlagVector(h.n, table.tolist())
 
 
 def l_vector(flags: FlagVector) -> LVector:
-    """L_Q = 2^(-n) * sum over S of (-1)^|S cap Q| h_S, exactly."""
-    n = flags.n
-    vals = list(flag_h(flags).values)
-    for bit in range(n):
-        step = 1 << bit
-        for mask in range(1 << n):
-            if not mask & step:
-                a, b = vals[mask], vals[mask | step]
-                vals[mask], vals[mask | step] = a + b, a - b
-    scale = 1 << n
-    return LVector(n, [Fraction(v, scale) for v in vals])
+    """L_Q = 2^(-n) * sum over S of (-1)^|S cap Q| h_S, exactly.
+
+    One butterfly pass: the h step (a, b) -> (a, b - a) followed by the
+    character step (x, y) -> (x + y, x - y) is (a, b) -> (b, 2a - b), and
+    n such stages give the numerators 2^n * L directly.
+    """
+    table = _butterfly_table(flags, 3)
+    for low, high in _stages(table, flags.n):
+        low[...], high[...] = high, 2 * low - high
+    return LVector.from_numerators(flags.n, table.tolist())
 
 
 # -- cd words and polynomials ------------------------------------------
@@ -485,31 +560,54 @@ def expand_cd_to_ab(poly: CdPolynomial) -> AbPolynomial:
 def cd_from_l(table: LVector) -> CdPolynomial:
     """Assemble the cd polynomial from an L table.
 
+    Each nonzero L_Q is expanded forward: the words w whose support Q
+    evenly contains have c at every position outside Q and, on each
+    maximal run of Q of length 2k, a word of (cc - 2d)^k, whose
+    coefficient is the (-2)^r of the formula above.  The sums are taken in
+    numerators over 2^n and divided at the end.
+
     Raises :class:`NotCdExpressibleError` when the table is nonzero on a
     rank set that is not even, and an internal error if a coefficient
     fails to come out integral (impossible for consistent input).
     """
-    nonzero = table.nonzero()
-    for mask, value in nonzero:
+    n = table.n
+    scale = 1 << n
+    nonzero = [(mask, a) for mask, a in enumerate(table.numerators) if a]
+    for mask, a in nonzero:
         if not is_even_set(mask):
             raise NotCdExpressibleError(
-                f"L value {value} on non-even rank set {subset_label(mask)}", mask
+                f"L value {Fraction(a, scale)} on non-even rank set {subset_label(mask)}",
+                mask,
             )
+    # runs[k]: the words of (cc - 2d)^k with their coefficients
+    runs = [[("", 1)]]
+    for _ in range(n // 2):
+        runs.append([(p + w, pc * c) for p, pc in (("cc", 1), ("d", -2)) for w, c in runs[-1]])
+    sums: dict[str, int] = {}
+    for mask, a in nonzero:
+        words = [("", a)]
+        pos = 1
+        # the empty run (n + 1, n) adds the c's after the last run
+        for low, high in maximal_runs(mask) + [(n + 1, n)]:
+            gap = "c" * (low - pos)
+            words = [
+                (w + gap + piece, c * pc)
+                for w, c in words
+                for piece, pc in runs[(high - low + 1) // 2]
+            ]
+            pos = high + 1
+        for word, c in words:
+            sums[word] = sums.get(word, 0) + c
     terms = {}
-    for word in cd_words(table.n):
-        supp = cd_support(word)
-        r = word.count("d")
-        total = sum(
-            (value for mask, value in nonzero if evenly_contains(supp, mask)),
-            start=Fraction(0),
-        )
-        coeff = (-2) ** r * total
-        if coeff.denominator != 1:
+    for word in sorted(sums):  # the order of cd_words
+        coeff, rest = divmod(sums[word], scale)
+        if rest:
             raise RuntimeError(
-                f"internal error: coefficient of {word!r} is non-integral ({coeff})"
+                f"internal error: coefficient of {word!r} is non-integral "
+                f"({Fraction(sums[word], scale)})"
             )
-        terms[word] = int(coeff)
-    return CdPolynomial(table.n, terms)
+        terms[word] = coeff
+    return CdPolynomial(n, terms)
 
 
 def cd_index(poset: RankedPoset) -> CdPolynomial:

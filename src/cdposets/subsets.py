@@ -104,7 +104,7 @@ def evenly_contains(inner: int | Iterable[int], outer: int | Iterable[int]) -> b
 
 def subset_label(mask: int) -> str:
     """Canonical string key for a subset, e.g. "[1,2]"; "[]" for the empty set."""
-    return json.dumps(list(ranks_from_mask(mask)), separators=(",", ":"))
+    return "[" + ",".join(map(str, ranks_from_mask(mask))) + "]"
 
 
 def parse_subset(text: str) -> int:

@@ -3,11 +3,29 @@
 Everything here is written for clarity, not speed: transitive closures as
 dict-of-set fixpoints, chain counts by explicit enumeration, transforms as
 literal double sums.  The library must agree with these on every poset
-small enough to enumerate.
+small enough to enumerate.  ``random_graded`` makes such posets.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from cdposets import RankedPoset
+from cdposets.errors import NotCdExpressibleError
+from cdposets.flags import CdPolynomial, cd_support, cd_words
+from cdposets.subsets import evenly_contains, is_even_set, subset_label
+
+
+def random_graded(rng, level_sizes):
+    """A graded poset with the given level sizes and random covers, every
+    element covering and covered by at least one; ``rng`` is a numpy
+    Generator."""
+    covers = []
+    for lo, hi in zip(level_sizes, level_sizes[1:]):
+        pairs = {(int(rng.integers(lo)), j) for j in range(hi)}
+        pairs |= {(i, int(rng.integers(hi))) for i in range(lo)}
+        pairs |= {(i, j) for i in range(lo) for j in range(hi) if rng.random() < 0.3}
+        covers.append(pairs)
+    return RankedPoset(len(level_sizes) - 1, level_sizes, covers)
 
 
 def closure(level_sizes, covers):
@@ -200,3 +218,29 @@ def limit_l(n, intervals):
                 union |= frozenset(range(a, b + 1))
             table[union] = table.get(union, 0) + (-1) ** size
     return table
+
+
+def cd_from_l_scan(table):
+    """cd polynomial of an L table by scanning, for every cd word, all
+    nonzero L_Q for the Q evenly containing its support, in Fractions;
+    raises like ``cd_from_l``."""
+    nonzero = table.nonzero()
+    for mask, value in nonzero:
+        if not is_even_set(mask):
+            raise NotCdExpressibleError(
+                f"L value {value} on non-even rank set {subset_label(mask)}", mask
+            )
+    terms = {}
+    for word in cd_words(table.n):
+        supp = cd_support(word)
+        total = sum(
+            (value for mask, value in nonzero if evenly_contains(supp, mask)),
+            start=Fraction(0),
+        )
+        coeff = (-2) ** word.count("d") * total
+        if coeff.denominator != 1:
+            raise RuntimeError(
+                f"internal error: coefficient of {word!r} is non-integral ({coeff})"
+            )
+        terms[word] = int(coeff)
+    return CdPolynomial(table.n, terms)

@@ -89,7 +89,7 @@ def test_check_eulerian_failure_reports_interval(run):
 
 
 def test_check_eulerian_file_reports_same_violation(run, tmp_path):
-    # a poset file skips the element budget and takes the same kernel path
+    # a poset file takes the same kernel path as the expression
     expr = "dni(boolean(5),2,4,2)"
     target = tmp_path / "p.json"
     assert run("build", expr, "-o", str(target))[0] == 0
@@ -234,6 +234,26 @@ def test_poset_file_is_validated(run, tmp_path):
     code, _, err = run("flags", str(bad))
     assert code == 2
     assert "invalid poset" in err
+
+
+def test_poset_file_over_budget_is_usage_error(run, tmp_path):
+    # refused from the declared level sizes, before validation walks them
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"rank": 2, "level_sizes": [1, 10**6, 1], "covers": [[], []]}))
+    code, out, err = run("flags", str(huge))
+    assert code == 2 and out == ""
+    assert "1000002 elements, budget is 1000000" in err
+
+
+def test_poset_file_obeys_max_elements(run, tmp_path):
+    target = tmp_path / "boolean4.json"
+    assert run("build", "boolean(4)", "-o", str(target))[0] == 0
+    code, out, err = run("cd-index", str(target), "--max-elements", "15")
+    assert code == 2 and out == ""
+    assert "16 elements, budget is 15" in err
+    code, out, _ = run("cd-index", str(target), "--max-elements", "16")
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "terms": {"ccc": 1, "cd": 2, "dc": 2}}
 
 
 def test_malformed_json_file(run, tmp_path):

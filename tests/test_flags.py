@@ -1,8 +1,10 @@
 """Flag vectors, the h and L transforms, cd words and polynomials, and the
 cd-index extraction, pinned against literal-sum oracles."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from cdposets import (
     AbPolynomial,
     CdPolynomial,
     FlagVector,
+    LVector,
     NotCdExpressibleError,
     boolean,
     cd_degree,
@@ -29,7 +32,8 @@ from cdposets import (
     horizontal_double,
     l_vector,
 )
-from cdposets.subsets import as_mask, ranks_from_mask
+from cdposets.exprs import build_poset, parse_expression
+from cdposets.subsets import as_mask, is_even_set, ranks_from_mask
 
 import oracles
 
@@ -65,6 +69,63 @@ def test_flag_vector_big_integer_path_agrees():
     finally:
         flags_mod._INT64_SAFE = original
     assert fast == slow
+
+
+def _random_posets():
+    rng = np.random.default_rng(11)
+    for k in range(16):
+        sizes = [1, *rng.integers(1, 6, size=int(rng.integers(1, 7))), 1]
+        yield f"random {k}", oracles.random_graded(rng, sizes)
+
+
+def test_flag_vector_matches_oracle_on_random_posets():
+    for name, p in _random_posets():
+        f = flag_vector(p)
+        want = oracles.flag_counts(p.level_sizes, [sorted(c) for c in p.covers])
+        assert to_table(f) == want, name
+
+
+@pytest.mark.parametrize(
+    "safe, entries",
+    [(0, None), (None, 0), (None, 40), (0, 40)],
+    ids=["object", "depth-first", "split", "object-split"],
+)
+def test_flag_vector_paths_agree(monkeypatch, safe, entries):
+    posets = [p for _, p in _random_posets()]
+    posets += [boolean(6), build_poset(parse_expression("dp(8,[[1,2],[3,8]],2)"))]
+    want = [flag_vector(p) for p in posets]
+    if safe is not None:
+        monkeypatch.setattr(flags_mod, "_INT64_SAFE", safe)
+    if entries is not None:
+        monkeypatch.setattr(flags_mod, "_TABLE_ENTRIES", entries)
+    splits = [(flags_mod._split_rank(p.level_sizes), p.n) for p in posets]
+    if entries is None:
+        assert all(k == 0 for k, _ in splits)
+    elif entries == 0:
+        assert all(k == n for k, n in splits)
+    else:
+        assert any(0 < k < n for k, n in splits)
+    assert [flag_vector(p) for p in posets] == want
+
+
+def test_split_rank_is_least_that_fits():
+    def entries(sizes, k):
+        return sum(sizes[s] << (s - k - 1) for s in range(k + 1, len(sizes)))
+
+    # dp(20, [[1, 20]], 100): about 1.7 GB of int64 tables if all batched
+    sizes = build_poset(parse_expression("dp(20,[[1,20]],100)")).level_sizes
+    assert entries(sizes, 0) * 8 > 10**9
+    k = flags_mod._split_rank(sizes)
+    assert entries(sizes, k) <= flags_mod._TABLE_ENTRIES < entries(sizes, k - 1)
+    assert flags_mod._split_rank((1, 8, 8, 1)) == 0
+
+
+def test_flag_vector_beyond_int64():
+    # 2^65 maximal chains, so the tables hold Python integers
+    p = build_poset(parse_expression("double(double(double(double(double(chain(14))))))"))
+    assert p.count_maximal_chains() == 32**13 > flags_mod._INT64_SAFE
+    f = flag_vector(p)
+    assert all(v == 32 ** bin(m).count("1") for m, v in f.items())
 
 
 def test_flag_vector_serialization_round_trip():
@@ -105,6 +166,43 @@ def test_l_vector_matches_signed_sum(small_corpus):
         want = oracles.l_from_f(to_table(f), f.n)
         for ranks, value in want.items():
             assert table[ranks] == value, (name, sorted(ranks))
+
+
+def _random_tables():
+    rng = random.Random(3)
+    for n in (0, 1, 3, 5):
+        for bound in (50, 2**63 // 3**n, 2**63 // 2**n, 2**70):
+            yield FlagVector(n, [rng.randint(-bound, bound) for _ in range(1 << n)])
+        # m * (-1)^|S| grows by exactly 2 per h stage and 3 per L stage, so
+        # these reach 2^63 - 1 in int64 or just pass it
+        for m in (2**63 - 1) // 3**n, (2**63 - 1) // 3**n + 1, (2**63 - 1) // 2**n + 1:
+            for sign in (1, -1):
+                yield FlagVector(n, [sign * m * (-1) ** bin(s).count("1") for s in range(1 << n)])
+
+
+def test_butterflies_match_oracles_on_int64_and_object_values():
+    for f in _random_tables():
+        table = to_table(f)
+        assert to_table(flag_h(f)) == oracles.h_from_f(table, f.n)
+        want = oracles.l_from_f(table, f.n)
+        assert {frozenset(ranks_from_mask(m)): v for m, v in l_vector(f).items()} == want
+        assert flag_from_h(flag_h(f)) == f
+        assert flag_h(flag_from_h(f)) == f
+
+
+def test_l_vector_numerators_hash_and_denominators():
+    table = l_vector(flag_vector(boolean(3)))
+    assert table.numerators == (6, 0, 0, -2)
+    same = LVector(2, table.values)
+    assert same == table and hash(same) == hash(table)
+    assert LVector.from_numerators(2, [6, 0, 0, -2]) == table
+    assert LVector(2, [Fraction(1, 4), Fraction(1, 2), 1, 0]).numerators == (1, 2, 4, 0)
+    assert LVector(2, [1, 0, 0, 0]) != table
+    for bad in (Fraction(1, 3), Fraction(1, 8)):
+        with pytest.raises(ValueError, match=r"\[2\] has a denominator not dividing 2\^2"):
+            LVector(2, [0, 0, bad, 0])
+    with pytest.raises(ValueError):
+        LVector.from_numerators(2, [1, 2, 3])
 
 
 def test_l_vector_boolean3_values():
@@ -243,6 +341,53 @@ def test_cd_index_rejects_non_eulerian_chain():
     with pytest.raises(NotCdExpressibleError) as exc_info:
         cd_index(chain(4))
     assert exc_info.value.mask is not None
+
+
+def _random_even_tables():
+    rng = random.Random(5)
+    for n in range(9):
+        even = [m for m in range(1 << n) if is_even_set(m)]
+        # numerators in multiples of 2^n always give integral coefficients
+        for unit in (1 << n, 1 << max(n - 2, 0), 1):
+            for _ in range(3):
+                numerators = [0] * (1 << n)
+                for m in rng.sample(even, rng.randint(1, len(even))):
+                    numerators[m] = unit * rng.randint(-9, 9)
+                yield LVector.from_numerators(n, numerators)
+
+
+def test_cd_from_l_matches_scan_on_random_even_tables():
+    outcomes = set()
+    for table in _random_even_tables():
+        try:
+            want = oracles.cd_from_l_scan(table)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError) as got:
+                cd_from_l(table)
+            assert str(got.value) == str(exc)
+            outcomes.add("non-integral")
+        else:
+            assert list(cd_from_l(table).terms.items()) == list(want.terms.items())
+            outcomes.add("integral")
+    assert outcomes == {"integral", "non-integral"}
+
+
+def test_cd_from_l_reports_first_non_even_set_like_scan():
+    rng = random.Random(9)
+    tables = [l_vector(flag_vector(chain(4))), l_vector(flag_vector(chain(7)))]
+    for n in (3, 5, 8):
+        odd = [m for m in range(1 << n) if not is_even_set(m)]
+        for _ in range(4):
+            numerators = [rng.randint(-3, 3) * (m % 3 == 0) for m in range(1 << n)]
+            numerators[rng.choice(odd)] = rng.choice([-1, 1]) * rng.randint(1, 1 << n)
+            tables.append(LVector.from_numerators(n, numerators))
+    for table in tables:
+        with pytest.raises(NotCdExpressibleError) as want:
+            oracles.cd_from_l_scan(table)
+        with pytest.raises(NotCdExpressibleError) as got:
+            cd_from_l(table)
+        assert str(got.value) == str(want.value)
+        assert got.value.mask == want.value.mask
 
 
 def test_cd_from_l_round_trips_through_flags(corpus):

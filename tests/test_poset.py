@@ -231,16 +231,6 @@ def _two_unbalanced_halves():
     )
 
 
-def _random_graded(rng, level_sizes):
-    covers = []
-    for lo, hi in zip(level_sizes, level_sizes[1:]):
-        pairs = {(int(rng.integers(lo)), j) for j in range(hi)}
-        pairs |= {(i, int(rng.integers(hi))) for i in range(lo)}
-        pairs |= {(i, j) for i in range(lo) for j in range(hi) if rng.random() < 0.3}
-        covers.append(pairs)
-    return RankedPoset(len(level_sizes) - 1, level_sizes, covers)
-
-
 def _non_eulerian_posets():
     yield "atom", _unbalanced_above_atom()
     yield "boolean(2)+atom", join(boolean(2), _unbalanced_above_atom())
@@ -256,7 +246,7 @@ def _non_eulerian_posets():
     rng = np.random.default_rng(7)
     for k in range(12):
         sizes = [1, *rng.integers(2, 9, size=int(rng.integers(2, 6))), 1]
-        yield f"random {k}", _random_graded(rng, sizes)
+        yield f"random {k}", oracles.random_graded(rng, sizes)
 
 
 def test_first_violation_matches_oracle():

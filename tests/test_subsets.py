@@ -85,3 +85,13 @@ def test_labels():
     assert parse_subset("[]") == 0
     with pytest.raises(ValueError):
         parse_subset("[1,")
+
+
+def test_subset_label_matches_json_form():
+    import json
+
+    masks = [*range(1 << 12), (1 << 62) - 1, 1 << 61, 0x2AAAAAAAAAAAAAAA, 0x3000000000000001]
+    for mask in masks:
+        want = json.dumps(list(ranks_from_mask(mask)), separators=(",", ":"))
+        assert subset_label(mask) == want
+        assert parse_subset(want) == mask
