@@ -67,6 +67,8 @@ def limit_l_vector(n: int, intervals: Sequence[Interval]) -> dict[int, int]:
     including entries that cancel to zero.  The empty union gives L of the
     empty set = 1.  The system need not be an even interval system.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if len(intervals) > MAX_LIMIT_INTERVALS:
         raise BudgetError(
             f"{len(intervals)} intervals exceed the limit of {MAX_LIMIT_INTERVALS}"

@@ -1,8 +1,11 @@
 """Command line interface.
 
 Poset arguments accept either a path to a JSON file produced by ``build``
-or an inline construction expression (see :mod:`cdposets.exprs`).  Output
-is deterministic: JSON with sorted keys, or fixed-width tables.
+or an inline construction expression (see :mod:`cdposets.exprs`).  The
+commands that need only flag data (``flags``, ``l-vector``, ``cd-index``,
+``check-inequality``) compute it from an expression's tree without
+building the poset.  Output is deterministic: JSON with sorted keys, or
+fixed-width tables.
 
 Exit codes: 0 on success, 1 when a mathematical check fails (a poset is
 not Eulerian, an inequality is violated, a verification suite mismatches),
@@ -29,9 +32,11 @@ from .analysis import (
 from .constructions import dp_poset, lemma2_poset, lemma3_poset
 from .corpus import eulerian_corpus, join_pairs
 from .errors import BudgetError, NotCdExpressibleError
-from .exprs import ExpressionError, build_poset, parse_expression
+from .exprs import ExpressionError, build_poset, flag_vector_of, parse_expression
 from .flags import (
     CdPolynomial,
+    FlagVector,
+    cd_from_l,
     cd_index,
     cd_words,
     flag_vector,
@@ -41,18 +46,29 @@ from .poset import RankedPoset, _check_budget, boolean
 from .subsets import parse_subset, subset_label
 
 
+def _load_poset_file(path: str, budget: int | None) -> RankedPoset:
+    with open(path) as handle:
+        data = json.load(handle)
+    poset = RankedPoset.from_dict(data)
+    # validate() walks every declared element, so bound them first
+    _check_budget(sum(poset.level_sizes), budget, f"poset file {path}")
+    diags = poset.validate()
+    if diags:
+        raise ValueError(f"{path}: invalid poset: " + "; ".join(diags))
+    return poset
+
+
 def _load_poset(text: str, budget: int | None) -> RankedPoset:
     if os.path.exists(text):
-        with open(text) as handle:
-            data = json.load(handle)
-        poset = RankedPoset.from_dict(data)
-        # validate() walks every declared element, so bound them first
-        _check_budget(sum(poset.level_sizes), budget, f"poset file {text}")
-        diags = poset.validate()
-        if diags:
-            raise ValueError(f"{text}: invalid poset: " + "; ".join(diags))
-        return poset
+        return _load_poset_file(text, budget)
     return build_poset(parse_expression(text), budget=budget)
+
+
+def _load_flags(text: str, budget: int | None) -> FlagVector:
+    """Flag vector of a poset argument; an expression is not built."""
+    if os.path.exists(text):
+        return flag_vector(_load_poset_file(text, budget))
+    return flag_vector_of(parse_expression(text), budget=budget)
 
 
 def _emit_json(obj) -> None:
@@ -100,19 +116,17 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_flags(args) -> int:
-    table = flag_vector(_load_poset(args.poset, args.max_elements))
+    data = _load_flags(args.poset, args.max_elements).to_dict()
     if args.format == "json":
-        _emit_json(table.to_dict())
+        _emit_json(data)
     else:
-        rows = [
-            {"S": subset_label(mask), "f_S": str(value)} for mask, value in table.items()
-        ]
+        rows = [{"S": label, "f_S": value} for label, value in data.items()]
         _emit_table(rows, ["S", "f_S"])
     return 0
 
 
 def _cmd_cd_index(args) -> int:
-    poly = cd_index(_load_poset(args.poset, args.max_elements))
+    poly = cd_from_l(l_vector(_load_flags(args.poset, args.max_elements)))
     if args.format == "json":
         _emit_json(poly.to_dict())
     else:
@@ -125,13 +139,11 @@ def _cmd_cd_index(args) -> int:
 
 
 def _cmd_l_vector(args) -> int:
-    table = l_vector(flag_vector(_load_poset(args.poset, args.max_elements)))
+    data = l_vector(_load_flags(args.poset, args.max_elements)).to_dict()
     if args.format == "json":
-        _emit_json(table.to_dict())
+        _emit_json(data)
     else:
-        rows = [
-            {"Q": subset_label(mask), "L_Q": str(value)} for mask, value in table.nonzero()
-        ]
+        rows = [{"Q": label, "L_Q": value} for label, value in data["entries"].items()]
         _emit_table(rows, ["Q", "L_Q"])
     return 0
 
@@ -166,8 +178,7 @@ def _cmd_check_eulerian(args) -> int:
 
 
 def _cmd_check_inequality(args) -> int:
-    poset = _load_poset(args.poset, args.max_elements)
-    flags = flag_vector(poset)
+    flags = _load_flags(args.poset, args.max_elements)
     table = l_vector(flags)
     if args.all:
         pairs = 0
@@ -235,9 +246,13 @@ def _parse_intervals(text: str) -> list[tuple[int, int]]:
         raise ValueError("intervals must be a JSON list of [low, high] pairs")
     out = []
     for pair in data:
-        if not (isinstance(pair, list) and len(pair) == 2):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(end, int) and not isinstance(end, bool) for end in pair)
+        ):
             raise ValueError(f"bad interval {pair!r}")
-        out.append((int(pair[0]), int(pair[1])))
+        out.append((pair[0], pair[1]))
     return out
 
 

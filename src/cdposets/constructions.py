@@ -43,17 +43,8 @@ def replicate_interval(
     so ``copies = 1`` returns the poset unchanged.
     """
     poset._require_valid()
-    if not 1 <= low <= high <= poset.rank - 1:
-        raise ValueError(
-            f"interval [{low}, {high}] not within proper ranks [1, {poset.rank - 1}]"
-        )
-    if copies < 1:
-        raise ValueError(f"copies must be at least 1, got {copies}")
+    sizes = replicated_sizes(poset.level_sizes, low, high, copies, budget=budget)
     old = poset.level_sizes
-    sizes = [
-        old[r] * copies if low <= r <= high else old[r] for r in range(poset.rank + 1)
-    ]
-    _check_budget(sum(sizes), budget, "replicate_interval")
     covers = []
     for r in range(poset.rank):
         cs = poset.covers[r]
@@ -72,6 +63,32 @@ def replicate_interval(
                 {(t * old[r] + i, j) for i, j in cs for t in range(copies)}
             )
     return RankedPoset(poset.rank, sizes, covers)
+
+
+def replicated_sizes(
+    sizes: Sequence[int], low: int, high: int, copies: int, *, budget: int | None = None
+) -> list[int]:
+    """Level sizes of :func:`replicate_interval`, after its argument and
+    budget checks."""
+    rank = len(sizes) - 1
+    if not 1 <= low <= high <= rank - 1:
+        raise ValueError(
+            f"interval [{low}, {high}] not within proper ranks [1, {rank - 1}]"
+        )
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
+    out = [size * copies if low <= r <= high else size for r, size in enumerate(sizes)]
+    _check_budget(sum(out), budget, "replicate_interval")
+    return out
+
+
+def doubled_sizes(sizes: Sequence[int], *, budget: int | None = None) -> list[int]:
+    """Level sizes of :func:`horizontal_double`, checked level by level as
+    it replicates them."""
+    out = list(sizes)
+    for r in range(1, len(sizes) - 1):
+        out = replicated_sizes(out, r, r, 2, budget=budget)
+    return out
 
 
 def horizontal_double(poset: RankedPoset, *, budget: int | None = None) -> RankedPoset:
@@ -96,8 +113,7 @@ def join(
     left._require_valid()
     right._require_valid()
     rank = left.rank + right.rank - 1
-    sizes = list(left.level_sizes[:-1]) + list(right.level_sizes[1:])
-    _check_budget(sum(sizes), budget, "join")
+    sizes = joined_sizes(left.level_sizes, right.level_sizes, budget=budget)
     covers: list[Iterable] = list(left.covers[: left.rank - 1])
     covers.append(
         {
@@ -108,6 +124,15 @@ def join(
     )
     covers.extend(right.covers[1:])
     return RankedPoset(rank, sizes, covers)
+
+
+def joined_sizes(
+    left: Sequence[int], right: Sequence[int], *, budget: int | None = None
+) -> list[int]:
+    """Level sizes of :func:`join`, after its budget check."""
+    sizes = list(left[:-1]) + list(right[1:])
+    _check_budget(sum(sizes), budget, "join")
+    return sizes
 
 
 def glue(
@@ -239,6 +264,22 @@ def even_interval_systems(n: int) -> list[tuple[Interval, ...]]:
     return out
 
 
+def check_dp_arguments(
+    n: int, intervals: Sequence[Interval], copies: int, *, require_even: bool = True
+) -> None:
+    """The argument checks of :func:`dp_poset`, in its order."""
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
+    if require_even:
+        diags = validate_even_interval_system(n, intervals)
+        if diags:
+            raise ValueError("bad interval system: " + "; ".join(diags))
+    else:
+        for a, b in intervals:
+            if not 1 <= a <= b <= n:
+                raise ValueError(f"interval [{a}, {b}] not within [1, {n}]")
+
+
 def dp_poset(
     n: int,
     intervals: Sequence[Interval],
@@ -257,16 +298,7 @@ def dp_poset(
     so copies = 0 would be the doubled chain.  Set ``require_even=False``
     to experiment with systems that fail validation.
     """
-    if copies < 1:
-        raise ValueError(f"copies must be at least 1, got {copies}")
-    if require_even:
-        diags = validate_even_interval_system(n, intervals)
-        if diags:
-            raise ValueError("bad interval system: " + "; ".join(diags))
-    else:
-        for a, b in intervals:
-            if not 1 <= a <= b <= n:
-                raise ValueError(f"interval [{a}, {b}] not within [1, {n}]")
+    check_dp_arguments(n, intervals, copies, require_even=require_even)
     out = chain(n + 1, budget=budget)
     for a, b in intervals:
         out = replicate_interval(out, a, b, copies + 1, budget=budget)

@@ -55,6 +55,7 @@ from .subsets import (
     maximal_runs,
     parse_subset,
     subset_label,
+    subset_labels,
 )
 
 # full tables have 2^n entries; past this the dense representation is hopeless
@@ -111,7 +112,7 @@ class FlagVector:
 
     def to_dict(self) -> dict[str, str]:
         """Subset label -> decimal string, all 2^n entries."""
-        return {subset_label(m): str(v) for m, v in self.items()}
+        return dict(zip(subset_labels(self.n), map(str, self.values)))
 
     @classmethod
     def from_dict(cls, n: int, data: Mapping[str, str]) -> "FlagVector":
@@ -191,13 +192,22 @@ class LVector:
 
     def to_dict(self) -> dict:
         """n plus the nonzero entries as exact rational strings."""
-        return {
-            "n": self.n,
-            "entries": {subset_label(m): str(v) for m, v in self.nonzero()},
-        }
+        entries = self.nonzero()
+        # an entry of subset_labels costs about an eighth of a subset_label call
+        if 8 * len(entries) > len(self.numerators):
+            label = subset_labels(self.n).__getitem__
+        else:
+            label = subset_label
+        return {"n": self.n, "entries": {label(m): str(v) for m, v in entries}}
 
 
 # -- computing flag data ----------------------------------------------
+
+
+def check_flag_ranks(n: int) -> None:
+    """Refuse flag tables over more than ``MAX_FLAG_RANKS`` proper ranks."""
+    if n > MAX_FLAG_RANKS:
+        raise BudgetError(f"flag vector over {n} proper ranks is out of budget")
 
 
 def flag_vector(poset: RankedPoset) -> FlagVector:
@@ -214,8 +224,7 @@ def flag_vector(poset: RankedPoset) -> FlagVector:
     """
     poset._require_valid()
     n = poset.n
-    if n > MAX_FLAG_RANKS:
-        raise BudgetError(f"flag vector over {n} proper ranks is out of budget")
+    check_flag_ranks(n)
     dtype = np.int64 if poset.count_maximal_chains() < _INT64_SAFE else object
     split = _split_rank(poset.level_sizes)
     values = np.empty(1 << n, dtype=dtype)

@@ -33,6 +33,7 @@ what is wrong; every other operation requires a valid poset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -321,19 +322,31 @@ class RankedPoset:
         return cls(rank, sizes, parsed)
 
 
-def chain(rank: int, *, budget: int | None = None) -> RankedPoset:
-    """The chain with ``rank + 1`` elements, one per level."""
+def chain_sizes(rank: int, *, budget: int | None = None) -> list[int]:
+    """Level sizes of :func:`chain`, after its argument and budget checks."""
     if rank < 1:
         raise ValueError(f"chain rank must be at least 1, got {rank}")
     _check_budget(rank + 1, budget, f"chain({rank})")
-    return RankedPoset(rank, [1] * (rank + 1), [{(0, 0)} for _ in range(rank)])
+    return [1] * (rank + 1)
+
+
+def chain(rank: int, *, budget: int | None = None) -> RankedPoset:
+    """The chain with ``rank + 1`` elements, one per level."""
+    sizes = chain_sizes(rank, budget=budget)
+    return RankedPoset(rank, sizes, [{(0, 0)} for _ in range(rank)])
+
+
+def boolean_sizes(k: int, *, budget: int | None = None) -> list[int]:
+    """Level sizes of :func:`boolean`, after its argument and budget checks."""
+    if k < 1:
+        raise ValueError(f"boolean rank must be at least 1, got {k}")
+    _check_budget(2**k, budget, f"boolean({k})")
+    return [math.comb(k, r) for r in range(k + 1)]
 
 
 def boolean(k: int, *, budget: int | None = None) -> RankedPoset:
     """The boolean lattice of subsets of a k-element set, ordered by inclusion."""
-    if k < 1:
-        raise ValueError(f"boolean rank must be at least 1, got {k}")
-    _check_budget(2**k, budget, f"boolean({k})")
+    sizes = boolean_sizes(k, budget=budget)
     from itertools import combinations
 
     levels = [list(combinations(range(k), r)) for r in range(k + 1)]
@@ -348,4 +361,4 @@ def boolean(k: int, *, budget: int | None = None) -> RankedPoset:
                     bigger = tuple(sorted(members | {extra}))
                     cs.add((i, index_above[bigger]))
         covers.append(cs)
-    return RankedPoset(k, [len(lv) for lv in levels], covers)
+    return RankedPoset(k, sizes, covers)

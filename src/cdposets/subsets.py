@@ -107,6 +107,18 @@ def subset_label(mask: int) -> str:
     return "[" + ",".join(map(str, ranks_from_mask(mask))) + "]"
 
 
+def subset_labels(n: int) -> list[str]:
+    """``subset_label(mask)`` for every mask below 2^n, in mask order.
+
+    Built incrementally: the masks that add rank s are the earlier ones
+    with ",s" appended before the closing bracket.
+    """
+    inner = [""]
+    for s in range(1, n + 1):
+        inner += [f"{text},{s}" for text in inner]
+    return [f"[{text[1:]}]" for text in inner]
+
+
 def parse_subset(text: str) -> int:
     """Inverse of :func:`subset_label`; also accepts "1,2" shorthand."""
     text = text.strip()

@@ -6,6 +6,7 @@ Exit-code contract: 0 success, 1 failed mathematical check, 2 usage error.
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -309,3 +310,84 @@ def test_installed_script_end_to_end(tmp_path):
     )
     assert check.returncode == 0
     assert json.loads(check.stdout) == {"eulerian": True}
+
+
+# -- flag data from the expression tree ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,code,fragment",
+    [
+        # budget trips inside double, dni, join and dp
+        (["flags", "double(boolean(12))", "--max-elements", "5000"], 2, "replicate_interval would have"),
+        (["cd-index", "dni(boolean(10), 3, 6, 4)", "--max-elements", "3000"], 2, "replicate_interval"),
+        (["l-vector", "join(boolean(8), boolean(8))", "--max-elements", "500"], 2, "join would have"),
+        (["flags", "dp(8, [[1, 8]], 1000)", "--max-elements", "5000"], 2, "replicate_interval"),
+        (["flags", "dp(8, [[1, 8]], 200)", "--max-elements", "3000"], 2, "replicate_interval"),
+        (["flags", "chain(3)", "--max-elements", "3"], 2, "chain(3) would have"),
+        (["flags", "boolean(3)", "--max-elements", "7"], 2, "boolean(3) would have"),
+        # bad dni ranges and zero copies
+        (["flags", "dni(chain(4), 0, 2, 2)"], 2, "not within proper ranks"),
+        (["flags", "dni(chain(4), 2, 4, 2)"], 2, "not within proper ranks"),
+        (["flags", "dni(chain(4), 3, 2, 2)"], 2, "not within proper ranks"),
+        (["flags", "dni(chain(4), 1, 2, 0)"], 2, "copies must be at least 1"),
+        (["flags", "dp(4, [[1, 4]], 0)"], 2, "copies must be at least 1"),
+        (["check-inequality", "dp(4, [[1, 3]], 1)", "--all"], 2, "bad interval system"),
+        # more proper ranks than flag tables allow, after the element budget
+        (["flags", "chain(22)"], 2, "flag vector over 21 proper ranks"),
+        (["cd-index", "join(chain(12), dual(chain(12)))"], 2, "flag vector over 22"),
+        (["l-vector", "join(chain(30), boolean(25))"], 2, "boolean(25) would have"),
+        # glued nodes are built, and nodes above them use the identities
+        (["flags", "glue([boolean(3), chain(3)], [[0, 1, 3], [0, 1, 3]])"], 2, "level sizes"),
+        (["cd-index", "join(lemma3(2), dual(boolean(3)))", "--format", "table"], 0, ""),
+        (["flags", "dual(dni(lemma3(2), 2, 3, 2))", "--format", "table"], 0, ""),
+        # not Eulerian
+        (["cd-index", "chain(3)"], 1, "non-even rank set"),
+        (["cd-index", "dni(boolean(4), 1, 2, 2)"], 1, "non-even rank set"),
+        # successes in every output format
+        (["l-vector", "double(double(double(chain(6))))", "--format", "table"], 0, ""),
+        (["check-inequality", "dp(6, [[1, 2], [3, 6]], 2)", "--all"], 0, ""),
+        (["check-inequality", "boolean(5)", "--T", "[1]", "--V", "[1,2]", "--format", "table"], 0, ""),
+    ],
+)
+def test_tree_path_output_matches_built_poset(run, monkeypatch, argv, code, fragment):
+    from cdposets import cli
+    from cdposets.exprs import build_poset
+    from cdposets.flags import flag_vector
+
+    tree = run(*argv)
+    assert tree[0] == code and fragment in tree[2]
+    monkeypatch.setattr(
+        cli,
+        "flag_vector_of",
+        lambda node, *, budget=None: flag_vector(build_poset(node, budget=budget)),
+    )
+    assert run(*argv) == tree
+
+
+def test_budget_trip_above_a_large_lattice_is_quick(run):
+    # boolean(19) is under the element budget, but its double is not; the
+    # trip comes from the level sizes, before any poset is built
+    start = time.perf_counter()
+    code, out, err = run("cd-index", "double(boolean(19))")
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert err == (
+        "error: replicate_interval would have 1004779 elements, budget is 1000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["--n", "4", "--intervals", "[[null,2]]"], "bad interval [None, 2]"),
+        (["--n", "4", "--intervals", "[[[1],2]]"], "bad interval [[1], 2]"),
+        (["--n", "4", "--intervals", "[[1,2.5]]"], "bad interval [1, 2.5]"),
+        (["--n", "4", "--intervals", "[[1,true]]"], "bad interval [1, True]"),
+        (["--n", "-1", "--intervals", "[]"], "n must be nonnegative, got -1"),
+    ],
+)
+def test_limit_l_rejects_non_integer_endpoints_and_negative_n(run, argv, fragment):
+    code, out, err = run("limit-l", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {fragment}\n"

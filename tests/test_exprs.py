@@ -1,21 +1,33 @@
-"""Expression language round trips and parse diagnostics."""
+"""Expression language round trips, parse diagnostics, and flag vectors
+computed from the expression tree."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from cdposets import (
+    BudgetError,
     ExpressionError,
+    RankedPoset,
     boolean,
     build_poset,
     chain,
     dp_poset,
+    even_interval_systems,
+    flag_vector,
+    flag_vector_of,
     glue,
     horizontal_double,
     join,
     lemma2_poset,
     lemma3_poset,
     parse_expression,
+    ranks_from_mask,
     replicate_interval,
 )
+from cdposets import exprs
 
 
 def build(text):
@@ -89,3 +101,111 @@ def test_domain_errors_pass_through():
 def test_glue_length_mismatch():
     with pytest.raises(ValueError, match="rank sets"):
         build("glue([boolean(3)], [[0, 3], [0, 3]])")
+
+
+# -- flag vectors from the tree --------------------------------------------
+
+# leaves that flag_vector_of builds, with their ranks; the last one fails
+GLUED = [
+    ("glue([boolean(3), boolean(3)], [[0, 3], [0, 3]])", 3),
+    ("glue([dni(chain(4), 2, 3, 2), dni(chain(4), 2, 3, 3)], [[0, 1, 4], [0, 1, 4]])", 4),
+    ("lemma2(7, 1)", 8),
+    ("lemma3(1)", 7),
+    ("lemma3(2)", 7),
+    ("glue([boolean(3), chain(3)], [[0, 1, 3], [0, 1, 3]])", 3),
+]
+
+
+@st.composite
+def trees(draw, depth=3):
+    """(expression, rank) over every node kind; some arguments are out of
+    range, so errors are compared too."""
+    kinds = ["chain", "boolean", "dp", "glued"]
+    if depth:
+        kinds += ["dual", "double", "dni", "join"]
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("chain", "boolean"):
+        r = draw(st.integers(1, 4))
+        return f"{kind}({r})", r
+    if kind == "dp":
+        n = draw(st.integers(0, 5))
+        # [[1, n]] is odd for odd n, and out of range for n = 0
+        intervals = draw(st.sampled_from([(), ((1, n),)] + even_interval_systems(n)))
+        text = ",".join(f"[{a},{b}]" for a, b in intervals)
+        return f"dp({n}, [{text}], {draw(st.integers(0, 3))})", n + 1
+    if kind == "glued":
+        return draw(st.sampled_from(GLUED))
+    inner, r = draw(trees(depth - 1))
+    if kind in ("dual", "double"):
+        return f"{kind}({inner})", r
+    if kind == "dni":
+        low, high = draw(st.integers(0, r)), draw(st.integers(0, r))
+        return f"dni({inner}, {low}, {high}, {draw(st.integers(0, 3))})", r
+    other, r2 = draw(trees(depth - 1))
+    return f"join({inner}, {other})", r + r2 - 1
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except (ValueError, BudgetError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees(), st.sampled_from([None, 40, 300]))
+def test_tree_path_matches_built_poset(tree, budget):
+    node = parse_expression(tree[0])
+    expected = outcome(lambda: flag_vector(build_poset(node, budget=budget)))
+    assert outcome(lambda: flag_vector_of(node, budget=budget)) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "boolean(4)",
+        "dual(dni(boolean(3), 1, 1, 2))",
+        "double(join(chain(2), boolean(2)))",
+        "dp(6, [[1, 4], [3, 6]], 1)",
+        "join(dual(dp(2, [[1, 2]], 1)), lemma3(1))",
+    ],
+)
+def test_tree_path_matches_oracle(text):
+    poset = build(text)
+    counts = oracles.flag_counts(poset.level_sizes, [sorted(c) for c in poset.covers])
+    table = flag_vector_of(parse_expression(text))
+    assert {frozenset(ranks_from_mask(m)): v for m, v in table.items()} == counts
+
+
+def test_tree_path_builds_no_poset_without_glued_nodes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a poset")
+
+    monkeypatch.setattr(RankedPoset, "__init__", refuse)
+    table = flag_vector_of(parse_expression("dual(join(dp(6, [[1, 6]], 2), double(boolean(3))))"))
+    assert table.n == 8
+
+
+@pytest.mark.parametrize(
+    "text,chains,dtype",
+    [
+        # 2^62 - 1 maximal chains, the most the int64 tables allow
+        (f"dni(chain(2), 1, 1, {2**62 - 1})", 2**62 - 1, np.int64),
+        (f"double(dni(chain(3), 1, 2, {2**60 - 1}))", 2**62 - 4, np.int64),
+        (f"dni(chain(2), 1, 1, {2**62})", 2**62, object),
+        (f"join(dni(chain(2), 1, 1, {2**32}), dual(dni(chain(2), 1, 1, {2**32})))", 2**64, object),
+    ],
+)
+def test_tree_path_dtype_switches_at_int64_bound(monkeypatch, text, chains, dtype):
+    seen = []
+    plan = exprs._plan
+
+    def spy(node, budget):
+        sizes, count, table = plan(node, budget)
+        return sizes, count, lambda dt: seen.append(dt) or table(dt)
+
+    monkeypatch.setattr(exprs, "_plan", spy)
+    table = flag_vector_of(parse_expression(text), budget=2**70)
+    assert set(seen) == {dtype}
+    assert table.values[-1] == chains  # every chain meets every rank here
+    assert max(table.values) == chains

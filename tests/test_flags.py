@@ -33,7 +33,7 @@ from cdposets import (
     l_vector,
 )
 from cdposets.exprs import build_poset, parse_expression
-from cdposets.subsets import as_mask, is_even_set, ranks_from_mask
+from cdposets.subsets import as_mask, is_even_set, ranks_from_mask, subset_label
 
 import oracles
 
@@ -401,3 +401,19 @@ def test_cd_index_of_join_is_product(joins):
 
     for name, left, right in joins:
         assert cd_index(join(left, right)) == cd_index(left) * cd_index(right), name
+
+
+@pytest.mark.parametrize("nonzero", [0, 1, 7, 8, 9, 40, 64])
+def test_table_dicts_label_like_subset_label(nonzero):
+    # LVector.to_dict labels sparse tables mask by mask and dense ones from
+    # subset_labels; 8 of 64 entries is the boundary
+    numerators = [0] * 64
+    for mask in random.Random(nonzero).sample(range(64), nonzero):
+        numerators[mask] = mask - 100
+    table = LVector.from_numerators(6, numerators)
+    assert table.to_dict() == {
+        "n": 6,
+        "entries": {subset_label(m): str(v) for m, v in table.nonzero()},
+    }
+    flags = FlagVector(6, numerators)
+    assert flags.to_dict() == {subset_label(m): str(v) for m, v in flags.items()}

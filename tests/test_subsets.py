@@ -12,6 +12,7 @@ from cdposets.subsets import (
     ranks_from_mask,
     reverse_mask,
     subset_label,
+    subset_labels,
 )
 
 import oracles
@@ -95,3 +96,8 @@ def test_subset_label_matches_json_form():
         want = json.dumps(list(ranks_from_mask(mask)), separators=(",", ":"))
         assert subset_label(mask) == want
         assert parse_subset(want) == mask
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_subset_labels_match_subset_label(n):
+    assert subset_labels(n) == [subset_label(m) for m in range(1 << n)]
