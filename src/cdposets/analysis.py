@@ -21,12 +21,19 @@ Eulerian poset satisfies
     (-1)^|T| * sum over T within Q within V of L_Q      >=  0
 
 and the two sides agree up to the factor 2^(|S| + |T|).
+
+The run condition costs one addition: for T within V within [1, n],
+every maximal run of V meets T at most once exactly when (V + T) & T is
+zero.  Adding T to V carries each bit of T past the top of its run,
+clearing the bits it passes, so in a run that meets T twice the carry of
+the lower bit stops at the higher one and leaves it set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .constructions import Interval, dp_poset, join, lemma2_poset, lemma3_poset
@@ -106,6 +113,17 @@ def limit_cd_coefficient(word: str, intervals: Sequence[Interval]) -> int:
 
 
 def _check_inequality_pair(n: int, t_mask: int, v_mask: int) -> None:
+    # Adding T to V carries each bit of T past the top of its run of V,
+    # clearing the bits it passes; a run that meets T twice keeps its
+    # higher T bit set, where the carry of the lower one stops.  So once V
+    # is within [1, n] and T within V, (V + T) & T is zero exactly when
+    # every run meets T at most once, and only an invalid pair reaches the
+    # run scan that words the message.
+    if v_mask >> n or t_mask & ~v_mask or (v_mask + t_mask) & t_mask:
+        _raise_invalid_pair(n, t_mask, v_mask)
+
+
+def _raise_invalid_pair(n: int, t_mask: int, v_mask: int) -> None:
     if v_mask & ~full_mask(n):
         raise ValueError(f"V = {subset_label(v_mask)} not within [1, {n}]")
     if t_mask & ~v_mask:
@@ -114,7 +132,7 @@ def _check_inequality_pair(n: int, t_mask: int, v_mask: int) -> None:
         )
     for a, b in maximal_runs(v_mask):
         run = full_mask(b) & ~full_mask(a - 1)
-        if bin(run & t_mask).count("1") > 1:
+        if (run & t_mask).bit_count() > 1:
             raise ValueError(
                 f"maximal run [{a}, {b}] of V meets T more than once"
             )
@@ -128,11 +146,12 @@ def inequality_f_form(flags: FlagVector, t_set, v_set) -> int:
     """
     t_mask, v_mask = as_mask(t_set), as_mask(v_set)
     _check_inequality_pair(flags.n, t_mask, v_mask)
-    s_mask = full_mask(flags.n) & ~v_mask
+    s_mask = ((1 << flags.n) - 1) ^ v_mask
+    values = flags.values
     total = 0
     r = t_mask
     while True:
-        total += (-2) ** bin(t_mask & ~r).count("1") * flags.values[s_mask | r]
+        total += (-2) ** (t_mask ^ r).bit_count() * values[s_mask | r]
         if r == 0:
             break
         r = (r - 1) & t_mask
@@ -143,7 +162,7 @@ def inequality_l_form(table: LVector, t_set, v_set) -> Fraction:
     """(-1)^|T| * sum of L_Q over T within Q within V."""
     t_mask, v_mask = as_mask(t_set), as_mask(v_set)
     _check_inequality_pair(table.n, t_mask, v_mask)
-    free = v_mask & ~t_mask
+    free = v_mask ^ t_mask
     numerators = table.numerators
     total = 0
     a = free
@@ -152,26 +171,30 @@ def inequality_l_form(table: LVector, t_set, v_set) -> Fraction:
         if a == 0:
             break
         a = (a - 1) & free
-    sign = -1 if bin(t_mask).count("1") % 2 else 1
-    return Fraction(sign * total, 1 << table.n)
+    if t_mask.bit_count() & 1:
+        total = -total
+    return Fraction(total, 1 << table.n)
 
 
 def inequality_pairs(n: int):
-    """Yield every (T, V) mask pair valid for the interval inequality."""
-    for v_mask in range(1 << n):
-        runs = [full_mask(b) & ~full_mask(a - 1) for a, b in maximal_runs(v_mask)]
-        choices: list[list[int]] = [[0]]
-        for run in runs:
-            ranks = ranks_from_mask(run)
-            choices.append([0] + [1 << (s - 1) for s in ranks])
-        stack = [(0, 0)]
-        while stack:
-            depth, t_mask = stack.pop()
-            if depth == len(runs):
-                yield t_mask, v_mask
-                continue
-            for bit in choices[depth + 1]:
-                stack.append((depth + 1, t_mask | bit))
+    """Yield every (T, V) mask pair valid for the interval inequality.
+
+    V runs through the masks below 2^n in increasing order.  For each V, T
+    takes one choice per maximal run of V, lowest run varying slowest:
+    each rank of the run from the highest down, then none.
+    """
+    for v_mask in range(full_mask(n) + 1):
+        choices = []
+        rest = v_mask
+        while rest:
+            low = rest & -rest
+            run = rest & ~(rest + low)
+            rest ^= run
+            top = run.bit_length() - 1
+            bottom = low.bit_length() - 1
+            choices.append([1 << s for s in range(top, bottom - 1, -1)] + [0])
+        for picks in product(*choices):
+            yield sum(picks), v_mask
 
 
 # -- classification of cd words ----------------------------------------

@@ -132,4 +132,8 @@ def parse_subset(text: str) -> int:
         if not isinstance(ranks, list) or not all(isinstance(r, int) for r in ranks):
             raise ValueError(f"bad subset {text!r}: expected a list of ints")
         return as_mask(ranks)
-    return as_mask(int(part) for part in text.split(","))
+    try:
+        ranks = [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad subset {text!r}: {exc}") from None
+    return as_mask(ranks)

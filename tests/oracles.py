@@ -12,7 +12,14 @@ from itertools import combinations
 from cdposets import RankedPoset
 from cdposets.errors import NotCdExpressibleError
 from cdposets.flags import CdPolynomial, cd_support, cd_words
-from cdposets.subsets import evenly_contains, is_even_set, subset_label
+from cdposets.subsets import (
+    evenly_contains,
+    full_mask,
+    is_even_set,
+    maximal_runs,
+    ranks_from_mask,
+    subset_label,
+)
 
 
 def random_graded(rng, level_sizes):
@@ -204,6 +211,41 @@ def f_form(f, n, t_ranks, v_ranks):
         for sub in combinations(sorted(t), size):
             total += (-2) ** (len(t) - size) * f[s | frozenset(sub)]
     return total
+
+
+def check_inequality_pair_scan(n, t_mask, v_mask):
+    """Validity of (T, V) for the interval inequality by scanning the
+    maximal runs of V; raises ValueError like ``inequality_f_form``."""
+    if v_mask & ~full_mask(n):
+        raise ValueError(f"V = {subset_label(v_mask)} not within [1, {n}]")
+    if t_mask & ~v_mask:
+        raise ValueError(
+            f"T = {subset_label(t_mask)} not within V = {subset_label(v_mask)}"
+        )
+    for a, b in maximal_runs(v_mask):
+        run = full_mask(b) & ~full_mask(a - 1)
+        if bin(run & t_mask).count("1") > 1:
+            raise ValueError(
+                f"maximal run [{a}, {b}] of V meets T more than once"
+            )
+
+
+def inequality_pairs_stack(n):
+    """Every valid (T, V) pair by a depth-first stack over the runs of each
+    V, in the order ``inequality_pairs`` must reproduce."""
+    for v_mask in range(1 << n):
+        runs = [full_mask(b) & ~full_mask(a - 1) for a, b in maximal_runs(v_mask)]
+        choices = [[0]]
+        for run in runs:
+            choices.append([0] + [1 << (s - 1) for s in ranks_from_mask(run)])
+        stack = [(0, 0)]
+        while stack:
+            depth, t_mask = stack.pop()
+            if depth == len(runs):
+                yield t_mask, v_mask
+                continue
+            for bit in choices[depth + 1]:
+                stack.append((depth + 1, t_mask | bit))
 
 
 def limit_l(n, intervals):

@@ -18,6 +18,7 @@ from cdposets import (
     dp_poset,
     even_interval_systems,
     evenly_contains,
+    FlagVector,
     flag_vector,
     inequality_f_form,
     inequality_l_form,
@@ -134,12 +135,17 @@ def test_limit_cd_coefficient_trivial_word():
 
 def test_inequality_preconditions():
     f = flag_vector(boolean(4))
-    with pytest.raises(ValueError):
-        inequality_f_form(f, {1, 2}, {1, 2, 3})  # run {1,2,3} meets T twice
-    with pytest.raises(ValueError):
-        inequality_f_form(f, {1}, {2, 3})  # T not inside V
-    with pytest.raises(ValueError):
-        inequality_f_form(f, {4}, {4, 5})  # V outside [1, 3]
+    table = l_vector(f)
+    cases = [
+        ({1, 2}, {1, 2, 3}, "maximal run [1, 3] of V meets T more than once"),
+        ({1}, {2, 3}, "T = [1] not within V = [2,3]"),
+        ({4}, {4, 5}, "V = [4,5] not within [1, 3]"),
+    ]
+    for t_set, v_set, message in cases:
+        for form, data in ((inequality_f_form, f), (inequality_l_form, table)):
+            with pytest.raises(ValueError) as info:
+                form(data, t_set, v_set)
+            assert str(info.value) == message
 
 
 def test_inequality_f_form_matches_oracle(small_corpus):
@@ -161,8 +167,11 @@ def test_inequality_nonnegative_on_eulerian_corpus(corpus):
         f = flag_vector(p)
         table = l_vector(f)
         for t_mask, v_mask in inequality_pairs(f.n):
-            assert inequality_f_form(f, t_mask, v_mask) >= 0, name
-            assert inequality_l_form(table, t_mask, v_mask) >= 0, name
+            f_val = inequality_f_form(f, t_mask, v_mask)
+            l_val = inequality_l_form(table, t_mask, v_mask)
+            assert type(f_val) is int and type(l_val) is Fraction, name
+            assert f_val >= 0, name
+            assert l_val >= 0, name
 
 
 def test_f_form_is_l_form_scaled_by_complement_and_t(corpus):
@@ -215,6 +224,56 @@ def test_inequality_pairs_match_brute_force():
             for t, v in inequality_pairs(n)
         }
         assert got == brute(n)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_inequality_pairs_match_stack_oracle(n):
+    # same pairs in the same order as the depth-first enumerator
+    assert list(inequality_pairs(n)) == list(oracles.inequality_pairs_stack(n))
+
+
+@pytest.mark.parametrize("n", [-1, 63])
+def test_inequality_pairs_rejects_bad_n(n):
+    with pytest.raises(ValueError, match=r"^n must be in \[0, 62\]$"):
+        list(inequality_pairs(n))
+
+
+def _outcome(func, *args):
+    try:
+        func(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_inequality_validity_matches_run_scan(n):
+    # every T and V below 2^(n+1), so V also leaves [1, n]; both forms
+    # accept exactly the pairs the run scan accepts, with its messages
+    f = FlagVector(n, [1] * (1 << n))
+    table = l_vector(f)
+    for v_mask in range(1 << (n + 1)):
+        for t_mask in range(1 << (n + 1)):
+            want = _outcome(oracles.check_inequality_pair_scan, n, t_mask, v_mask)
+            assert _outcome(inequality_f_form, f, t_mask, v_mask) == want
+            assert _outcome(inequality_l_form, table, t_mask, v_mask) == want
+
+
+def test_valid_pairs_skip_the_run_scan(monkeypatch):
+    # the carry test alone accepts a valid pair; only invalid pairs scan
+    # the runs of V to word their message
+    import cdposets.analysis as analysis
+
+    def no_scan(mask):
+        raise AssertionError(f"run scan reached for V = {mask}")
+
+    monkeypatch.setattr(analysis, "maximal_runs", no_scan)
+    for n in range(11):
+        f = FlagVector(n, [1] * (1 << n))
+        table = l_vector(f)
+        for t_mask, v_mask in inequality_pairs(n):
+            inequality_f_form(f, t_mask, v_mask)
+            inequality_l_form(table, t_mask, v_mask)
 
 
 # -- classification -----------------------------------------------------------

@@ -4,9 +4,12 @@ Exit-code contract: 0 success, 1 failed mathematical check, 2 usage error.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +131,13 @@ def test_check_inequality_single_violation(run):
     data = json.loads(out)
     assert data["nonnegative"] is False
     assert data["f_form"] == "-1"
+
+
+def test_check_inequality_bad_subset_is_usage_error(run):
+    code, out, err = run("check-inequality", "boolean(4)", "--T", "x", "--V", "[1]")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad subset 'x': invalid literal for int() with base 10: 'x'\n"
 
 
 def test_check_inequality_needs_a_mode(run):
@@ -307,6 +317,32 @@ def test_installed_script_end_to_end(tmp_path):
     assert build.returncode == 0
     check = subprocess.run(
         ["cdposets", "check-eulerian", str(target)], capture_output=True, text=True
+    )
+    assert check.returncode == 0
+    assert json.loads(check.stdout) == {"eulerian": True}
+
+
+@pytest.mark.parametrize("module", ["cdposets", "cdposets.cli"])
+def test_python_m_end_to_end(tmp_path, module):
+    # the package and its cli module run as modules, so the process-level
+    # path is tested without the installed script
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    target = tmp_path / "f.json"
+    build = subprocess.run(
+        [sys.executable, "-m", module, "build", "lemma3(2)", "-o", str(target)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (build.returncode, build.stdout, build.stderr) == (0, "", "")
+    assert json.loads(target.read_text())["rank"] == 7
+    check = subprocess.run(
+        [sys.executable, "-m", module, "check-eulerian", str(target)],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert check.returncode == 0
     assert json.loads(check.stdout) == {"eulerian": True}

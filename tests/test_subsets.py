@@ -84,8 +84,18 @@ def test_labels():
     assert parse_subset("[2,4]") == as_mask([2, 4])
     assert parse_subset("2,4") == as_mask([2, 4])
     assert parse_subset("[]") == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad subset '\[1,'"):
         parse_subset("[1,")
+    # the comma form words its failures like the bracket form
+    for text in ("x", "1,y", "1,,2"):
+        with pytest.raises(ValueError) as info:
+            parse_subset(text)
+        assert str(info.value).startswith(f"bad subset {text!r}: ")
+    with pytest.raises(ValueError) as info:
+        parse_subset(" 1,x ")
+    assert str(info.value) == (
+        "bad subset '1,x': invalid literal for int() with base 10: 'x'"
+    )
 
 
 def test_subset_label_matches_json_form():
