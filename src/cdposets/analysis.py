@@ -33,20 +33,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
-from .constructions import Interval, dp_poset, join, lemma2_poset, lemma3_poset
+from .constructions import Interval
 from .errors import BudgetError
+from .exprs import _sized_flag_vector, build_poset, parse_expression
 from .flags import (
     FlagVector,
     LVector,
     cd_degree,
-    cd_index,
+    cd_from_l,
     cd_support,
     cd_words,
+    l_vector,
 )
-from .poset import RankedPoset, boolean
+from .poset import RankedPoset
 from .subsets import (
     as_mask,
     evenly_contains,
@@ -336,19 +339,27 @@ def count_part1_words(n: int) -> int:
 class NegativeWitness:
     """A poset realizing a negative contribution for a Part3 word.
 
-    ``poset`` is built around the witness subword: a base family chosen by
-    the subword, joined below/above with boolean lattices matching the
+    ``expression`` names the poset: a base family chosen by the subword
+    (``base``), joined below/above with boolean lattices matching the
     prefix and suffix.  ``coefficient`` is the computed cd coefficient of
     the full word; it is strictly decreasing in the copies parameter from
     2 on, so large enough parameters make it arbitrarily negative.
+    ``coefficient`` and ``level_sizes`` come from the expression tree;
+    ``poset`` is built from it, under the same budget, only when read.
     """
 
     word: str
     witness: str
     position: int
     base: str
-    poset: RankedPoset
+    expression: str
+    level_sizes: tuple[int, ...]
     coefficient: int
+    budget: int | None = None
+
+    @cached_property
+    def poset(self) -> RankedPoset:
+        return build_poset(parse_expression(self.expression), budget=self.budget)
 
     def to_dict(self) -> dict:
         return {
@@ -364,8 +375,8 @@ class NegativeWitness:
 def negative_witness(
     word: str, copies: int, *, budget: int | None = None
 ) -> NegativeWitness:
-    """Construct an Eulerian poset whose cd-index is negative on ``word``
-    once ``copies`` is large enough.
+    """An Eulerian poset whose cd-index is negative on ``word`` once
+    ``copies`` is large enough.
 
     The witness subword picks the base family: ``ccdcc`` uses the rank-7
     glued family, ``d c^m d`` uses the replicated chain of rank m + 5 when
@@ -375,26 +386,28 @@ def negative_witness(
     tag, info = _raw_classify(word)
     if tag != "Part3":
         raise ValueError(f"{word!r} is {tag}; witnesses exist only for Part3 words")
+    # each base family's first check, which the grammar cannot carry for N < 0
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
     witness, position = info["witness"], info["position"]
     if witness == "ccdcc":
-        base = lemma3_poset(copies, budget=budget)
-        base_expr = f"lemma3({copies})"
-        base_degree = 6
+        base = f"lemma3({copies})"
     else:
         m = len(witness) - 2
-        base_degree = m + 4
-        if base_degree % 2 == 0:
-            base = dp_poset(base_degree, [(1, base_degree)], copies, budget=budget)
-            base_expr = f"dp({base_degree},[[1,{base_degree}]],{copies})"
+        degree = m + 4
+        if degree % 2 == 0:
+            base = f"dp({degree},[[1,{degree}]],{copies})"
         else:
-            base = lemma2_poset(base_degree, copies, budget=budget)
-            base_expr = f"lemma2({base_degree},{copies})"
+            base = f"lemma2({degree},{copies})"
     prefix_degree = cd_degree(word[:position])
     suffix_degree = cd_degree(word[position + len(witness):])
-    poset = base
+    expression = base
     if prefix_degree:
-        poset = join(boolean(prefix_degree + 1, budget=budget), poset, budget=budget)
+        expression = f"join(boolean({prefix_degree + 1}),{expression})"
     if suffix_degree:
-        poset = join(poset, boolean(suffix_degree + 1, budget=budget), budget=budget)
-    coefficient = cd_index(poset).coefficient(word)
-    return NegativeWitness(word, witness, position, base_expr, poset, coefficient)
+        expression = f"join({expression},boolean({suffix_degree + 1}))"
+    sizes, flags = _sized_flag_vector(parse_expression(expression), budget)
+    coefficient = cd_from_l(l_vector(flags)).coefficient(word)
+    return NegativeWitness(
+        word, witness, position, base, expression, tuple(sizes), coefficient, budget
+    )

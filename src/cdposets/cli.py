@@ -29,7 +29,6 @@ from .analysis import (
     negative_witness,
     nonneg_certificate,
 )
-from .constructions import dp_poset, lemma2_poset, lemma3_poset
 from .corpus import eulerian_corpus, join_pairs
 from .errors import BudgetError, NotCdExpressibleError
 from .exprs import ExpressionError, build_poset, flag_vector_of, parse_expression
@@ -284,8 +283,8 @@ def _cmd_certificate(args) -> int:
 def _cmd_witness(args) -> int:
     report = negative_witness(args.word, args.N, budget=args.max_elements)
     data = report.to_dict()
-    data["rank"] = report.poset.rank
-    data["elements"] = report.poset.num_elements
+    data["rank"] = len(report.level_sizes) - 1
+    data["elements"] = sum(report.level_sizes)
     if args.format == "json":
         _emit_json(data)
     else:
@@ -318,27 +317,21 @@ def _suite_lemma1() -> list[dict]:
     rows = []
     for n in (4, 6):
         for copies in (1, 2, 3):
-            actual = cd_index(dp_poset(n, [(1, n)], copies))
-            rows.append(
-                _row(
-                    f"cd-index of dp({n},[[1,{n}]],{copies})",
-                    _closed_form(n, copies),
-                    actual,
-                )
-            )
+            name = f"dp({n},[[1,{n}]],{copies})"
+            actual = cd_index(build_poset(parse_expression(name)))
+            rows.append(_row(f"cd-index of {name}", _closed_form(n, copies), actual))
     return rows
 
 
 def _suite_lemma2() -> list[dict]:
     rows = []
     for copies in (1, 2):
-        poset = lemma2_poset(7, copies)
-        rows.append(
-            _row(f"lemma2(7,{copies}) eulerian", True, poset.is_eulerian().eulerian)
-        )
+        name = f"lemma2(7,{copies})"
+        poset = build_poset(parse_expression(name))
+        rows.append(_row(f"{name} eulerian", True, poset.is_eulerian().eulerian))
         rows.append(
             _row(
-                f"lemma2(7,{copies}) coefficient of dcccd",
+                f"{name} coefficient of dcccd",
                 4 * (copies**2 - copies**4),
                 cd_index(poset).coefficient("dcccd"),
             )
@@ -349,13 +342,12 @@ def _suite_lemma2() -> list[dict]:
 def _suite_lemma3() -> list[dict]:
     rows = []
     for copies in (1, 2, 3):
-        poset = lemma3_poset(copies)
-        rows.append(
-            _row(f"lemma3({copies}) eulerian", True, poset.is_eulerian().eulerian)
-        )
+        name = f"lemma3({copies})"
+        poset = build_poset(parse_expression(name))
+        rows.append(_row(f"{name} eulerian", True, poset.is_eulerian().eulerian))
         rows.append(
             _row(
-                f"lemma3({copies}) coefficient of ccdcc",
+                f"{name} coefficient of ccdcc",
                 -2 * (copies - 1) ** 2,
                 cd_index(poset).coefficient("ccdcc"),
             )

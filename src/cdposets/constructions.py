@@ -8,15 +8,16 @@ from it:
 * :func:`horizontal_double` doubles every proper level, turning each cover
   into a complete bipartite bowtie; the double of any bounded graded poset
   of rank r has cd-index c^(r-1) contributions behaving like a chain.
-* :func:`dp_poset` replicates a system of intervals of a chain and doubles,
-  the family whose normalized flag data converges as N grows.
-* :func:`lemma2_poset` and :func:`lemma3_poset` glue replicated chains into
-  Eulerian families realizing prescribed negative cd coefficients.
 
 :func:`join` stacks one bounded poset on another (top of the first and
 bottom of the second removed, complete bipartite covers in between); the
 cd-index is multiplicative across it.  :func:`glue` identifies several
 posets of equal rank along chosen levels, index by index.
+
+The paper's families (``dp``, ``lemma2``, ``lemma3``) are expression
+trees over these constructions, defined in :mod:`cdposets.exprs`.  When
+flag vectors are computed from such a tree, only :func:`glue` is built;
+the others have identities there.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GlueInconsistentError, GlueMismatchError
-from .poset import RankedPoset, _check_budget, chain
+from .poset import RankedPoset, _check_budget
 
 Interval = tuple[int, int]
 
@@ -262,99 +263,3 @@ def even_interval_systems(n: int) -> list[tuple[Interval, ...]]:
             if not validate_even_interval_system(n, combo):
                 out.append(combo)
     return out
-
-
-def check_dp_arguments(
-    n: int, intervals: Sequence[Interval], copies: int, *, require_even: bool = True
-) -> None:
-    """The argument checks of :func:`dp_poset`, in its order."""
-    if copies < 1:
-        raise ValueError(f"copies must be at least 1, got {copies}")
-    if require_even:
-        diags = validate_even_interval_system(n, intervals)
-        if diags:
-            raise ValueError("bad interval system: " + "; ".join(diags))
-    else:
-        for a, b in intervals:
-            if not 1 <= a <= b <= n:
-                raise ValueError(f"interval [{a}, {b}] not within [1, {n}]")
-
-
-def dp_poset(
-    n: int,
-    intervals: Sequence[Interval],
-    copies: int,
-    *,
-    require_even: bool = True,
-    budget: int | None = None,
-) -> RankedPoset:
-    """Replicate each listed interval of the chain of rank n + 1 into
-    ``copies + 1`` disjoint copies and double the result.
-
-    ``copies`` is the growth parameter of the family: for a valid even
-    interval system of k intervals the result is Eulerian with
-    2^n * (copies + 1)^k maximal chains, and for the single system
-    {[1, n]} the cd-index is (copies + 1) c^n - copies (cc - 2d)^{n/2},
-    so copies = 0 would be the doubled chain.  Set ``require_even=False``
-    to experiment with systems that fail validation.
-    """
-    check_dp_arguments(n, intervals, copies, require_even=require_even)
-    out = chain(n + 1, budget=budget)
-    for a, b in intervals:
-        out = replicate_interval(out, a, b, copies + 1, budget=budget)
-    return horizontal_double(out, budget=budget)
-
-
-# -- glued families with prescribed negative cd coefficients ----------
-
-
-def _lemma2_glued(n: int, copies: int, *, budget: int | None = None) -> RankedPoset:
-    """Pre-double glued poset behind :func:`lemma2_poset`."""
-    if n < 7 or n % 2 == 0:
-        raise ValueError(f"rank parameter must be odd and at least 7, got {n}")
-    if copies < 1:
-        raise ValueError(f"copies must be at least 1, got {copies}")
-    base = chain(n + 1, budget=budget)
-    m = copies
-    part1 = base
-    for a, b in [(n - 1, n), (4, n - 2), (3, n - 3), (1, 2)]:
-        part1 = replicate_interval(part1, a, b, m + 1, budget=budget)
-    part2 = replicate_interval(base, 4, n, m + 1, budget=budget)
-    part2 = replicate_interval(part2, 3, n - 2, m**2, budget=budget)
-    part2 = replicate_interval(part2, 1, n - 3, m + 1, budget=budget)
-    part3 = replicate_interval(base, 1, n, m**4, budget=budget)
-    ends = {0, 1, 2, n - 1, n, n + 1}
-    return glue(
-        [(part1, ends), (part2, ends), (part3, {0, n + 1})], budget=budget
-    )
-
-
-def lemma2_poset(n: int, copies: int, *, budget: int | None = None) -> RankedPoset:
-    """Eulerian poset of rank n + 1 (n odd, at least 7) whose cd-index has
-    coefficient 4 * (copies^2 - copies^4) on the word d c^(n-4) d.
-
-    Built by gluing three replicated chains along their outer levels and
-    doubling.
-    """
-    return horizontal_double(_lemma2_glued(n, copies, budget=budget), budget=budget)
-
-
-def _lemma3_glued(copies: int, *, budget: int | None = None) -> RankedPoset:
-    """Pre-double glued poset behind :func:`lemma3_poset`."""
-    if copies < 1:
-        raise ValueError(f"copies must be at least 1, got {copies}")
-    base = chain(7, budget=budget)
-    part1 = replicate_interval(base, 2, 6, copies, budget=budget)
-    part1 = replicate_interval(part1, 1, 2, copies, budget=budget)
-    part2 = replicate_interval(base, 5, 6, copies, budget=budget)
-    part2 = replicate_interval(part2, 1, 5, copies, budget=budget)
-    return glue([(part1, {0, 1, 6, 7}), (part2, {0, 1, 6, 7})], budget=budget)
-
-
-def lemma3_poset(copies: int, *, budget: int | None = None) -> RankedPoset:
-    """Eulerian poset of rank 7 whose cd-index has coefficient
-    -2 * (copies - 1)^2 on the word c c d c c.
-
-    Two replicated chains glued at ranks 0, 1, 6, 7, then doubled.
-    """
-    return horizontal_double(_lemma3_glued(copies, budget=budget), budget=budget)

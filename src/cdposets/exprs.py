@@ -12,7 +12,12 @@ Grammar (whitespace-insensitive)::
 Parse errors carry the byte offset of the offending token.
 
 :func:`build_poset` evaluates an expression to a :class:`RankedPoset`.
-:func:`flag_vector_of` computes its flag vector from the tree instead,
+The paper's families are defined only here, as trees of the other kinds
+that both evaluators expand first: ``dp(n, I, N)`` is chain(n + 1), then
+dni(., a, b, N + 1) for each interval [a, b] of I, then double;
+``lemma2`` and ``lemma3`` are the doubles of glues of replicated chains.
+
+:func:`flag_vector_of` computes the flag vector from the tree instead,
 carrying only level sizes, the number of maximal chains and the 2^n
 table.  With n the number of proper ranks and masks as in
 :mod:`cdposets.subsets`:
@@ -26,11 +31,9 @@ table.  With n the number of proper ranks and masks as in
   and is unchanged otherwise.
 * ``join(P, Q)``: f_S = f^P of the low n_P bits of S times f^Q of the
   rest, so the table is the outer product of the two.
-* ``dp(n, I, N)``: chain(n + 1), then dni(., a, b, N + 1) for each
-  interval [a, b] of I, then double.
-* ``glue``, ``lemma2``, ``lemma3``: built with :func:`build_poset` and
-  passed to :func:`~cdposets.flags.flag_vector`; nodes above them still
-  use the identities.
+* ``glue``: built with :func:`build_poset` and passed to
+  :func:`~cdposets.flags.flag_vector`, the only node built; the nodes
+  above it (the doubles of ``lemma2`` and ``lemma3``) use the identities.
 
 The identities multiply the maximal-chain counts of the children by
 factors of at least 1 (N, 2^n, the other side of a join), so no node
@@ -45,22 +48,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .constructions import (
-    check_dp_arguments,
+    Interval,
     doubled_sizes,
-    dp_poset,
     glue,
     horizontal_double,
     join,
     joined_sizes,
-    lemma2_poset,
-    lemma3_poset,
     replicate_interval,
     replicated_sizes,
+    validate_even_interval_system,
 )
 from .flags import _INT64_SAFE, FlagVector, check_flag_ranks, flag_vector
 from .poset import RankedPoset, boolean, boolean_sizes, chain, chain_sizes
@@ -239,6 +240,7 @@ def build_poset(node: Node, *, budget: int | None = None) -> RankedPoset:
     """Evaluate a parsed expression.  Domain errors (bad ranges, glue
     mismatches, budget) surface as the usual exceptions from the
     construction functions."""
+    node = _expand(node)
     kind, args = node.kind, node.args
     if kind == "chain":
         return chain(args[0], budget=budget)
@@ -267,14 +269,113 @@ def build_poset(node: Node, *, budget: int | None = None) -> RankedPoset:
             )
         built = [build_poset(part, budget=budget) for part in parts]
         return glue(list(zip(built, rank_sets)), budget=budget)
-    if kind == "dp":
-        n, intervals, copies = args
-        return dp_poset(n, list(intervals), copies, budget=budget)
-    if kind == "lemma2":
-        return lemma2_poset(args[0], args[1], budget=budget)
-    if kind == "lemma3":
-        return lemma3_poset(args[0], budget=budget)
     raise ValueError(f"unknown node kind {kind!r}")
+
+
+# -- the paper's families as trees of the primitive kinds ----------------
+
+
+def _expand(node: Node) -> Node:
+    """The primitive tree of a ``dp``, ``lemma2`` or ``lemma3`` node, after
+    that family's argument checks in their order; other nodes unchanged."""
+    if node.kind == "dp":
+        return _dp_tree(*node.args)
+    if node.kind == "lemma2":
+        return Node("double", (_lemma2_glue(*node.args),))
+    if node.kind == "lemma3":
+        return Node("double", (_lemma3_glue(*node.args),))
+    return node
+
+
+def _replicated_chain(rank: int, replications) -> Node:
+    """chain(rank), then dni(., low, high, copies) for each (low, high, copies)."""
+    tree = Node("chain", (rank,))
+    for low, high, copies in replications:
+        tree = Node("dni", (tree, low, high, copies))
+    return tree
+
+
+def _dp_tree(n: int, intervals, copies: int, require_even: bool = True) -> Node:
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
+    if require_even:
+        diags = validate_even_interval_system(n, intervals)
+        if diags:
+            raise ValueError("bad interval system: " + "; ".join(diags))
+    else:
+        for a, b in intervals:
+            if not 1 <= a <= b <= n:
+                raise ValueError(f"interval [{a}, {b}] not within [1, {n}]")
+    replications = [(a, b, copies + 1) for a, b in intervals]
+    return Node("double", (_replicated_chain(n + 1, replications),))
+
+
+def _lemma2_glue(n: int, copies: int) -> Node:
+    """The glue below the double of ``lemma2(n, copies)``."""
+    if n < 7 or n % 2 == 0:
+        raise ValueError(f"rank parameter must be odd and at least 7, got {n}")
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
+    m = copies
+    parts = (
+        _replicated_chain(
+            n + 1, [(n - 1, n, m + 1), (4, n - 2, m + 1), (3, n - 3, m + 1), (1, 2, m + 1)]
+        ),
+        _replicated_chain(n + 1, [(4, n, m + 1), (3, n - 2, m**2), (1, n - 3, m + 1)]),
+        _replicated_chain(n + 1, [(1, n, m**4)]),
+    )
+    ends = (0, 1, 2, n - 1, n, n + 1)
+    return Node("glue", (parts, (ends, ends, (0, n + 1))))
+
+
+def _lemma3_glue(copies: int) -> Node:
+    """The glue below the double of ``lemma3(copies)``."""
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
+    parts = (
+        _replicated_chain(7, [(2, 6, copies), (1, 2, copies)]),
+        _replicated_chain(7, [(5, 6, copies), (1, 5, copies)]),
+    )
+    return Node("glue", (parts, ((0, 1, 6, 7), (0, 1, 6, 7))))
+
+
+def dp_poset(
+    n: int,
+    intervals: Sequence[Interval],
+    copies: int,
+    *,
+    require_even: bool = True,
+    budget: int | None = None,
+) -> RankedPoset:
+    """Replicate each listed interval of the chain of rank n + 1 into
+    ``copies + 1`` disjoint copies and double the result.
+
+    ``copies`` is the growth parameter of the family: for a valid even
+    interval system of k intervals the result is Eulerian with
+    2^n * (copies + 1)^k maximal chains, and for the single system
+    {[1, n]} the cd-index is (copies + 1) c^n - copies (cc - 2d)^{n/2},
+    so copies = 0 would be the doubled chain.  Set ``require_even=False``
+    to experiment with systems that fail validation.
+    """
+    return build_poset(_dp_tree(n, intervals, copies, require_even), budget=budget)
+
+
+def lemma2_poset(n: int, copies: int, *, budget: int | None = None) -> RankedPoset:
+    """Eulerian poset of rank n + 1 (n odd, at least 7) whose cd-index has
+    coefficient 4 * (copies^2 - copies^4) on the word d c^(n-4) d.
+
+    Three replicated chains glued along their outer levels, then doubled.
+    """
+    return build_poset(Node("lemma2", (n, copies)), budget=budget)
+
+
+def lemma3_poset(copies: int, *, budget: int | None = None) -> RankedPoset:
+    """Eulerian poset of rank 7 whose cd-index has coefficient
+    -2 * (copies - 1)^2 on the word c c d c c.
+
+    Two replicated chains glued at ranks 0, 1, 6, 7, then doubled.
+    """
+    return build_poset(Node("lemma3", (copies,)), budget=budget)
 
 
 # -- flag vectors from the tree ------------------------------------------
@@ -286,20 +387,27 @@ _Plan = tuple[list[int], int, Callable[[type], np.ndarray]]
 
 def flag_vector_of(node: Node, *, budget: int | None = None) -> FlagVector:
     """``flag_vector(build_poset(node, budget=budget))`` without building
-    the poset, except under ``glue``, ``lemma2`` and ``lemma3`` nodes.
+    the poset, except under ``glue`` nodes.
 
     A first walk carries only level sizes and the number of maximal chains
     and raises exactly what :func:`build_poset` would, in its order; then
     the flag rank limit is checked, and only then are the tables computed
     by the identities in the module docstring.
     """
+    return _sized_flag_vector(node, budget)[1]
+
+
+def _sized_flag_vector(node: Node, budget: int | None) -> tuple[list[int], FlagVector]:
+    """The level sizes of ``build_poset(node)`` and :func:`flag_vector_of`,
+    from one walk of the tree."""
     sizes, chains, table = _plan(node, budget)
     n = len(sizes) - 2
     check_flag_ranks(n)
-    return FlagVector(n, table(np.int64 if chains < _INT64_SAFE else object).tolist())
+    return sizes, FlagVector(n, table(np.int64 if chains < _INT64_SAFE else object).tolist())
 
 
 def _plan(node: Node, budget: int | None) -> _Plan:
+    node = _expand(node)
     kind, args = node.kind, node.args
     if kind == "chain":
         sizes = chain_sizes(args[0], budget=budget)
@@ -324,14 +432,7 @@ def _plan(node: Node, budget: int | None) -> _Plan:
             left_chains * right_chains,
             lambda dtype: np.outer(right(dtype), left(dtype)).ravel(),
         )
-    if kind == "dp":
-        n, intervals, copies = args
-        check_dp_arguments(n, intervals, copies)
-        plan = _plan(Node("chain", (n + 1,)), budget)
-        for low, high in intervals:
-            plan = _replicated(plan, low, high, copies + 1, budget)
-        return _doubled(plan, budget)
-    # glue, lemma2 and lemma3 (and unknown kinds, which build_poset rejects)
+    # glue, the only node built (unknown kinds: build_poset rejects them)
     poset = build_poset(node, budget=budget)
     return (
         list(poset.level_sizes),

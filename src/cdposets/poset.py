@@ -302,9 +302,10 @@ class RankedPoset:
             covers = data["covers"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"poset object needs rank/level_sizes/covers: {exc}") from None
-        if not isinstance(rank, int):
+        # type(...) is int: JSON true and false load as bool, an int subclass
+        if type(rank) is not int:
             raise ValueError("rank must be an integer")
-        if not isinstance(sizes, list) or not all(isinstance(s, int) for s in sizes):
+        if not isinstance(sizes, list) or not all(type(s) is int for s in sizes):
             raise ValueError("level_sizes must be a list of integers")
         if not isinstance(covers, list):
             raise ValueError("covers must be a list of lists of pairs")
@@ -315,7 +316,7 @@ class RankedPoset:
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                     raise ValueError(f"bad cover pair {pair!r}")
                 i, j = pair
-                if not (isinstance(i, int) and isinstance(j, int)):
+                if not (type(i) is int and type(j) is int):
                     raise ValueError(f"bad cover pair {pair!r}")
                 level.append((i, j))
             parsed.append(level)

@@ -129,7 +129,7 @@ def parse_subset(text: str) -> int:
             ranks = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad subset {text!r}: {exc}") from None
-        if not isinstance(ranks, list) or not all(isinstance(r, int) for r in ranks):
+        if not isinstance(ranks, list) or not all(type(r) is int for r in ranks):
             raise ValueError(f"bad subset {text!r}: expected a list of ints")
         return as_mask(ranks)
     try:

@@ -4,12 +4,17 @@ Everything here is written for clarity, not speed: transitive closures as
 dict-of-set fixpoints, chain counts by explicit enumeration, transforms as
 literal double sums.  The library must agree with these on every poset
 small enough to enumerate.  ``random_graded`` makes such posets.
+
+``dp_poset``, ``lemma2_glued`` and ``lemma3_glued`` build the paper's
+families by direct construction calls, as the library did before it
+defined them as expression trees.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from cdposets import RankedPoset
+from cdposets import RankedPoset, chain, glue, horizontal_double, replicate_interval
+from cdposets import validate_even_interval_system
 from cdposets.errors import NotCdExpressibleError
 from cdposets.flags import CdPolynomial, cd_support, cd_words
 from cdposets.subsets import (
@@ -286,3 +291,55 @@ def cd_from_l_scan(table):
             )
         terms[word] = int(coeff)
     return CdPolynomial(table.n, terms)
+
+
+def dp_poset(n, intervals, copies, *, require_even=True, budget=None):
+    """Replicate each interval of chain(n + 1) into copies + 1 blocks, then
+    double, checking the arguments first."""
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
+    if require_even:
+        diags = validate_even_interval_system(n, intervals)
+        if diags:
+            raise ValueError("bad interval system: " + "; ".join(diags))
+    else:
+        for a, b in intervals:
+            if not 1 <= a <= b <= n:
+                raise ValueError(f"interval [{a}, {b}] not within [1, {n}]")
+    out = chain(n + 1, budget=budget)
+    for a, b in intervals:
+        out = replicate_interval(out, a, b, copies + 1, budget=budget)
+    return horizontal_double(out, budget=budget)
+
+
+def lemma2_glued(n, copies, *, budget=None):
+    """The glued poset whose double is lemma2(n, copies)."""
+    if n < 7 or n % 2 == 0:
+        raise ValueError(f"rank parameter must be odd and at least 7, got {n}")
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
+    base = chain(n + 1, budget=budget)
+    m = copies
+    part1 = base
+    for a, b in [(n - 1, n), (4, n - 2), (3, n - 3), (1, 2)]:
+        part1 = replicate_interval(part1, a, b, m + 1, budget=budget)
+    part2 = replicate_interval(base, 4, n, m + 1, budget=budget)
+    part2 = replicate_interval(part2, 3, n - 2, m**2, budget=budget)
+    part2 = replicate_interval(part2, 1, n - 3, m + 1, budget=budget)
+    part3 = replicate_interval(base, 1, n, m**4, budget=budget)
+    ends = {0, 1, 2, n - 1, n, n + 1}
+    return glue(
+        [(part1, ends), (part2, ends), (part3, {0, n + 1})], budget=budget
+    )
+
+
+def lemma3_glued(copies, *, budget=None):
+    """The glued poset whose double is lemma3(copies)."""
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
+    base = chain(7, budget=budget)
+    part1 = replicate_interval(base, 2, 6, copies, budget=budget)
+    part1 = replicate_interval(part1, 1, 2, copies, budget=budget)
+    part2 = replicate_interval(base, 5, 6, copies, budget=budget)
+    part2 = replicate_interval(part2, 1, 5, copies, budget=budget)
+    return glue([(part1, {0, 1, 6, 7}), (part2, {0, 1, 6, 7})], budget=budget)

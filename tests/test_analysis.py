@@ -427,3 +427,72 @@ def test_witness_poset_carries_the_negative_coefficient(copies):
     report = negative_witness("ddcc", copies)
     assert cd_index(report.poset).coefficient("ddcc") == report.coefficient
     assert report.coefficient <= 0
+
+
+def direct_witness_poset(word, copies):
+    """The witness poset of ``word`` by direct construction calls: the base
+    family of its witness subword, joined with boolean lattices for the
+    prefix and the suffix."""
+    from cdposets import cd_degree, horizontal_double, join
+
+    report = classify_word(word)
+    witness, position = report.witness, report.position
+    degree = cd_degree(witness)
+    if witness == "ccdcc":
+        poset = horizontal_double(oracles.lemma3_glued(copies))
+    elif degree % 2 == 0:
+        poset = oracles.dp_poset(degree, [(1, degree)], copies)
+    else:
+        poset = horizontal_double(oracles.lemma2_glued(degree, copies))
+    prefix = cd_degree(word[:position])
+    suffix = cd_degree(word[position + len(witness):])
+    if prefix:
+        poset = join(boolean(prefix + 1), poset)
+    if suffix:
+        poset = join(poset, boolean(suffix + 1))
+    return poset
+
+
+@pytest.mark.parametrize(
+    "word,expression",
+    [
+        ("cccdccc", "join(join(boolean(2),lemma3(2)),boolean(2))"),
+        ("dccdc", "join(dp(6,[[1,6]],2),boolean(2))"),
+        ("cdcccdd", "join(join(boolean(2),lemma2(7,2)),boolean(3))"),
+        ("ccddc", "join(join(boolean(3),dp(4,[[1,4]],2)),boolean(2))"),
+    ],
+)
+def test_witness_builds_no_poset_until_read(monkeypatch, word, expression):
+    from cdposets import exprs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a poset")
+
+    monkeypatch.setattr(exprs, "horizontal_double", refuse)
+    monkeypatch.setattr(exprs, "join", refuse)
+    report = negative_witness(word, 2)
+    assert report.expression == expression
+    with pytest.raises(AssertionError, match="built a poset"):
+        report.poset
+    monkeypatch.undo()
+    # read, the poset is the direct construction and carries the coefficient
+    poset = report.poset
+    assert poset == direct_witness_poset(word, 2)
+    assert poset.level_sizes == report.level_sizes
+    assert cd_index(poset).coefficient(word) == report.coefficient < 0
+    assert report.poset is poset
+
+
+def test_witness_coefficient_needs_no_poset():
+    # 8,000,010 elements, under the budget given; .poset would build them
+    # under the same budget
+    report = negative_witness("dd", 10**6, budget=10**7)
+    assert report.coefficient == -4 * 10**6
+    assert sum(report.level_sizes) == 8 * (10**6 + 1) + 2
+    assert report.budget == 10**7
+
+
+def test_witness_rejects_copies_below_one():
+    for copies in (0, -1):
+        with pytest.raises(ValueError, match=f"copies must be at least 1, got {copies}$"):
+            negative_witness("dd", copies)

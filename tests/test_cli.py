@@ -140,6 +140,13 @@ def test_check_inequality_bad_subset_is_usage_error(run):
     assert err == "error: bad subset 'x': invalid literal for int() with base 10: 'x'\n"
 
 
+def test_check_inequality_rejects_boolean_ranks(run):
+    code, out, err = run("check-inequality", "boolean(3)", "--T", "[true]", "--V", "[1]")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad subset '[true]': expected a list of ints\n"
+
+
 def test_check_inequality_needs_a_mode(run):
     code, _, err = run("check-inequality", "boolean(3)")
     assert code == 2
@@ -213,6 +220,24 @@ def test_witness_json(run):
     assert "decreasing" in data["trend"]
 
 
+@pytest.mark.parametrize("word", ["cccdccc", "cdcccdd", "ccddc", "cdd"])
+def test_witness_rank_and_elements_match_the_built_poset(run, word):
+    from cdposets import negative_witness
+
+    code, out, _ = run("witness", word, "--N", "2")
+    assert code == 0
+    data = json.loads(out)
+    poset = negative_witness(word, 2).poset
+    assert (data["rank"], data["elements"]) == (poset.rank, poset.num_elements)
+
+
+def test_witness_prefix_budget_names_the_boolean(run):
+    # the prefix lattice is checked before the base family
+    code, out, err = run("witness", "cccdcc", "--N", "2", "--max-elements", "3")
+    assert code == 2 and out == ""
+    assert err == "error: boolean(2) would have 4 elements, budget is 3\n"
+
+
 def test_witness_refuses_wrong_class(run):
     code, _, err = run("witness", "cdc", "--N", "2")
     assert code == 2
@@ -245,6 +270,17 @@ def test_poset_file_is_validated(run, tmp_path):
     code, _, err = run("flags", str(bad))
     assert code == 2
     assert "invalid poset" in err
+
+
+@pytest.mark.parametrize("command", ["flags", "check-eulerian"])
+def test_poset_file_with_booleans_is_usage_error(run, tmp_path, command):
+    bad = tmp_path / "bools.json"
+    bad.write_text(
+        json.dumps({"rank": True, "level_sizes": [1, True], "covers": [[[0, False]]]})
+    )
+    code, out, err = run(command, str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: rank must be an integer\n"
 
 
 def test_poset_file_over_budget_is_usage_error(run, tmp_path):

@@ -7,6 +7,7 @@ from cdposets import (
     GlueInconsistentError,
     GlueMismatchError,
     boolean,
+    build_poset,
     cd_index,
     chain,
     dp_poset,
@@ -19,7 +20,7 @@ from cdposets import (
     replicate_interval,
     validate_even_interval_system,
 )
-from cdposets.constructions import _lemma2_glued, _lemma3_glued
+from cdposets.exprs import _lemma2_glue, _lemma3_glue
 
 import oracles
 
@@ -286,7 +287,7 @@ def test_lemma2_rejects_bad_rank():
 def test_lemma2_glued_interval_count_identity():
     # identified elements x at rank 2, y at rank 6 of the pre-double poset:
     # [x, y] carries exactly one more even-rank element than odd-rank
-    g = _lemma2_glued(7, 2)
+    g = build_poset(_lemma2_glue(7, 2))
     even = odd = 0
     for r in range(2, 7):
         down = g.comparability(2, r)[0]
@@ -300,13 +301,13 @@ def test_lemma2_glued_interval_count_identity():
 
 
 def test_lemma3_glued_shares_ends():
-    g = _lemma3_glued(2)
+    g = build_poset(_lemma3_glue(2))
     assert g.level_sizes[0] == g.level_sizes[7] == 1
     assert g.level_sizes[1] == g.level_sizes[6] == 2
 
 
 def test_glued_families_eulerian_only_after_doubling():
-    assert not _lemma3_glued(2).is_eulerian().eulerian
+    assert not build_poset(_lemma3_glue(2)).is_eulerian().eulerian
     assert lemma3_poset(2).is_eulerian().eulerian
 
 

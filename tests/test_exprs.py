@@ -28,6 +28,7 @@ from cdposets import (
     replicate_interval,
 )
 from cdposets import exprs
+from cdposets.exprs import _lemma2_glue, _lemma3_glue
 
 
 def build(text):
@@ -209,3 +210,114 @@ def test_tree_path_dtype_switches_at_int64_bound(monkeypatch, text, chains, dtyp
     assert set(seen) == {dtype}
     assert table.values[-1] == chains  # every chain meets every rank here
     assert max(table.values) == chains
+
+
+# -- the paper's families as expression trees -------------------------------
+
+
+def doubled(glued):
+    def build(*args, budget=None):
+        return horizontal_double(glued(*args, budget=budget), budget=budget)
+
+    return build
+
+
+# family -> (the library's builder, the direct construction of tests/oracles.py)
+FAMILIES = {
+    "dp": (dp_poset, oracles.dp_poset),
+    "lemma2": (lemma2_poset, doubled(oracles.lemma2_glued)),
+    "lemma3": (lemma3_poset, doubled(oracles.lemma3_glued)),
+}
+
+DP_CASES = [
+    (n, system, copies)
+    for n in range(1, 7)
+    for system in even_interval_systems(n)
+    for copies in (1, 2)
+]
+
+
+def same_for_every_budget(family, *args, **kwargs):
+    """The library and the direct construction give equal posets, or the
+    same (exception type, message), for every budget from 1 to the size
+    of the poset."""
+    tree, direct = FAMILIES[family]
+    size = direct(*args, **kwargs).num_elements
+    for budget in range(1, size + 1):
+        expected = outcome(lambda: direct(*args, **kwargs, budget=budget))
+        assert outcome(lambda: tree(*args, **kwargs, budget=budget)) == expected, budget
+
+
+@pytest.mark.parametrize("n,system,copies", DP_CASES)
+def test_dp_tree_matches_direct_construction(n, system, copies):
+    direct = oracles.dp_poset(n, system, copies)
+    label = ",".join(f"[{a},{b}]" for a, b in system)
+    assert dp_poset(n, system, copies) == direct
+    assert build(f"dp({n},[{label}],{copies})") == direct
+    same_for_every_budget("dp", n, system, copies)
+
+
+def test_dp_tree_without_the_even_check():
+    assert dp_poset(4, [(1, 3)], 1, require_even=False) == oracles.dp_poset(
+        4, [(1, 3)], 1, require_even=False
+    )
+    same_for_every_budget("dp", 4, [(1, 3)], 1, require_even=False)
+
+
+@pytest.mark.parametrize("n,copies", [(7, 1), (7, 2), (9, 1), (9, 2)])
+def test_lemma2_tree_matches_direct_construction(n, copies):
+    glued = oracles.lemma2_glued(n, copies)
+    assert build_poset(_lemma2_glue(n, copies)) == glued
+    assert lemma2_poset(n, copies) == horizontal_double(glued)
+    same_for_every_budget("lemma2", n, copies)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_lemma3_tree_matches_direct_construction(copies):
+    glued = oracles.lemma3_glued(copies)
+    assert build_poset(_lemma3_glue(copies)) == glued
+    assert lemma3_poset(copies) == horizontal_double(glued)
+    same_for_every_budget("lemma3", copies)
+
+
+@pytest.mark.parametrize(
+    "family,args,kwargs",
+    [
+        ("dp", (4, [(1, 3)], 1), {}),
+        ("dp", (4, [(1, 3)], 0), {}),
+        ("dp", (4, [(0, 5)], -1), {}),
+        ("dp", (6, [(1, 4), (2, 3), (1, 4), (4, 5)], 1), {}),
+        ("dp", (4, [(1, 3), (2, 5)], 1), {"require_even": False}),
+        ("lemma2", (6, 0), {}),
+        ("lemma2", (5, 2), {}),
+        ("lemma2", (7, 0), {}),
+        ("lemma2", (9, -3), {}),
+        ("lemma3", (0,), {}),
+        ("lemma3", (-2,), {}),
+    ],
+)
+def test_family_argument_errors_match_direct_construction(family, args, kwargs):
+    tree, direct = FAMILIES[family]
+    # the arguments are checked before any budget
+    for budget in (None, 1):
+        expected = outcome(lambda: direct(*args, **kwargs, budget=budget))
+        assert expected[0] is ValueError
+        assert outcome(lambda: tree(*args, **kwargs, budget=budget)) == expected
+
+
+@pytest.mark.parametrize("text", ["lemma2(7, 2)", "lemma3(3)", "join(boolean(2), lemma3(2))"])
+def test_tree_path_builds_only_glue(monkeypatch, text):
+    node = parse_expression(text)
+    expected = flag_vector(build_poset(node))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a poset outside glue")
+
+    for name in ("horizontal_double", "join", "boolean"):
+        monkeypatch.setattr(exprs, name, refuse)
+    assert flag_vector_of(node) == expected
+
+
+def test_corpus_names_build_their_posets(corpus):
+    for name, poset in corpus:
+        assert build_poset(parse_expression(name)) == poset, name

@@ -72,6 +72,23 @@ def test_from_dict_accepts_broken_structure_for_diagnosis():
     assert any("cover" in d for d in diags)
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"rank": True, "level_sizes": [1, True], "covers": [[[0, False]]]}, "rank must be an integer"),
+        ({"rank": 1, "level_sizes": [1, True], "covers": [[[0, 0]]]}, "level_sizes must be a list of integers"),
+        ({"rank": 1, "level_sizes": [1, 1], "covers": [[[0, False]]]}, "bad cover pair [0, False]"),
+        ({"rank": 1, "level_sizes": [1, 1], "covers": [[[True, 0]]]}, "bad cover pair [True, 0]"),
+    ],
+)
+def test_from_dict_rejects_booleans(data, message):
+    with pytest.raises(ValueError) as info:
+        RankedPoset.from_dict(data)
+    assert str(info.value) == message
+    integers = {"rank": 1, "level_sizes": [1, 1], "covers": [[[0, 0]]]}
+    assert RankedPoset.from_dict(integers) == chain(1)
+
+
 def test_validate_reports_bad_shapes():
     p = RankedPoset(2, (1, 0, 1), ((), ()))
     assert any("empty" in d for d in p.validate())

@@ -98,6 +98,14 @@ def test_labels():
     )
 
 
+def test_parse_subset_rejects_json_booleans():
+    # JSON true and false load as bool, a subclass of int
+    for text in ("[true]", "[1,false]"):
+        with pytest.raises(ValueError) as info:
+            parse_subset(text)
+        assert str(info.value) == f"bad subset {text!r}: expected a list of ints"
+
+
 def test_subset_label_matches_json_form():
     import json
 
