@@ -20,7 +20,16 @@ Eulerian poset satisfies
     sum over R within T of (-2)^|T - R| f_(S union R)  >=  0
     (-1)^|T| * sum over T within Q within V of L_Q      >=  0
 
-and the two sides agree up to the factor 2^(|S| + |T|).
+The L form is the f form divided by 2^(|S| + |T|), for every table, Eulerian
+or not.  Write L_Q = 2^(-n) sum over U of (-1)^|U cap Q| h_U and sum the
+characters over T within Q within V first: they cancel unless U misses
+V - T, and then give (-1)^|U cap T| 2^|V - T|.  So the L form is
+2^(|V| - |T| - n) (-1)^|T| times the sum over R within T and A within S
+of (-1)^|R| h_(A union R).  Inverting h to f, the sum over A within S of
+h_(A union R) is the sum over R' within R of (-1)^|R - R'| f_(S union R'),
+and summing over R' within R within T with the sign (-1)^|T| leaves
+(-2)^|T - R'| at f_(S union R'): the f form.  Since |V| - |T| - n is
+-(|S| + |T|), the two forms also share their sign.
 
 The run condition costs one addition: for T within V within [1, n],
 every maximal run of V meets T at most once exactly when (V + T) & T is

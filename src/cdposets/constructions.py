@@ -1,13 +1,19 @@
 """Constructions that build new ranked posets from old ones.
 
-The workhorse is :func:`replicate_interval`, which replaces the subposet
-spanned by a contiguous range of proper ranks with N parallel copies of
-itself, duplicating the boundary covers to every copy.  Composites built
-from it:
+Two constructions copy levels in place, and both are one map over the
+covers.  The copies of a level are laid out one after another: copy a of
+element i at proper level r, of old size L_r, gets index a * L_r + i, so
+copy 0 keeps the old indices.
 
+* :func:`replicate_interval` replaces the subposet spanned by a contiguous
+  range of proper ranks with N parallel copies of itself, keeping covers
+  inside the range within each copy and duplicating the boundary covers to
+  every copy.
 * :func:`horizontal_double` doubles every proper level, turning each cover
   into a complete bipartite bowtie; the double of any bounded graded poset
-  of rank r has cd-index c^(r-1) contributions behaving like a chain.
+  of rank r has cd-index c^(r-1) contributions behaving like a chain.  It
+  equals replicating each proper level into two copies in turn, but builds
+  the result directly, as one poset.
 
 :func:`join` stacks one bounded poset on another (top of the first and
 bottom of the second removed, complete bipartite covers in between); the
@@ -45,25 +51,7 @@ def replicate_interval(
     """
     poset._require_valid()
     sizes = replicated_sizes(poset.level_sizes, low, high, copies, budget=budget)
-    old = poset.level_sizes
-    covers = []
-    for r in range(poset.rank):
-        cs = poset.covers[r]
-        if r < low - 1 or r > high:
-            covers.append(cs)
-        elif r == low - 1:
-            covers.append(
-                {(i, t * old[r + 1] + j) for i, j in cs for t in range(copies)}
-            )
-        elif r < high:
-            covers.append(
-                {(t * old[r] + i, t * old[r + 1] + j) for i, j in cs for t in range(copies)}
-            )
-        else:  # r == high, leaving the replicated range
-            covers.append(
-                {(t * old[r] + i, j) for i, j in cs for t in range(copies)}
-            )
-    return RankedPoset(poset.rank, sizes, covers)
+    return _copy_levels(poset, sizes, linked=range(low, high + 1))
 
 
 def replicated_sizes(
@@ -85,7 +73,7 @@ def replicated_sizes(
 
 def doubled_sizes(sizes: Sequence[int], *, budget: int | None = None) -> list[int]:
     """Level sizes of :func:`horizontal_double`, checked level by level as
-    it replicates them."""
+    if each proper level were replicated in turn."""
     out = list(sizes)
     for r in range(1, len(sizes) - 1):
         out = replicated_sizes(out, r, r, 2, budget=budget)
@@ -93,11 +81,37 @@ def doubled_sizes(sizes: Sequence[int], *, budget: int | None = None) -> list[in
 
 
 def horizontal_double(poset: RankedPoset, *, budget: int | None = None) -> RankedPoset:
-    """Make two copies of every proper level (rank 1 through rank - 1)."""
-    out = poset
-    for r in range(1, poset.rank):
-        out = replicate_interval(out, r, r, 2, budget=budget)
-    return out
+    """Make two copies of every proper level (rank 1 through rank - 1).
+
+    Copy ``a`` of element ``i`` at proper level ``r`` gets index
+    ``a * L_r + i``, and every cover goes to all the copy pairs of its two
+    levels.  This is the composition of ``replicate_interval(., r, r, 2)``
+    over r = 1, ..., rank - 1, built as one map.
+    """
+    poset._require_valid()
+    sizes = doubled_sizes(poset.level_sizes, budget=budget)
+    return _copy_levels(poset, sizes, linked=range(0))
+
+
+def _copy_levels(poset: RankedPoset, sizes: Sequence[int], linked: range) -> RankedPoset:
+    """Level r of the result is ``sizes[r] / L_r`` copies of level r of
+    ``poset``, copy ``a`` of element ``i`` at ``a * L_r + i``.  A cover
+    (i, j) between levels r and r + 1 goes to the copy pairs (a, a) when
+    both levels lie in ``linked`` and to every pair (a, b) otherwise."""
+    old = poset.level_sizes
+    covers = []
+    for r, cs in enumerate(poset.covers):
+        lo, hi = old[r], old[r + 1]
+        if r in linked and r + 1 in linked:
+            pairs = [(a * lo, a * hi) for a in range(sizes[r] // lo)]
+        else:
+            pairs = [
+                (a * lo, b * hi)
+                for a in range(sizes[r] // lo)
+                for b in range(sizes[r + 1] // hi)
+            ]
+        covers.append({(x + i, y + j) for i, j in cs for x, y in pairs})
+    return RankedPoset(poset.rank, sizes, covers)
 
 
 def join(

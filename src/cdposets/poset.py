@@ -307,7 +307,9 @@ class RankedPoset:
             raise ValueError("rank must be an integer")
         if not isinstance(sizes, list) or not all(type(s) is int for s in sizes):
             raise ValueError("level_sizes must be a list of integers")
-        if not isinstance(covers, list):
+        if not isinstance(covers, list) or not all(
+            isinstance(cs, (list, tuple)) for cs in covers
+        ):
             raise ValueError("covers must be a list of lists of pairs")
         parsed = []
         for cs in covers:

@@ -5,16 +5,20 @@ dict-of-set fixpoints, chain counts by explicit enumeration, transforms as
 literal double sums.  The library must agree with these on every poset
 small enough to enumerate.  ``random_graded`` makes such posets.
 
+``replicate_interval_stepwise`` and ``horizontal_double_stepwise`` are the
+level-copying constructions as the library first wrote them: replication
+branch by branch, and the double as one replication per proper level.
 ``dp_poset``, ``lemma2_glued`` and ``lemma3_glued`` build the paper's
-families by direct construction calls, as the library did before it
-defined them as expression trees.
+families from them by direct construction calls, as the library did
+before it defined them as expression trees.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from cdposets import RankedPoset, chain, glue, horizontal_double, replicate_interval
+from cdposets import RankedPoset, chain, glue
 from cdposets import validate_even_interval_system
+from cdposets.constructions import replicated_sizes
 from cdposets.errors import NotCdExpressibleError
 from cdposets.flags import CdPolynomial, cd_support, cd_words
 from cdposets.subsets import (
@@ -293,6 +297,41 @@ def cd_from_l_scan(table):
     return CdPolynomial(table.n, terms)
 
 
+def replicate_interval_stepwise(poset, low, high, copies, *, budget=None):
+    """Copies t of element i at a replicated level of old size L at
+    t * L + i, with one branch per kind of cover level."""
+    poset._require_valid()
+    sizes = replicated_sizes(poset.level_sizes, low, high, copies, budget=budget)
+    old = poset.level_sizes
+    covers = []
+    for r in range(poset.rank):
+        cs = poset.covers[r]
+        if r < low - 1 or r > high:
+            covers.append(cs)
+        elif r == low - 1:
+            covers.append(
+                {(i, t * old[r + 1] + j) for i, j in cs for t in range(copies)}
+            )
+        elif r < high:
+            covers.append(
+                {(t * old[r] + i, t * old[r + 1] + j) for i, j in cs for t in range(copies)}
+            )
+        else:  # r == high, leaving the replicated range
+            covers.append(
+                {(t * old[r] + i, j) for i, j in cs for t in range(copies)}
+            )
+    return RankedPoset(poset.rank, sizes, covers)
+
+
+def horizontal_double_stepwise(poset, *, budget=None):
+    """Two copies of each proper level, one replication at a time; a
+    rank-1 poset is returned as it is, unvalidated."""
+    out = poset
+    for r in range(1, poset.rank):
+        out = replicate_interval_stepwise(out, r, r, 2, budget=budget)
+    return out
+
+
 def dp_poset(n, intervals, copies, *, require_even=True, budget=None):
     """Replicate each interval of chain(n + 1) into copies + 1 blocks, then
     double, checking the arguments first."""
@@ -308,8 +347,8 @@ def dp_poset(n, intervals, copies, *, require_even=True, budget=None):
                 raise ValueError(f"interval [{a}, {b}] not within [1, {n}]")
     out = chain(n + 1, budget=budget)
     for a, b in intervals:
-        out = replicate_interval(out, a, b, copies + 1, budget=budget)
-    return horizontal_double(out, budget=budget)
+        out = replicate_interval_stepwise(out, a, b, copies + 1, budget=budget)
+    return horizontal_double_stepwise(out, budget=budget)
 
 
 def lemma2_glued(n, copies, *, budget=None):
@@ -322,11 +361,11 @@ def lemma2_glued(n, copies, *, budget=None):
     m = copies
     part1 = base
     for a, b in [(n - 1, n), (4, n - 2), (3, n - 3), (1, 2)]:
-        part1 = replicate_interval(part1, a, b, m + 1, budget=budget)
-    part2 = replicate_interval(base, 4, n, m + 1, budget=budget)
-    part2 = replicate_interval(part2, 3, n - 2, m**2, budget=budget)
-    part2 = replicate_interval(part2, 1, n - 3, m + 1, budget=budget)
-    part3 = replicate_interval(base, 1, n, m**4, budget=budget)
+        part1 = replicate_interval_stepwise(part1, a, b, m + 1, budget=budget)
+    part2 = replicate_interval_stepwise(base, 4, n, m + 1, budget=budget)
+    part2 = replicate_interval_stepwise(part2, 3, n - 2, m**2, budget=budget)
+    part2 = replicate_interval_stepwise(part2, 1, n - 3, m + 1, budget=budget)
+    part3 = replicate_interval_stepwise(base, 1, n, m**4, budget=budget)
     ends = {0, 1, 2, n - 1, n, n + 1}
     return glue(
         [(part1, ends), (part2, ends), (part3, {0, n + 1})], budget=budget
@@ -338,8 +377,8 @@ def lemma3_glued(copies, *, budget=None):
     if copies < 1:
         raise ValueError(f"copies must be at least 1, got {copies}")
     base = chain(7, budget=budget)
-    part1 = replicate_interval(base, 2, 6, copies, budget=budget)
-    part1 = replicate_interval(part1, 1, 2, copies, budget=budget)
-    part2 = replicate_interval(base, 5, 6, copies, budget=budget)
-    part2 = replicate_interval(part2, 1, 5, copies, budget=budget)
+    part1 = replicate_interval_stepwise(base, 2, 6, copies, budget=budget)
+    part1 = replicate_interval_stepwise(part1, 1, 2, copies, budget=budget)
+    part2 = replicate_interval_stepwise(base, 5, 6, copies, budget=budget)
+    part2 = replicate_interval_stepwise(part2, 1, 5, copies, budget=budget)
     return glue([(part1, {0, 1, 6, 7}), (part2, {0, 1, 6, 7})], budget=budget)

@@ -2,6 +2,7 @@
 certificates, and the negative-coefficient witnesses."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from cdposets import (
     negative_witness,
     nonneg_certificate,
 )
+from cdposets import cli
 from cdposets.subsets import full_mask, ranks_from_mask
 
 import oracles
@@ -186,6 +188,22 @@ def test_f_form_is_l_form_scaled_by_complement_and_t(corpus):
             assert inequality_f_form(f, t_mask, v_mask) == 2 ** (
                 s_size + t_size
             ) * inequality_l_form(table, t_mask, v_mask), name
+
+
+def test_l_form_is_scaled_f_form_on_random_tables():
+    # the identity holds for every table, not only Eulerian flag vectors;
+    # the check-inequality command derives its L form from it
+    rng = random.Random(61)
+    for trial in range(120):
+        n = trial % 7
+        f = FlagVector(n, [rng.randint(-50, 50) for _ in range(1 << n)])
+        table = l_vector(f)
+        for t_mask, v_mask in inequality_pairs(n):
+            f_val = inequality_f_form(f, t_mask, v_mask)
+            l_val = inequality_l_form(table, t_mask, v_mask)
+            scale = n - v_mask.bit_count() + t_mask.bit_count()
+            assert f_val == 2**scale * l_val, (f.values, t_mask, v_mask)
+            assert cli._inequality_forms(f, t_mask, v_mask) == (f_val, l_val)
 
 
 def test_inequality_can_fail_off_eulerian_posets():

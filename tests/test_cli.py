@@ -283,6 +283,17 @@ def test_poset_file_with_booleans_is_usage_error(run, tmp_path, command):
     assert err == "error: rank must be an integer\n"
 
 
+@pytest.mark.parametrize("entry", [5, None])
+def test_poset_file_with_non_list_cover_level_is_usage_error(run, tmp_path, entry):
+    bad = tmp_path / "covers.json"
+    bad.write_text(
+        json.dumps({"rank": 2, "level_sizes": [1, 1, 1], "covers": [entry, [[0, 0]]]})
+    )
+    code, out, err = run("flags", str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: covers must be a list of lists of pairs\n"
+
+
 def test_poset_file_over_budget_is_usage_error(run, tmp_path):
     # refused from the declared level sizes, before validation walks them
     huge = tmp_path / "huge.json"

@@ -1,11 +1,13 @@
 """Replication, doubling, join, glue, and the named poset families."""
 
+import numpy as np
 import pytest
 
 from cdposets import (
     BudgetError,
     GlueInconsistentError,
     GlueMismatchError,
+    RankedPoset,
     boolean,
     build_poset,
     cd_index,
@@ -20,6 +22,7 @@ from cdposets import (
     replicate_interval,
     validate_even_interval_system,
 )
+from cdposets import constructions
 from cdposets.exprs import _lemma2_glue, _lemma3_glue
 
 import oracles
@@ -93,6 +96,80 @@ def test_double_identity_on_rank_one():
 def test_double_chain_count():
     assert horizontal_double(chain(4)).count_maximal_chains() == 8
     assert horizontal_double(boolean(3)).count_maximal_chains() == 6 * 4
+
+
+def test_double_of_invalid_rank_one_poset_is_rejected():
+    # the stepwise double made no replication at rank 1, so it returned an
+    # invalid poset unvalidated; the one-map double validates like the rest
+    bad = RankedPoset(1, (1, 2), [[(0, 0)]])
+    assert oracles.horizontal_double_stepwise(bad) is bad
+    with pytest.raises(ValueError) as info:
+        horizontal_double(bad)
+    assert str(info.value) == "invalid poset: level 1 must have exactly one element, got 2"
+
+
+def test_double_builds_one_poset(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return RankedPoset(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("horizontal_double called another construction")
+
+    monkeypatch.setattr(constructions, "RankedPoset", counting)
+    monkeypatch.setattr(constructions, "replicate_interval", refuse)
+    p = oracles.random_graded(np.random.default_rng(7), [1, 3, 2, 3, 2, 1])
+    assert horizontal_double(p) == oracles.horizontal_double_stepwise(p)
+    assert len(built) == 1
+
+
+def _outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _random_posets():
+    rng = np.random.default_rng(2024)
+    for _ in range(25):
+        rank = int(rng.integers(1, 6))
+        sizes = [1] + [int(rng.integers(1, 4)) for _ in range(rank - 1)] + [1]
+        yield oracles.random_graded(rng, sizes)
+
+
+def _replications(p):
+    for low in range(1, p.rank):
+        for high in range(low, p.rank):
+            for copies in (1, 2, 3):
+                yield low, high, copies
+
+
+def test_one_map_matches_stepwise_on_corpus(corpus):
+    for name, p in corpus:
+        assert horizontal_double(p) == oracles.horizontal_double_stepwise(p), name
+        for low, high, copies in _replications(p):
+            expected = oracles.replicate_interval_stepwise(p, low, high, copies)
+            assert replicate_interval(p, low, high, copies) == expected, name
+
+
+def test_one_map_matches_stepwise_under_every_budget():
+    for p in _random_posets():
+        size = horizontal_double(p).num_elements
+        for budget in range(size + 2):
+            assert _outcome(horizontal_double, p, budget=budget) == _outcome(
+                oracles.horizontal_double_stepwise, p, budget=budget
+            )
+        for low, high, copies in _replications(p):
+            size = replicate_interval(p, low, high, copies).num_elements
+            for budget in range(size + 2):
+                assert _outcome(
+                    replicate_interval, p, low, high, copies, budget=budget
+                ) == _outcome(
+                    oracles.replicate_interval_stepwise, p, low, high, copies, budget=budget
+                )
 
 
 # -- join ---------------------------------------------------------------

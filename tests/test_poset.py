@@ -79,6 +79,8 @@ def test_from_dict_accepts_broken_structure_for_diagnosis():
         ({"rank": 1, "level_sizes": [1, True], "covers": [[[0, 0]]]}, "level_sizes must be a list of integers"),
         ({"rank": 1, "level_sizes": [1, 1], "covers": [[[0, False]]]}, "bad cover pair [0, False]"),
         ({"rank": 1, "level_sizes": [1, 1], "covers": [[[True, 0]]]}, "bad cover pair [True, 0]"),
+        ({"rank": 2, "level_sizes": [1, 1, 1], "covers": [5, [[0, 0]]]}, "covers must be a list of lists of pairs"),
+        ({"rank": 2, "level_sizes": [1, 1, 1], "covers": [[[0, 0]], None]}, "covers must be a list of lists of pairs"),
     ],
 )
 def test_from_dict_rejects_booleans(data, message):
