@@ -47,7 +47,10 @@ from .subsets import parse_subset, subset_label
 
 def _load_poset_file(path: str, budget: int | None) -> RankedPoset:
     with open(path) as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError as exc:  # the decoder recurses once per nested list
+            raise ValueError(f"{path}: {exc}") from None
     poset = RankedPoset.from_dict(data)
     # validate() walks every declared element, so bound them first
     _check_budget(sum(poset.level_sizes), budget, f"poset file {path}")

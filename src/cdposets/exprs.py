@@ -9,18 +9,27 @@ Grammar (whitespace-insensitive)::
           | dp(INT, [[INT, INT], ...], INT)   # n, intervals, copies
           | lemma2(INT, INT) | lemma3(INT)
 
-Parse errors carry the byte offset of the offending token.
+The grammar is one table, ``_GRAMMAR``: each constructor with the kinds
+of its arguments, which the parser reads in order, separated by commas.
+Parse errors carry the byte offset of the offending token.  Constructors
+nest at most ``_MAX_DEPTH`` = 100 levels deep; the parser refuses the
+first one past that at its offset.
 
-:func:`build_poset` evaluates an expression to a :class:`RankedPoset`.
 The paper's families are defined only here, as trees of the other kinds
-that both evaluators expand first: ``dp(n, I, N)`` is chain(n + 1), then
+that the walk expands first: ``dp(n, I, N)`` is chain(n + 1), then
 dni(., a, b, N + 1) for each interval [a, b] of I, then double;
 ``lemma2`` and ``lemma3`` are the doubles of glues of replicated chains.
+The walk holds the expanded tree to the same 100 levels, so a ``dp`` of
+more than 98 intervals is refused too.
 
-:func:`flag_vector_of` computes the flag vector from the tree instead,
-carrying only level sizes, the number of maximal chains and the 2^n
-table.  With n the number of proper ranks and masks as in
-:mod:`cdposets.subsets`:
+One walk, ``_plan``, is the only code that dispatches on the kinds.  For
+each node it checks arguments and budgets and carries level sizes, the
+number of maximal chains, how to compute the 2^n flag table and how to
+build the poset.  :func:`build_poset` builds the root's poset;
+:func:`flag_vector_of` computes the root's table instead.  Both raise
+the same errors in the same order, because they share the walk.  With
+n the number of proper ranks and masks as in :mod:`cdposets.subsets`,
+the tables are:
 
 * ``chain``: f_S = 1 for every S.
 * ``boolean(k)``: f_S = k! / (s_1! (s_2 - s_1)! ... (k - s_j)!) for
@@ -31,7 +40,7 @@ table.  With n the number of proper ranks and masks as in
   and is unchanged otherwise.
 * ``join(P, Q)``: f_S = f^P of the low n_P bits of S times f^Q of the
   rest, so the table is the outer product of the two.
-* ``glue``: built with :func:`build_poset` and passed to
+* ``glue``: built by the walk from its parts' posets and passed to
   :func:`~cdposets.flags.flag_vector`, the only node built; the nodes
   above it (the doubles of ``lemma2`` and ``lemma3``) use the identities.
 
@@ -48,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +74,14 @@ from .constructions import (
 )
 from .flags import _INT64_SAFE, FlagVector, check_flag_ranks, flag_vector
 from .poset import RankedPoset, boolean, boolean_sizes, chain, chain_sizes
+
+
+# the deepest nesting of constructors accepted, in the source and in the
+# expanded tree: the parser takes up to three frames a level (glue parts)
+# and the walk two, so this stays well inside Python's recursion limit of
+# 1000 with room for the callers' frames
+_MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests more than {_MAX_DEPTH} levels deep"
 
 
 class ExpressionError(ValueError):
@@ -114,6 +131,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.index = 0
+        self.depth = 0  # constructors open around the next token
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -140,34 +158,29 @@ class _Parser:
             )
         return int(tok.text)
 
-    def parse_int_list(self) -> list[int]:
+    def parse_list(self, item: Callable[[], object], *, empty: bool) -> tuple:
+        """``[item, ...]``, and ``[]`` when ``empty``."""
         self.expect("[")
         out = []
-        if self.peek().text != "]":
-            out.append(self.parse_int())
+        if not empty or self.peek().text != "]":
+            out.append(item())
             while self.peek().text == ",":
                 self.advance()
-                out.append(self.parse_int())
+                out.append(item())
         self.expect("]")
-        return out
+        return tuple(out)
 
-    def parse_interval_list(self) -> list[tuple[int, int]]:
-        self.expect("[")
-        out = []
-        if self.peek().text != "]":
-            while True:
-                pair = self.parse_int_list()
-                if len(pair) != 2:
-                    raise ExpressionError(
-                        f"expected an interval [low, high], found {len(pair)} entries",
-                        self.peek().position,
-                    )
-                out.append((pair[0], pair[1]))
-                if self.peek().text != ",":
-                    break
-                self.advance()
-        self.expect("]")
-        return out
+    def parse_ints(self) -> tuple:
+        return self.parse_list(self.parse_int, empty=True)
+
+    def parse_interval(self) -> tuple:
+        pair = self.parse_ints()
+        if len(pair) != 2:
+            raise ExpressionError(
+                f"expected an interval [low, high], found {len(pair)} entries",
+                self.peek().position,
+            )
+        return pair
 
     def parse_expr(self) -> Node:
         tok = self.advance()
@@ -176,53 +189,45 @@ class _Parser:
                 f"expected a constructor name, found {tok.text or 'end of input'!r}",
                 tok.position,
             )
-        name = tok.text
+        if self.depth == _MAX_DEPTH:
+            raise ExpressionError(_TOO_DEEP, tok.position)
         self.expect("(")
-        if name in ("chain", "boolean", "lemma3"):
-            args: tuple = (self.parse_int(),)
-        elif name in ("dual", "double"):
-            args = (self.parse_expr(),)
-        elif name == "dni":
-            inner = self.parse_expr()
-            nums = [self._comma_int() for _ in range(3)]
-            args = (inner, *nums)
-        elif name == "join":
-            left = self.parse_expr()
-            self.expect(",")
-            args = (left, self.parse_expr())
-        elif name == "lemma2":
-            first = self.parse_int()
-            self.expect(",")
-            args = (first, self.parse_int())
-        elif name == "dp":
-            n = self.parse_int()
-            self.expect(",")
-            intervals = self.parse_interval_list()
-            self.expect(",")
-            args = (n, tuple(intervals), self.parse_int())
-        elif name == "glue":
-            self.expect("[")
-            parts = [self.parse_expr()]
-            while self.peek().text == ",":
-                self.advance()
-                parts.append(self.parse_expr())
-            self.expect("]")
-            self.expect(",")
-            self.expect("[")
-            rank_sets = [tuple(self.parse_int_list())]
-            while self.peek().text == ",":
-                self.advance()
-                rank_sets.append(tuple(self.parse_int_list()))
-            self.expect("]")
-            args = (tuple(parts), tuple(rank_sets))
-        else:
-            raise ExpressionError(f"unknown constructor {name!r}", tok.position)
+        kinds = _GRAMMAR.get(tok.text)
+        if kinds is None:
+            raise ExpressionError(f"unknown constructor {tok.text!r}", tok.position)
+        self.depth += 1
+        args = []
+        for k, kind in enumerate(kinds):
+            if k:
+                self.expect(",")
+            args.append(_READERS[kind](self))
+        self.depth -= 1
         self.expect(")")
-        return Node(name, args)
+        return Node(tok.text, tuple(args))
 
-    def _comma_int(self) -> int:
-        self.expect(",")
-        return self.parse_int()
+
+# argument kind -> how the parser reads one
+_READERS: dict[str, Callable[[_Parser], object]] = {
+    "INT": _Parser.parse_int,
+    "expr": _Parser.parse_expr,
+    "[[INT, INT], ...]": lambda p: p.parse_list(p.parse_interval, empty=True),
+    "[expr, ...]": lambda p: p.parse_list(p.parse_expr, empty=False),
+    "[[INT, ...], ...]": lambda p: p.parse_list(p.parse_ints, empty=False),
+}
+
+# constructor -> the kinds of its arguments, the grammar of the module docstring
+_GRAMMAR: dict[str, tuple[str, ...]] = {
+    "chain": ("INT",),
+    "boolean": ("INT",),
+    "dual": ("expr",),
+    "double": ("expr",),
+    "dni": ("expr", "INT", "INT", "INT"),
+    "join": ("expr", "expr"),
+    "glue": ("[expr, ...]", "[[INT, ...], ...]"),
+    "dp": ("INT", "[[INT, INT], ...]", "INT"),
+    "lemma2": ("INT", "INT"),
+    "lemma3": ("INT",),
+}
 
 
 def parse_expression(text: str) -> Node:
@@ -239,37 +244,12 @@ def parse_expression(text: str) -> Node:
 def build_poset(node: Node, *, budget: int | None = None) -> RankedPoset:
     """Evaluate a parsed expression.  Domain errors (bad ranges, glue
     mismatches, budget) surface as the usual exceptions from the
-    construction functions."""
-    node = _expand(node)
-    kind, args = node.kind, node.args
-    if kind == "chain":
-        return chain(args[0], budget=budget)
-    if kind == "boolean":
-        return boolean(args[0], budget=budget)
-    if kind == "dual":
-        return build_poset(args[0], budget=budget).dual()
-    if kind == "double":
-        return horizontal_double(build_poset(args[0], budget=budget), budget=budget)
-    if kind == "dni":
-        inner, low, high, copies = args
-        return replicate_interval(
-            build_poset(inner, budget=budget), low, high, copies, budget=budget
-        )
-    if kind == "join":
-        return join(
-            build_poset(args[0], budget=budget),
-            build_poset(args[1], budget=budget),
-            budget=budget,
-        )
-    if kind == "glue":
-        parts, rank_sets = args
-        if len(parts) != len(rank_sets):
-            raise ValueError(
-                f"glue got {len(parts)} parts but {len(rank_sets)} rank sets"
-            )
-        built = [build_poset(part, budget=budget) for part in parts]
-        return glue(list(zip(built, rank_sets)), budget=budget)
-    raise ValueError(f"unknown node kind {kind!r}")
+    construction functions.
+
+    The walk behind :func:`flag_vector_of` checks the whole tree first
+    (sizes, arguments, budgets and nesting, building only ``glue``
+    nodes); then each node is built from its children's posets."""
+    return _plan(node, budget).poset()
 
 
 # -- the paper's families as trees of the primitive kinds ----------------
@@ -378,19 +358,26 @@ def lemma3_poset(copies: int, *, budget: int | None = None) -> RankedPoset:
     return build_poset(Node("lemma3", (copies,)), budget=budget)
 
 
-# -- flag vectors from the tree ------------------------------------------
+# -- the walk: flag vectors from the tree, and posets ----------------------
 
-# (level sizes, maximal chains, table): table(dtype) computes the 2^n flag
-# table in that dtype, n = len(level sizes) - 2
-_Plan = tuple[list[int], int, Callable[[type], np.ndarray]]
+
+class _Plan(NamedTuple):
+    """A node as the walk sees it: level sizes and number of maximal
+    chains, checked; ``table(dtype)`` computes the 2^n flag table in that
+    dtype, n = len(sizes) - 2; ``poset()`` builds the node."""
+
+    sizes: list[int]
+    chains: int
+    table: Callable[[type], np.ndarray]
+    poset: Callable[[], RankedPoset]
 
 
 def flag_vector_of(node: Node, *, budget: int | None = None) -> FlagVector:
     """``flag_vector(build_poset(node, budget=budget))`` without building
     the poset, except under ``glue`` nodes.
 
-    A first walk carries only level sizes and the number of maximal chains
-    and raises exactly what :func:`build_poset` would, in its order; then
+    Both run the same walk, which carries level sizes and the number of
+    maximal chains and so raises the same errors in the same order; then
     the flag rank limit is checked, and only then are the tables computed
     by the identities in the module docstring.
     """
@@ -400,72 +387,107 @@ def flag_vector_of(node: Node, *, budget: int | None = None) -> FlagVector:
 def _sized_flag_vector(node: Node, budget: int | None) -> tuple[list[int], FlagVector]:
     """The level sizes of ``build_poset(node)`` and :func:`flag_vector_of`,
     from one walk of the tree."""
-    sizes, chains, table = _plan(node, budget)
-    n = len(sizes) - 2
+    plan = _plan(node, budget)
+    n = len(plan.sizes) - 2
     check_flag_ranks(n)
-    return sizes, FlagVector(n, table(np.int64 if chains < _INT64_SAFE else object).tolist())
+    dtype = np.int64 if plan.chains < _INT64_SAFE else object
+    return plan.sizes, FlagVector(n, plan.table(dtype).tolist())
 
 
-def _plan(node: Node, budget: int | None) -> _Plan:
+def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
+    """The only dispatch on node kinds; ``depth`` counts ``node`` and the
+    nodes above it in the expanded tree."""
+    if depth > _MAX_DEPTH:
+        raise ValueError(_TOO_DEEP + " once dp, lemma2 and lemma3 are expanded")
     node = _expand(node)
     kind, args = node.kind, node.args
     if kind == "chain":
-        sizes = chain_sizes(args[0], budget=budget)
-        return sizes, 1, lambda dtype: np.ones(1 << (args[0] - 1), dtype)
+        rank = args[0]
+        return _Plan(
+            chain_sizes(rank, budget=budget),
+            1,
+            lambda dtype: np.ones(1 << (rank - 1), dtype),
+            lambda: chain(rank, budget=budget),
+        )
     if kind == "boolean":
         k = args[0]
-        sizes = boolean_sizes(k, budget=budget)
-        return sizes, math.factorial(k), lambda dtype: _boolean_table(k, dtype)
+        return _Plan(
+            boolean_sizes(k, budget=budget),
+            math.factorial(k),
+            lambda dtype: _boolean_table(k, dtype),
+            lambda: boolean(k, budget=budget),
+        )
     if kind == "dual":
-        sizes, chains, inner = _plan(args[0], budget)
-        return sizes[::-1], chains, lambda dtype: _reversed(inner(dtype))
+        inner = _plan(args[0], budget, depth + 1)
+        return _Plan(
+            inner.sizes[::-1],
+            inner.chains,
+            lambda dtype: _reversed(inner.table(dtype)),
+            lambda: inner.poset().dual(),
+        )
     if kind == "double":
-        return _doubled(_plan(args[0], budget), budget)
+        return _doubled(_plan(args[0], budget, depth + 1), budget)
     if kind == "dni":
         inner, low, high, copies = args
-        return _replicated(_plan(inner, budget), low, high, copies, budget)
+        return _replicated(_plan(inner, budget, depth + 1), low, high, copies, budget)
     if kind == "join":
-        left_sizes, left_chains, left = _plan(args[0], budget)
-        right_sizes, right_chains, right = _plan(args[1], budget)
-        return (
-            joined_sizes(left_sizes, right_sizes, budget=budget),
-            left_chains * right_chains,
-            lambda dtype: np.outer(right(dtype), left(dtype)).ravel(),
+        left = _plan(args[0], budget, depth + 1)
+        right = _plan(args[1], budget, depth + 1)
+        return _Plan(
+            joined_sizes(left.sizes, right.sizes, budget=budget),
+            left.chains * right.chains,
+            lambda dtype: np.outer(right.table(dtype), left.table(dtype)).ravel(),
+            lambda: join(left.poset(), right.poset(), budget=budget),
         )
-    # glue, the only node built (unknown kinds: build_poset rejects them)
-    poset = build_poset(node, budget=budget)
-    return (
-        list(poset.level_sizes),
-        poset.count_maximal_chains(),
-        lambda dtype: np.array(flag_vector(poset).values, dtype),
-    )
+    if kind == "glue":
+        # the only node built during the walk
+        parts, rank_sets = args
+        if len(parts) != len(rank_sets):
+            raise ValueError(
+                f"glue got {len(parts)} parts but {len(rank_sets)} rank sets"
+            )
+        built = [_plan(part, budget, depth + 1).poset() for part in parts]
+        poset = glue(list(zip(built, rank_sets)), budget=budget)
+        return _Plan(
+            list(poset.level_sizes),
+            poset.count_maximal_chains(),
+            lambda dtype: np.array(flag_vector(poset).values, dtype),
+            lambda: poset,
+        )
+    raise ValueError(f"unknown node kind {kind!r}")
 
 
-def _doubled(plan: _Plan, budget: int | None) -> _Plan:
-    sizes, chains, inner = plan
-    n = len(sizes) - 2
+def _doubled(inner: _Plan, budget: int | None) -> _Plan:
+    n = len(inner.sizes) - 2
 
     def table(dtype):
         weights = np.ones(1, dtype)  # 2^|S|
         for _ in range(n):
             weights = np.concatenate([weights, 2 * weights])
-        return inner(dtype) * weights
+        return inner.table(dtype) * weights
 
-    return doubled_sizes(sizes, budget=budget), chains << n, table
+    return _Plan(
+        doubled_sizes(inner.sizes, budget=budget),
+        inner.chains << n,
+        table,
+        lambda: horizontal_double(inner.poset(), budget=budget),
+    )
 
 
-def _replicated(plan: _Plan, low: int, high: int, copies: int, budget: int | None) -> _Plan:
-    sizes, chains, inner = plan
-    sizes = replicated_sizes(sizes, low, high, copies, budget=budget)
-
+def _replicated(inner: _Plan, low: int, high: int, copies: int, budget: int | None) -> _Plan:
     def table(dtype):
-        out = inner(dtype)
+        out = inner.table(dtype)
         interval = (1 << high) - (1 << (low - 1))
         out[(np.arange(len(out)) & interval) != 0] *= copies
         return out
 
-    # every maximal chain runs through the replicated levels
-    return sizes, chains * copies, table
+    return _Plan(
+        replicated_sizes(inner.sizes, low, high, copies, budget=budget),
+        # every maximal chain runs through the replicated levels
+        inner.chains * copies,
+        table,
+        lambda: replicate_interval(inner.poset(), low, high, copies, budget=budget),
+    )
 
 
 def _boolean_table(k: int, dtype) -> np.ndarray:

@@ -88,7 +88,9 @@ class RankedPoset:
     """A graded bounded poset encoded as level sizes plus cover pairs.
 
     ``covers[r]`` holds the pairs ``(i, j)`` meaning element ``i`` of level
-    ``r`` is covered by element ``j`` of level ``r + 1``.
+    ``r`` is covered by element ``j`` of level ``r + 1``.  Indices are
+    Python ints, stored as given: :meth:`from_dict`, where outside data
+    enters, checks that they are, and the constructions make ints.
     """
 
     __slots__ = ("rank", "level_sizes", "covers", "_comp", "_diagnostics")
@@ -102,7 +104,7 @@ class RankedPoset:
         object.__setattr__(self, "rank", int(rank))
         object.__setattr__(self, "level_sizes", tuple(int(s) for s in level_sizes))
         object.__setattr__(
-            self, "covers", tuple(frozenset((int(i), int(j)) for i, j in cs) for cs in covers)
+            self, "covers", tuple(frozenset(map(tuple, cs)) for cs in covers)
         )
         object.__setattr__(self, "_comp", {})
         object.__setattr__(self, "_diagnostics", None)

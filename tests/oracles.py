@@ -11,6 +11,9 @@ branch by branch, and the double as one replication per proper level.
 ``dp_poset``, ``lemma2_glued`` and ``lemma3_glued`` build the paper's
 families from them by direct construction calls, as the library did
 before it defined them as expression trees.
+
+``_Parser`` and ``parse_expression`` are the expression parser as the
+library first wrote it, one hand-written branch per constructor.
 """
 
 from fractions import Fraction
@@ -20,6 +23,7 @@ from cdposets import RankedPoset, chain, glue
 from cdposets import validate_even_interval_system
 from cdposets.constructions import replicated_sizes
 from cdposets.errors import NotCdExpressibleError
+from cdposets.exprs import ExpressionError, Node, _Token, _tokenize
 from cdposets.flags import CdPolynomial, cd_support, cd_words
 from cdposets.subsets import (
     evenly_contains,
@@ -382,3 +386,129 @@ def lemma3_glued(copies, *, budget=None):
     part2 = replicate_interval_stepwise(base, 5, 6, copies, budget=budget)
     part2 = replicate_interval_stepwise(part2, 1, 5, copies, budget=budget)
     return glue([(part1, {0, 1, 6, 7}), (part2, {0, 1, 6, 7})], budget=budget)
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = list(_tokenize(text))
+        self.index = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.index]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def expect(self, text: str) -> _Token:
+        tok = self.advance()
+        if tok.text != text:
+            raise ExpressionError(
+                f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.position
+            )
+        return tok
+
+    def parse_int(self) -> int:
+        tok = self.advance()
+        if tok.kind != "INT":
+            raise ExpressionError(
+                f"expected an integer, found {tok.text or 'end of input'!r}",
+                tok.position,
+            )
+        return int(tok.text)
+
+    def parse_int_list(self) -> list[int]:
+        self.expect("[")
+        out = []
+        if self.peek().text != "]":
+            out.append(self.parse_int())
+            while self.peek().text == ",":
+                self.advance()
+                out.append(self.parse_int())
+        self.expect("]")
+        return out
+
+    def parse_interval_list(self) -> list[tuple[int, int]]:
+        self.expect("[")
+        out = []
+        if self.peek().text != "]":
+            while True:
+                pair = self.parse_int_list()
+                if len(pair) != 2:
+                    raise ExpressionError(
+                        f"expected an interval [low, high], found {len(pair)} entries",
+                        self.peek().position,
+                    )
+                out.append((pair[0], pair[1]))
+                if self.peek().text != ",":
+                    break
+                self.advance()
+        self.expect("]")
+        return out
+
+    def parse_expr(self) -> Node:
+        tok = self.advance()
+        if tok.kind != "NAME":
+            raise ExpressionError(
+                f"expected a constructor name, found {tok.text or 'end of input'!r}",
+                tok.position,
+            )
+        name = tok.text
+        self.expect("(")
+        if name in ("chain", "boolean", "lemma3"):
+            args: tuple = (self.parse_int(),)
+        elif name in ("dual", "double"):
+            args = (self.parse_expr(),)
+        elif name == "dni":
+            inner = self.parse_expr()
+            nums = [self._comma_int() for _ in range(3)]
+            args = (inner, *nums)
+        elif name == "join":
+            left = self.parse_expr()
+            self.expect(",")
+            args = (left, self.parse_expr())
+        elif name == "lemma2":
+            first = self.parse_int()
+            self.expect(",")
+            args = (first, self.parse_int())
+        elif name == "dp":
+            n = self.parse_int()
+            self.expect(",")
+            intervals = self.parse_interval_list()
+            self.expect(",")
+            args = (n, tuple(intervals), self.parse_int())
+        elif name == "glue":
+            self.expect("[")
+            parts = [self.parse_expr()]
+            while self.peek().text == ",":
+                self.advance()
+                parts.append(self.parse_expr())
+            self.expect("]")
+            self.expect(",")
+            self.expect("[")
+            rank_sets = [tuple(self.parse_int_list())]
+            while self.peek().text == ",":
+                self.advance()
+                rank_sets.append(tuple(self.parse_int_list()))
+            self.expect("]")
+            args = (tuple(parts), tuple(rank_sets))
+        else:
+            raise ExpressionError(f"unknown constructor {name!r}", tok.position)
+        self.expect(")")
+        return Node(name, args)
+
+    def _comma_int(self) -> int:
+        self.expect(",")
+        return self.parse_int()
+
+
+def parse_expression(text: str) -> Node:
+    parser = _Parser(text)
+    node = parser.parse_expr()
+    trailing = parser.peek()
+    if trailing.kind != "END":
+        raise ExpressionError(
+            f"unexpected trailing input {trailing.text!r}", trailing.position
+        )
+    return node

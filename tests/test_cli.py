@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cdposets import inequality_pairs
+from cdposets import exprs, inequality_pairs
 from cdposets.cli import main
 
 
@@ -319,6 +319,52 @@ def test_malformed_json_file(run, tmp_path):
     bad.write_text("{not json")
     code, _, err = run("flags", str(bad))
     assert code == 2
+
+
+def test_deeply_nested_json_file_is_usage_error(run, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run("check-eulerian", str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {deep}: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+LIMIT = exprs._MAX_DEPTH
+
+
+def nested_duals(depth):
+    return "dual(" * (depth - 1) + "chain(2)" + ")" * (depth - 1)
+
+
+def dp_of(intervals):
+    pairs = ",".join(f"[{2 * i + 1},{2 * i + 2}]" for i in range(intervals))
+    return f"dp({2 * intervals},[{pairs}],1)"
+
+
+@pytest.mark.parametrize("command", ["build", "flags"])
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (nested_duals(LIMIT + 1), f"expression nests more than {LIMIT} levels deep at offset"),
+        (nested_duals(2000), f"expression nests more than {LIMIT} levels deep at offset"),
+        # dp of k intervals expands to k + 2 levels: double, k dni, chain
+        (dp_of(LIMIT - 1), f"expression nests more than {LIMIT} levels deep once dp"),
+        (dp_of(1000), f"expression nests more than {LIMIT} levels deep once dp"),
+    ],
+)
+def test_nesting_past_the_limit_is_usage_error(run, command, text, message):
+    code, out, err = run(command, text)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_nesting_at_the_limit_runs(run):
+    code, out, _ = run("flags", nested_duals(LIMIT))
+    assert code == 0 and json.loads(out) == json.loads(run("flags", "chain(2)")[1])
+    code, out, _ = run("build", dp_of(LIMIT - 2))
+    assert code == 0 and json.loads(out)["rank"] == 2 * (LIMIT - 2) + 1
 
 
 def test_missing_subcommand(run):

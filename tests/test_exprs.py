@@ -1,6 +1,9 @@
 """Expression language round trips, parse diagnostics, and flag vectors
 computed from the expression tree."""
 
+import collections
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,9 +204,9 @@ def test_tree_path_dtype_switches_at_int64_bound(monkeypatch, text, chains, dtyp
     seen = []
     plan = exprs._plan
 
-    def spy(node, budget):
-        sizes, count, table = plan(node, budget)
-        return sizes, count, lambda dt: seen.append(dt) or table(dt)
+    def spy(*args):
+        inner = plan(*args)
+        return inner._replace(table=lambda dt: seen.append(dt) or inner.table(dt))
 
     monkeypatch.setattr(exprs, "_plan", spy)
     table = flag_vector_of(parse_expression(text), budget=2**70)
@@ -321,3 +324,165 @@ def test_tree_path_builds_only_glue(monkeypatch, text):
 def test_corpus_names_build_their_posets(corpus):
     for name, poset in corpus:
         assert build_poset(parse_expression(name)) == poset, name
+
+
+# -- the grammar table and the one walk ------------------------------------
+
+# bases for the mutated expressions: every constructor and argument kind
+MUTATION_BASES = [
+    "chain(4)",
+    "boolean(3)",
+    "dual(double(chain(3)))",
+    "dni(chain(5), 1, 4, 3)",
+    "join(boolean(2), dual(chain(2)))",
+    "dp(6, [[1, 4], [3, 6]], 2)",
+    "dp(4, [], 1)",
+    "lemma2(7, 2)",
+    "lemma3(2)",
+    "glue([boolean(3), chain(3)], [[0, 1, 3], [], [0, 3]])",
+] + [text for text, _ in GLUED]
+
+# pieces inserted into the bases: tokens, fragments and characters the
+# tokenizer refuses
+MUTATION_PIECES = [
+    "(", ")", "[", "]", ",", " ", "0", "12", "x", "$", "_a", "frob",
+    "chain(", "glue([", "dp(", "[[1,2]]", "[1,2,3]", ",[]", "lemma3", "dual(",
+    "[]", "glue([], [[0, 1]])", "glue([chain(2)], [])",
+]
+
+
+def mutate(rng, text):
+    """One to three edits: delete a character, insert a piece, repeat a
+    span, delete a span, cut the rest, or swap two neighbours."""
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(text))
+        end = rng.randint(pos, len(text))
+        move = rng.randrange(6)
+        if move == 0:
+            text = text[:pos] + text[pos + 1:]
+        elif move == 1:
+            text = text[:pos] + rng.choice(MUTATION_PIECES) + text[pos:]
+        elif move == 2:
+            text = text[:end] + text[pos:end] + text[end:]
+        elif move == 3:
+            text = text[:pos] + text[end:]
+        elif move == 4:
+            text = text[:pos]
+        else:
+            text = text[:pos] + text[pos + 1:pos + 2] + text[pos:pos + 1] + text[pos + 2:]
+    return text
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except ExpressionError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def test_parser_matches_the_hand_written_parser_on_mutated_expressions(corpus):
+    rng = random.Random(8)
+    bases = MUTATION_BASES + [name for name, _ in corpus]
+    results = collections.Counter()
+    for _ in range(12_000):
+        text = mutate(rng, rng.choice(bases))
+        expected = parsed(oracles.parse_expression, text)
+        assert parsed(parse_expression, text) == expected, text
+        results[expected[1].split(" at offset")[0] if type(expected) is tuple else "ok"] += 1
+    # both outcomes, and the parser's every kind of diagnostic, are exercised
+    assert results["ok"] > 300
+    for fragment in (
+        "unknown constructor", "expected an integer", "expected ')'", "expected ','",
+        "expected '['", "expected ']'", "trailing input", "unexpected character",
+        "expected a constructor name", "expected an interval",
+    ):
+        assert any(fragment in key for key in results), fragment
+
+
+def test_module_docstring_grammar_is_the_table():
+    block = exprs.__doc__.split("::\n\n")[1].split("\n\n")[0]
+    lines = " ".join(line.split("#")[0] for line in block.splitlines())
+    alternatives = lines.replace("expr :=", "").split("|")
+    assert sorted(alt.strip() for alt in alternatives) == sorted(
+        f"{name}({', '.join(kinds)})" for name, kinds in exprs._GRAMMAR.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "text,nodes",
+    [
+        ("chain(3)", 1),
+        ("boolean(3)", 1),
+        ("dual(boolean(3))", 2),
+        ("double(chain(3))", 2),
+        ("dni(chain(5), 1, 4, 3)", 2),
+        ("join(boolean(2), chain(2))", 3),
+        ("glue([boolean(3), boolean(3)], [[0, 3], [0, 3]])", 3),
+        ("dp(4, [[1, 2], [3, 4]], 2)", 4),  # double, two dni, chain
+        ("lemma2(7, 2)", 13),  # double, glue, parts of 5, 4 and 2 nodes
+        ("lemma3(2)", 8),  # double, glue, two parts of 3 nodes
+    ],
+)
+def test_build_and_flags_walk_each_expanded_node_once(monkeypatch, text, nodes):
+    node = parse_expression(text)
+    expected = build_poset(node)
+    calls = []
+    plan = exprs._plan
+
+    def spy(*args):
+        calls.append(args[0].kind)
+        return plan(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk called build_poset")
+
+    monkeypatch.setattr(exprs, "_plan", spy)
+    assert build_poset(node) == expected
+    assert len(calls) == nodes
+    monkeypatch.setattr(exprs, "build_poset", refuse)
+    calls.clear()
+    assert flag_vector_of(node) == flag_vector(expected)
+    assert len(calls) == nodes
+
+
+def nested_duals(depth):
+    """``depth`` constructors, each nested in the one before."""
+    return "dual(" * (depth - 1) + "chain(2)" + ")" * (depth - 1)
+
+
+def nested_glues(depth):
+    return "glue([" * (depth - 1) + "chain(2)" + "], [[0, 2]])" * (depth - 1)
+
+
+def dp_of(intervals):
+    """dp with that many intervals, whose expanded tree is two deeper."""
+    pairs = ",".join(f"[{2 * i + 1},{2 * i + 2}]" for i in range(intervals))
+    return f"dp({2 * intervals},[{pairs}],1)"
+
+
+@pytest.mark.parametrize("nested", [nested_duals, nested_glues])
+def test_nesting_limit_in_the_source(nested):
+    limit = exprs._MAX_DEPTH
+    assert build(nested(limit)) == chain(2)
+    assert flag_vector_of(parse_expression(nested(limit))) == flag_vector(chain(2))
+    text = nested(limit + 1)
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert str(err.value) == f"expression nests more than {limit} levels deep at offset {err.value.position}"
+    # the first constructor past the limit, the innermost chain
+    assert err.value.position == text.index("chain")
+
+
+def test_nesting_limit_in_the_expanded_tree():
+    limit = exprs._MAX_DEPTH
+    message = f"expression nests more than {limit} levels deep once dp, lemma2 and lemma3 are expanded"
+    assert build(dp_of(limit - 2)).rank == 2 * (limit - 2) + 1
+    with pytest.raises(ValueError) as err:
+        build(dp_of(limit - 1))
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        flag_vector_of(parse_expression(dp_of(limit - 1)))
+    assert str(err.value) == message
+    # a dp one level below the limit in the source is too deep once expanded
+    with pytest.raises(ValueError, match="once dp"):
+        build(nested_duals(limit - 1).replace("chain(2)", "dp(2,[[1,2]],1)"))

@@ -291,3 +291,19 @@ def test_non_eulerian_wide_levels_pinned():
     assert v == IntervalViolation(1, 1, 3, 0, 2, 3)
     v = _two_unbalanced_halves().is_eulerian().violation
     assert v == IntervalViolation(1, 0, 3, 1, 2, 1)
+
+
+def test_covers_hold_the_int_pairs_they_were_given(corpus):
+    """The constructor stores cover pairs as given, without converting
+    each index: every construction and the file loader pass ints."""
+    rng = np.random.default_rng(88)
+    posets = [p for _, p in corpus]
+    for _ in range(25):
+        sizes = [1] + [int(rng.integers(1, 4)) for _ in range(int(rng.integers(0, 5)))] + [1]
+        posets.append(oracles.random_graded(rng, sizes))
+    for p in posets:
+        converted = tuple(frozenset((int(i), int(j)) for i, j in cs) for cs in p.covers)
+        assert p.covers == converted
+        assert all(type(i) is int and type(j) is int for cs in p.covers for i, j in cs)
+        assert RankedPoset.from_dict(p.to_dict()) == p
+
