@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .analysis import (
     classify_word,
@@ -331,33 +332,19 @@ def _suite_lemma1() -> list[dict]:
     return rows
 
 
-def _suite_lemma2() -> list[dict]:
+def _glued_family_rows(
+    template: str, copies_range: tuple[int, ...], word: str, closed_form: Callable[[int], int]
+) -> list[dict]:
     rows = []
-    for copies in (1, 2):
-        name = f"lemma2(7,{copies})"
+    for copies in copies_range:
+        name = template.format(copies)
         poset = build_poset(parse_expression(name))
         rows.append(_row(f"{name} eulerian", True, poset.is_eulerian().eulerian))
         rows.append(
             _row(
-                f"{name} coefficient of dcccd",
-                4 * (copies**2 - copies**4),
-                cd_index(poset).coefficient("dcccd"),
-            )
-        )
-    return rows
-
-
-def _suite_lemma3() -> list[dict]:
-    rows = []
-    for copies in (1, 2, 3):
-        name = f"lemma3({copies})"
-        poset = build_poset(parse_expression(name))
-        rows.append(_row(f"{name} eulerian", True, poset.is_eulerian().eulerian))
-        rows.append(
-            _row(
-                f"{name} coefficient of ccdcc",
-                -2 * (copies - 1) ** 2,
-                cd_index(poset).coefficient("ccdcc"),
+                f"{name} coefficient of {word}",
+                closed_form(copies),
+                cd_index(poset).coefficient(word),
             )
         )
     return rows
@@ -410,10 +397,9 @@ def _suite_duality() -> list[dict]:
 
     rows = []
     for name, poset in eulerian_corpus():
-        dual = poset.dual()
-        ok_cd = cd_index(dual) == cd_index(poset).reverse()
         flags = flag_vector(poset)
-        dual_flags = flag_vector(dual)
+        dual_flags = flag_vector(poset.dual())
+        ok_cd = cd_from_l(l_vector(dual_flags)) == cd_from_l(l_vector(flags)).reverse()
         ok_flags = all(
             dual_flags.values[mask] == flags.values[reverse_mask(mask, flags.n)]
             for mask in range(1 << flags.n)
@@ -438,8 +424,12 @@ def _suite_boolean_positivity() -> list[dict]:
 
 _SUITES = {
     "lemma1": _suite_lemma1,
-    "lemma2": _suite_lemma2,
-    "lemma3": _suite_lemma3,
+    "lemma2": lambda: _glued_family_rows(
+        "lemma2(7,{})", (1, 2), "dcccd", lambda m: 4 * (m**2 - m**4)
+    ),
+    "lemma3": lambda: _glued_family_rows(
+        "lemma3({})", (1, 2, 3), "ccdcc", lambda m: -2 * (m - 1) ** 2
+    ),
     "note-count": _suite_note_count,
     "join-mult": _suite_join_mult,
     "duality": _suite_duality,

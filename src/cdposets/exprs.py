@@ -72,7 +72,7 @@ from .constructions import (
     replicated_sizes,
     validate_even_interval_system,
 )
-from .flags import _INT64_SAFE, FlagVector, check_flag_ranks, flag_vector
+from .flags import FlagVector, _chain_count_dtype, check_flag_ranks, flag_vector
 from .poset import RankedPoset, boolean, boolean_sizes, chain, chain_sizes
 
 
@@ -390,8 +390,7 @@ def _sized_flag_vector(node: Node, budget: int | None) -> tuple[list[int], FlagV
     plan = _plan(node, budget)
     n = len(plan.sizes) - 2
     check_flag_ranks(n)
-    dtype = np.int64 if plan.chains < _INT64_SAFE else object
-    return plan.sizes, FlagVector(n, plan.table(dtype).tolist())
+    return plan.sizes, FlagVector(n, plan.table(_chain_count_dtype(plan.chains)).tolist())
 
 
 def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:

@@ -68,6 +68,13 @@ MAX_FLAG_RANKS = 20
 # internal to poset.py), so below this bound int64 cannot overflow.
 _INT64_SAFE = 2**62
 
+
+def _chain_count_dtype(chains: int) -> type:
+    """dtype of chain-count tables whose entries are at most ``chains``:
+    int64 below ``_INT64_SAFE``, Python integers (object) otherwise."""
+    return np.int64 if chains < _INT64_SAFE else object
+
+
 # Entries the chain-count tables of flag_vector may hold at once.  They
 # hold sum over s > k of 2^(s-k-1) * L[s] entries when the ranks 1..k are
 # walked depth first and only the ranks above k are batched; k is the
@@ -225,7 +232,7 @@ def flag_vector(poset: RankedPoset) -> FlagVector:
     poset._require_valid()
     n = poset.n
     check_flag_ranks(n)
-    dtype = np.int64 if poset.count_maximal_chains() < _INT64_SAFE else object
+    dtype = _chain_count_dtype(poset.count_maximal_chains())
     split = _split_rank(poset.level_sizes)
     values = np.empty(1 << n, dtype=dtype)
     # (rank, chain counts ending at its elements, mask) of the prefix walk
@@ -333,15 +340,9 @@ def cd_degree(word: str) -> int:
 
 def cd_support(word: str) -> int:
     """Bitmask of the positions covered by the d's (two per d)."""
-    _check_word(word)
     mask = 0
-    pos = 1
-    for ch in word:
-        if ch == "d":
-            mask |= 0b11 << (pos - 1)
-            pos += 2
-        else:
-            pos += 1
+    for low, _ in d_intervals(word):
+        mask |= 0b11 << (low - 1)
     return mask
 
 

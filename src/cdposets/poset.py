@@ -46,6 +46,10 @@ DEFAULT_ELEMENT_BUDGET = 10**6
 CoverPair = tuple[int, int]
 
 
+# boolean_sizes forms 2**k only up to this k (8 KB); past it, and past
+# the budget, the count is named as a power of two
+_HUGE_POWER = 1 << 16
+
 # float32 represents every integer of absolute value up to 2^24 exactly
 _FLOAT32_EXACT = 2**24
 
@@ -57,10 +61,28 @@ def exact_float_dtype(num_elements: int) -> type[np.floating]:
     return np.float32 if num_elements < _FLOAT32_EXACT else np.float64
 
 
+def _budget_limit(budget: int | None) -> int:
+    return DEFAULT_ELEMENT_BUDGET if budget is None else budget
+
+
 def _check_budget(total: int, budget: int | None, what: str) -> None:
-    limit = DEFAULT_ELEMENT_BUDGET if budget is None else budget
+    limit = _budget_limit(budget)
     if total > limit:
-        raise BudgetError(f"{what} would have {total} elements, budget is {limit}")
+        raise BudgetError(
+            f"{what} would have {_count_text(total)} elements, "
+            f"budget is {_count_text(limit)}"
+        )
+
+
+def _count_text(count: int) -> str:
+    """``str(count)``, or a power of two for a nonnegative count past the
+    interpreter's limit on integer-to-string conversion (4300 digits by
+    default)."""
+    try:
+        return str(count)
+    except ValueError:
+        low = count.bit_length() - 1
+        return f"2^{low}" if count == 1 << low else f"more than 2^{low}"
 
 
 @dataclass(frozen=True)
@@ -345,6 +367,13 @@ def boolean_sizes(k: int, *, budget: int | None = None) -> list[int]:
     """Level sizes of :func:`boolean`, after its argument and budget checks."""
     if k < 1:
         raise ValueError(f"boolean rank must be at least 1, got {k}")
+    # from the budget's bit length on, 2**k is over budget; a huge k is
+    # refused on that alone, since forming 2**k could exhaust memory
+    limit = _budget_limit(budget)
+    if k > _HUGE_POWER and k >= max(limit, 0).bit_length():
+        raise BudgetError(
+            f"boolean({k}) would have 2^{k} elements, budget is {_count_text(limit)}"
+        )
     _check_budget(2**k, budget, f"boolean({k})")
     return [math.comb(k, r) for r in range(k + 1)]
 

@@ -6,7 +6,6 @@ numerical tolerance appears anywhere.  Each test ends by printing a single
 criterion.  Runtime bounds are asserted where the criterion carries one.
 """
 
-import math
 import random
 import time
 import warnings
@@ -18,15 +17,13 @@ from cdposets import (
     AbPolynomial,
     CdPolynomial,
     NotCdExpressibleError,
-    boolean,
     cd_index,
-    cd_product,
     cd_words,
     chain,
     classify_word,
+    cli,
     count_part1_words,
     d_intervals,
-    dp_poset,
     expand_cd_to_ab,
     flag_from_h,
     flag_h,
@@ -35,16 +32,28 @@ from cdposets import (
     inequality_f_form,
     inequality_l_form,
     inequality_pairs,
-    join,
     l_vector,
-    lemma2_poset,
-    lemma3_poset,
     limit_cd_coefficient,
     limit_l_vector,
     negative_witness,
 )
 from cdposets.flags import FlagVector
 from cdposets.subsets import as_mask
+
+
+def suite_rows(name, count):
+    """The rows of ``cdposets verify <name>``, after asserting that there
+    are ``count`` of them and that every one is ok."""
+    rows = cli._SUITES[name]()
+    assert len(rows) == count, name
+    failed = [row for row in rows if not row["ok"]]
+    assert not failed, failed
+    return rows
+
+
+def coefficients(rows):
+    """The computed coefficients of a glued-family suite, in copies order."""
+    return [int(row["actual"]) for row in rows if " coefficient of " in row["check"]]
 
 
 def monomial(word, n=None):
@@ -64,19 +73,7 @@ def test_criterion_01_double_of_chain_is_power_of_c():
 
 def test_criterion_02_replicated_chain_closed_form():
     start = time.perf_counter()
-    c = CdPolynomial.monomial("c")
-    d = CdPolynomial.monomial("d")
-    for n in (4, 6):
-        base = cd_product(c, c) - 2 * d
-        half = base
-        for _ in range(n // 2 - 1):
-            half = cd_product(half, base)
-        cn = c
-        for _ in range(n - 1):
-            cn = cd_product(cn, c)
-        for copies in (1, 2, 3):
-            expected = (copies + 1) * cn - copies * half
-            assert cd_index(dp_poset(n, [(1, n)], copies)) == expected, (n, copies)
+    suite_rows("lemma1", 6)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"criterion 2: PASS -- dp(n,[[1,n]],N) matches "
@@ -85,13 +82,7 @@ def test_criterion_02_replicated_chain_closed_form():
 
 def test_criterion_03_rank7_glued_family():
     start = time.perf_counter()
-    values = {}
-    for copies in (1, 2):
-        poset = lemma2_poset(7, copies)
-        assert poset.is_eulerian().eulerian, copies
-        values[copies] = cd_index(poset).coefficient("dcccd")
-        assert values[copies] == 4 * (copies**2 - copies**4), copies
-    assert values == {1: 0, 2: -48}
+    assert coefficients(suite_rows("lemma2", 4)) == [0, -48]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     print(f"criterion 3: PASS -- lemma2_poset(7,N) Eulerian with "
@@ -100,13 +91,7 @@ def test_criterion_03_rank7_glued_family():
 
 def test_criterion_04_rank7_shared_boundary_family():
     start = time.perf_counter()
-    values = {}
-    for copies in (1, 2, 3):
-        poset = lemma3_poset(copies)
-        assert poset.is_eulerian().eulerian, copies
-        values[copies] = cd_index(poset).coefficient("ccdcc")
-        assert values[copies] == -2 * (copies - 1) ** 2, copies
-    assert values == {1: 0, 2: -2, 3: -8}
+    assert coefficients(suite_rows("lemma3", 6)) == [0, -2, -8]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     print(f"criterion 4: PASS -- lemma3_poset(N) Eulerian with "
@@ -178,20 +163,11 @@ def test_criterion_06_interval_inequality(corpus):
 
 
 def test_criterion_07_classifier_counts():
-    for n in range(1, 11):
-        words = cd_words(n)
-        tags = {w: classify_word(w).tag for w in words}
-        part1 = sum(1 for t in tags.values() if t in ("Part1a", "Part1b"))
-        part2 = sum(1 for t in tags.values() if t == "Part2")
-        part3 = sum(1 for t in tags.values() if t == "Part3")
-        assert part1 + part2 + part3 == len(words), n
-        if n >= 5:
-            assert part1 == count_part1_words(n), n
-            assert count_part1_words(n) == math.comb(n - 2, 2) // 3 + 4, n
-    counts = [len(cd_words(n)) for n in range(1, 13)]
-    for i in range(2, len(counts)):
-        assert counts[i] == counts[i - 1] + counts[i - 2]
-    assert counts[0] == 1 and counts[1] == 2
+    suite_rows("note-count", 28)
+    for n in range(5, 11):
+        tags = [classify_word(w).tag for w in cd_words(n)]
+        part1 = tags.count("Part1a") + tags.count("Part1b")
+        assert part1 == count_part1_words(n), n
     print("criterion 7: PASS -- classes partition cd_words(n) for n <= 10, "
           "Part1 count formula for 5 <= n <= 10, Fibonacci word counts for n <= 12")
 
@@ -203,12 +179,8 @@ def test_criterion_08_leading_coefficient_is_one(corpus):
     print(f"criterion 8: PASS -- [c^n] = 1 on all {len(corpus)} corpus posets")
 
 
-def test_criterion_09_join_multiplicativity(joins):
-    assert len(joins) == 10
-    for name, left, right in joins:
-        joined = join(left, right)
-        assert joined.is_eulerian().eulerian, name
-        assert cd_index(joined) == cd_product(cd_index(left), cd_index(right)), name
+def test_criterion_09_join_multiplicativity():
+    suite_rows("join-mult", 20)
     print("criterion 9: PASS -- cd-index multiplicative and Eulerian "
           "on 10 join pairs")
 
@@ -239,28 +211,15 @@ def test_criterion_10_negative_witnesses():
 
 
 def test_criterion_11_boolean_positivity():
-    for k in range(1, 7):
-        poly = cd_index(boolean(k))
-        assert poly.terms, k
-        assert min(poly.terms.values()) > 0, k
+    suite_rows("boolean-positivity", 6)
     print("criterion 11: PASS -- cd-index of boolean(k) strictly positive "
           "for k <= 6")
 
 
-def test_criterion_12_duality(corpus):
-    from cdposets.subsets import reverse_mask
-
-    for name, poset in corpus:
-        dual = poset.dual()
-        assert cd_index(dual) == cd_index(poset).reverse(), name
-        flags = flag_vector(poset)
-        dual_flags = flag_vector(dual)
-        for mask in range(1 << flags.n):
-            assert dual_flags.values[mask] == flags.values[
-                reverse_mask(mask, flags.n)
-            ], (name, mask)
-    print(f"criterion 12: PASS -- dual cd-index is the reversed word polynomial "
-          f"and dual flags reverse rank sets on all {len(corpus)} corpus posets")
+def test_criterion_12_duality():
+    suite_rows("duality", 176)
+    print("criterion 12: PASS -- dual cd-index is the reversed word polynomial "
+          "and dual flags reverse rank sets on all 176 corpus posets")
 
 
 def test_criterion_13_round_trips(corpus):

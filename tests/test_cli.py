@@ -352,6 +352,7 @@ def dp_of(intervals):
         (dp_of(LIMIT - 1), f"expression nests more than {LIMIT} levels deep once dp"),
         (dp_of(1000), f"expression nests more than {LIMIT} levels deep once dp"),
     ],
+    ids=[f"dual-x{LIMIT + 1}", "dual-x2000", f"dp-{LIMIT - 1}-intervals", "dp-1000-intervals"],
 )
 def test_nesting_past_the_limit_is_usage_error(run, command, text, message):
     code, out, err = run(command, text)
@@ -504,6 +505,43 @@ def test_budget_trip_above_a_large_lattice_is_quick(run):
     assert err == (
         "error: replicate_interval would have 1004779 elements, budget is 1000000\n"
     )
+
+
+def test_boolean_budget_message_keeps_its_count(run):
+    code, out, err = run("cd-index", "boolean(70)")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: boolean(70) would have 1180591620717411303424 elements, "
+        "budget is 1000000\n"
+    )
+
+
+NINES = "9" * 4300  # the largest integer the default conversion limit parses
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["cd-index", "boolean(10000000000)"], "boolean(10000000000) would have 2^10000000000"),
+        (["cd-index", "boolean(20000)"], "boolean(20000) would have 2^20000"),
+        (["build", "boolean(20000)"], "boolean(20000) would have 2^20000"),
+        (
+            ["cd-index", f"dni(chain(3),1,2,{NINES})"],
+            "replicate_interval would have more than 2^14285",
+        ),
+        (["witness", "c" * 20000 + "cdd", "--N", "2"], "boolean(20002) would have 2^20002"),
+    ],
+    ids=["boolean-1e10", "boolean-20000", "build-boolean-20000", "dni-4300-digits",
+         "witness-c20000"],
+)
+def test_huge_counts_trip_the_budget_quickly(run, argv, message):
+    # neither forms the count 2**k of a huge lattice nor prints an integer
+    # past the 4300-digit conversion limit
+    start = time.perf_counter()
+    code, out, err = run(*argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: {message} elements, budget is 1000000\n"
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,21 @@ def test_budget_enforced():
         chain(100, budget=50)
 
 
+@pytest.mark.parametrize("k", [poset_module._HUGE_POWER, poset_module._HUGE_POWER + 1])
+def test_boolean_budget_names_huge_counts_as_powers(k):
+    # both sides of the rank past which 2**k is no longer formed
+    with pytest.raises(BudgetError, match=rf"^boolean\({k}\) would have 2\^{k} elements, "):
+        poset_module.boolean_sizes(k)
+
+
+def test_boolean_budget_is_exact_at_powers_of_two():
+    assert poset_module.boolean_sizes(3, budget=8) == [1, 3, 3, 1]
+    with pytest.raises(BudgetError, match=r"^boolean\(3\) would have 8 elements, budget is 7$"):
+        poset_module.boolean_sizes(3, budget=7)
+    with pytest.raises(BudgetError, match="budget is 0$"):
+        poset_module.boolean_sizes(10**12, budget=0)
+
+
 def test_immutable():
     c = chain(2)
     with pytest.raises(AttributeError):
