@@ -299,23 +299,23 @@ def classify_word(word: str) -> WordClass:
 
 
 def _certificate(word: str, tag: str, info: dict) -> Certificate:
+    # rank s is bit s - 1; shifts keep words of any degree exact
     n = info["n"]
-    full = full_mask(n)
     if tag == "Part1a":
         i, j = info["i"], info["j"]
         if i == 0:
-            s_mask, t_mask = 0, as_mask({1})
+            s_mask, t_mask = 0, 1
         elif i == 1:
-            s_mask, t_mask = as_mask({1}), as_mask({2})
+            s_mask, t_mask = 1, 1 << 1
         elif j == 0:
-            s_mask, t_mask = 0, as_mask({n})
+            s_mask, t_mask = 0, 1 << (n - 1)
         else:  # j == 1
-            s_mask, t_mask = as_mask({n}), as_mask({n - 1})
+            s_mask, t_mask = 1 << (n - 1), 1 << (n - 2)
     else:
         i, r = info["i"], info["r"]
-        s_mask = as_mask({i + 3 * t for t in range(1, r)})
-        t_mask = as_mask([i + 2] + [i + 3 * t - 2 for t in range(2, r + 1)])
-    v_mask = full & ~s_mask
+        s_mask = sum(1 << (i + 3 * t - 1) for t in range(1, r))
+        t_mask = 1 << (i + 1) | sum(1 << (i + 3 * t - 3) for t in range(2, r + 1))
+    v_mask = ((1 << n) - 1) & ~s_mask
     cert = Certificate(word, tag, s_mask, t_mask, v_mask)
     _check_inequality_pair(n, t_mask, v_mask)
     return cert

@@ -4,8 +4,13 @@ Poset arguments accept either a path to a JSON file produced by ``build``
 or an inline construction expression (see :mod:`cdposets.exprs`).  The
 commands that need only flag data (``flags``, ``l-vector``, ``cd-index``,
 ``check-inequality``) compute it from an expression's tree without
-building the poset.  Output is deterministic: JSON with sorted keys, or
-fixed-width tables.
+building the poset.
+
+Commands return their results and :func:`main` writes them: each
+``_cmd_*`` function returns its exit code, a JSON object and a table form
+(a line of text, or a function that prints the table), and ``main`` alone
+chooses the format and writes to stdout or to the ``build -o`` file.  Output is deterministic: JSON with sorted keys, or
+fixed-width tables, rendered only when ``--format table`` asks for them.
 
 Exit codes: 0 on success, 1 when a mathematical check fails (a poset is
 not Eulerian, an inequality is violated, a verification suite mismatches),
@@ -24,12 +29,14 @@ from typing import Callable
 
 from .analysis import (
     classify_word,
+    count_part1_words,
     inequality_f_form,
     inequality_pairs,
     limit_l_vector,
     negative_witness,
     nonneg_certificate,
 )
+from .constructions import join as join_posets
 from .corpus import eulerian_corpus, join_pairs
 from .errors import BudgetError, NotCdExpressibleError
 from .exprs import ExpressionError, build_poset, flag_vector_of, parse_expression
@@ -43,7 +50,7 @@ from .flags import (
     l_vector,
 )
 from .poset import RankedPoset, _check_budget, boolean
-from .subsets import parse_subset, subset_label
+from .subsets import parse_subset, reverse_mask, subset_label
 
 
 def _load_poset_file(path: str, budget: int | None) -> RankedPoset:
@@ -74,8 +81,13 @@ def _load_flags(text: str, budget: int | None) -> FlagVector:
     return flag_vector_of(parse_expression(text), budget=budget)
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+def _emit_json(obj, path: str | None = None) -> None:
+    text = json.dumps(obj, sort_keys=True, indent=2)
+    if path:
+        with open(path, "w") as handle:
+            handle.write(text + "\n")
+    else:
+        print(text)
 
 
 def _emit_table(rows: list[dict], columns: list[str]) -> None:
@@ -107,58 +119,36 @@ def _add_format_arg(sub: argparse.ArgumentParser, default: str) -> None:
 # -- subcommands --------------------------------------------------------
 
 
-def _cmd_build(args) -> int:
-    poset = _load_poset(args.expr, args.max_elements)
-    text = json.dumps(poset.to_dict(), sort_keys=True, indent=2)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-    return 0
+def _cmd_build(args):
+    return 0, _load_poset(args.expr, args.max_elements).to_dict(), None
 
 
-def _cmd_flags(args) -> int:
+def _cmd_flags(args):
     data = _load_flags(args.poset, args.max_elements).to_dict()
-    if args.format == "json":
-        _emit_json(data)
-    else:
-        rows = [{"S": label, "f_S": value} for label, value in data.items()]
-        _emit_table(rows, ["S", "f_S"])
-    return 0
+    return 0, data, lambda: _emit_table(
+        [{"S": label, "f_S": value} for label, value in data.items()], ["S", "f_S"]
+    )
 
 
-def _cmd_cd_index(args) -> int:
+def _cmd_cd_index(args):
     poly = cd_from_l(l_vector(_load_flags(args.poset, args.max_elements)))
-    if args.format == "json":
-        _emit_json(poly.to_dict())
-    else:
-        rows = [
-            {"word": word, "coefficient": poly.terms[word]}
-            for word in sorted(poly.terms)
-        ]
-        _emit_table(rows, ["word", "coefficient"])
-    return 0
+    return 0, poly.to_dict(), lambda: _emit_table(
+        [{"word": word, "coefficient": poly.terms[word]} for word in sorted(poly.terms)],
+        ["word", "coefficient"],
+    )
 
 
-def _cmd_l_vector(args) -> int:
+def _cmd_l_vector(args):
     data = l_vector(_load_flags(args.poset, args.max_elements)).to_dict()
-    if args.format == "json":
-        _emit_json(data)
-    else:
-        rows = [{"Q": label, "L_Q": value} for label, value in data["entries"].items()]
-        _emit_table(rows, ["Q", "L_Q"])
-    return 0
+    return 0, data, lambda: _emit_table(
+        [{"Q": label, "L_Q": value} for label, value in data["entries"].items()], ["Q", "L_Q"]
+    )
 
 
-def _cmd_check_eulerian(args) -> int:
+def _cmd_check_eulerian(args):
     result = _load_poset(args.poset, args.max_elements).is_eulerian()
     if result.eulerian:
-        if args.format == "json":
-            _emit_json({"eulerian": True})
-        else:
-            print("eulerian: yes")
-        return 0
+        return 0, {"eulerian": True}, "eulerian: yes"
     v = result.violation
     detail = {
         "eulerian": False,
@@ -169,15 +159,11 @@ def _cmd_check_eulerian(args) -> int:
             "odd_count": v.odd_count,
         },
     }
-    if args.format == "json":
-        _emit_json(detail)
-    else:
-        print(
-            f"eulerian: no; interval from rank {v.rank_low} index {v.index_low} "
-            f"to rank {v.rank_high} index {v.index_high} has "
-            f"{v.even_count} even and {v.odd_count} odd elements"
-        )
-    return 1
+    return 1, detail, (
+        f"eulerian: no; interval from rank {v.rank_low} index {v.index_low} "
+        f"to rank {v.rank_high} index {v.index_high} has "
+        f"{v.even_count} even and {v.odd_count} odd elements"
+    )
 
 
 def _inequality_forms(flags, t_mask: int, v_mask: int) -> tuple[int, Fraction]:
@@ -188,7 +174,16 @@ def _inequality_forms(flags, t_mask: int, v_mask: int) -> tuple[int, Fraction]:
     return f_val, Fraction(f_val, 2**scale)
 
 
-def _cmd_check_inequality(args) -> int:
+def _inequality_row(t_mask: int, v_mask: int, f_val: int, l_val: Fraction) -> dict:
+    return {
+        "T": subset_label(t_mask),
+        "V": subset_label(v_mask),
+        "f_form": str(f_val),
+        "l_form": str(l_val),
+    }
+
+
+def _cmd_check_inequality(args):
     flags = _load_flags(args.poset, args.max_elements)
     if args.all:
         pairs = 0
@@ -197,52 +192,34 @@ def _cmd_check_inequality(args) -> int:
             pairs += 1
             f_val, l_val = _inequality_forms(flags, t_mask, v_mask)
             if f_val < 0:
-                violations.append(
-                    {
-                        "T": subset_label(t_mask),
-                        "V": subset_label(v_mask),
-                        "f_form": str(f_val),
-                        "l_form": str(l_val),
-                    }
-                )
-        summary = {"pairs": pairs, "violations": violations}
-        if args.format == "json":
-            _emit_json(summary)
-        else:
+                violations.append(_inequality_row(t_mask, v_mask, f_val, l_val))
+
+        def table():
             print(f"checked {pairs} (T, V) pairs, {len(violations)} violations")
             if violations:
                 _emit_table(violations, ["T", "V", "f_form", "l_form"])
-        return 1 if violations else 0
+
+        return 1 if violations else 0, {"pairs": pairs, "violations": violations}, table
     if args.T is None or args.V is None:
         raise ValueError("provide either --all or both --T and --V")
     t_mask, v_mask = parse_subset(args.T), parse_subset(args.V)
     f_val, l_val = _inequality_forms(flags, t_mask, v_mask)
-    detail = {
-        "T": subset_label(t_mask),
-        "V": subset_label(v_mask),
-        "f_form": str(f_val),
-        "l_form": str(l_val),
-        "nonnegative": f_val >= 0,
-    }
-    if args.format == "json":
-        _emit_json(detail)
-    else:
-        _emit_table([detail], ["T", "V", "f_form", "l_form", "nonnegative"])
-    return 0 if detail["nonnegative"] else 1
+    detail = _inequality_row(t_mask, v_mask, f_val, l_val)
+    detail["nonnegative"] = f_val >= 0
+    return 0 if f_val >= 0 else 1, detail, lambda: _emit_table(
+        [detail], ["T", "V", "f_form", "l_form", "nonnegative"]
+    )
 
 
-def _cmd_limit_l(args) -> int:
+def _cmd_limit_l(args):
     intervals = _parse_intervals(args.intervals)
     if args.max_k is not None and len(intervals) > args.max_k:
         raise BudgetError(f"{len(intervals)} intervals exceed --max-k {args.max_k}")
     table = limit_l_vector(args.n, intervals)
     entries = {subset_label(mask): value for mask, value in sorted(table.items())}
-    if args.format == "json":
-        _emit_json({"n": args.n, "entries": entries})
-    else:
-        rows = [{"S": key, "L_S": value} for key, value in entries.items()]
-        _emit_table(rows, ["S", "L_S"])
-    return 0
+    return 0, {"n": args.n, "entries": entries}, lambda: _emit_table(
+        [{"S": key, "L_S": value} for key, value in entries.items()], ["S", "L_S"]
+    )
 
 
 def _parse_intervals(text: str) -> list[tuple[int, int]]:
@@ -264,44 +241,31 @@ def _parse_intervals(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     result = classify_word(args.word)
-    if args.format == "json":
-        _emit_json(result.to_dict())
-    else:
-        parts = [f"word {result.word}", f"class {result.tag}"]
-        if result.witness is not None:
-            parts.append(f"witness {result.witness} at {result.position}")
-        print("; ".join(parts))
-    return 0
+    parts = [f"word {result.word}", f"class {result.tag}"]
+    if result.witness is not None:
+        parts.append(f"witness {result.witness} at {result.position}")
+    return 0, result.to_dict(), "; ".join(parts)
 
 
-def _cmd_certificate(args) -> int:
-    cert = nonneg_certificate(args.word)
-    if args.format == "json":
-        _emit_json(cert.to_dict())
-    else:
-        data = cert.to_dict()
-        print(
-            f"word {data['word']}; class {data['class']}; "
-            f"S {data['S']}; T {data['T']}; V {data['V']}"
-        )
-    return 0
+def _cmd_certificate(args):
+    data = nonneg_certificate(args.word).to_dict()
+    return 0, data, (
+        f"word {data['word']}; class {data['class']}; "
+        f"S {data['S']}; T {data['T']}; V {data['V']}"
+    )
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args):
     report = negative_witness(args.word, args.N, budget=args.max_elements)
     data = report.to_dict()
     data["rank"] = len(report.level_sizes) - 1
     data["elements"] = sum(report.level_sizes)
-    if args.format == "json":
-        _emit_json(data)
-    else:
-        print(
-            f"word {data['word']}; witness {data['witness']} at {data['position']}; "
-            f"base {data['base']}; coefficient {data['coefficient']}"
-        )
-    return 0
+    return 0, data, (
+        f"word {data['word']}; witness {data['witness']} at {data['position']}; "
+        f"base {data['base']}; coefficient {data['coefficient']}"
+    )
 
 
 # -- verification suites -------------------------------------------------
@@ -351,8 +315,6 @@ def _glued_family_rows(
 
 
 def _suite_note_count() -> list[dict]:
-    from .analysis import count_part1_words
-
     rows = []
     for n in range(1, 11):
         words = cd_words(n)
@@ -376,8 +338,6 @@ def _suite_note_count() -> list[dict]:
 
 
 def _suite_join_mult() -> list[dict]:
-    from .constructions import join as join_posets
-
     rows = []
     for name, left, right in join_pairs():
         joined = join_posets(left, right)
@@ -393,8 +353,6 @@ def _suite_join_mult() -> list[dict]:
 
 
 def _suite_duality() -> list[dict]:
-    from .subsets import reverse_mask
-
     rows = []
     for name, poset in eulerian_corpus():
         flags = flag_vector(poset)
@@ -437,7 +395,7 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rows = []
     for name in names:
@@ -446,12 +404,12 @@ def _cmd_verify(args) -> int:
             row["suite"] = name
             rows.append(row)
     failed = [row for row in rows if not row["ok"]]
-    if args.format == "json":
-        _emit_json({"rows": rows, "passed": not failed})
-    else:
+
+    def table():
         _emit_table(rows, ["suite", "check", "expected", "actual", "ok"])
         print(f"{len(rows) - len(failed)}/{len(rows)} checks passed")
-    return 1 if failed else 0
+
+    return 1 if failed else 0, {"rows": rows, "passed": not failed}, table
 
 
 # -- argument parsing -----------------------------------------------------
@@ -470,25 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-elements", type=int, default=None)
     sub.set_defaults(func=_cmd_build)
 
-    sub = subs.add_parser("flags", help="flag vector of a poset")
-    _add_poset_arg(sub)
-    _add_format_arg(sub, "json")
-    sub.set_defaults(func=_cmd_flags)
-
-    sub = subs.add_parser("cd-index", help="cd-index of a poset")
-    _add_poset_arg(sub)
-    _add_format_arg(sub, "json")
-    sub.set_defaults(func=_cmd_cd_index)
-
-    sub = subs.add_parser("l-vector", help="L table of a poset")
-    _add_poset_arg(sub)
-    _add_format_arg(sub, "json")
-    sub.set_defaults(func=_cmd_l_vector)
-
-    sub = subs.add_parser("check-eulerian", help="exhaustive Eulerian test")
-    _add_poset_arg(sub)
-    _add_format_arg(sub, "json")
-    sub.set_defaults(func=_cmd_check_eulerian)
+    for name, help_text, func in (
+        ("flags", "flag vector of a poset", _cmd_flags),
+        ("cd-index", "cd-index of a poset", _cmd_cd_index),
+        ("l-vector", "L table of a poset", _cmd_l_vector),
+        ("check-eulerian", "exhaustive Eulerian test", _cmd_check_eulerian),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        _add_poset_arg(sub)
+        _add_format_arg(sub, "json")
+        sub.set_defaults(func=func)
 
     sub = subs.add_parser(
         "check-inequality", help="interval inequality over one pair or all pairs"
@@ -539,7 +488,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code, data, table = args.func(args)
+        if getattr(args, "format", "json") == "json":
+            _emit_json(data, getattr(args, "output", None))
+        elif callable(table):
+            table()
+        else:
+            print(table)
+        return code
     except NotCdExpressibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,8 +7,11 @@ used throughout: a subset is *even* when every maximal run of consecutive
 ranks has even length, and Q *evenly contains* S when S and Q are even,
 S is a subset of Q, and Q minus S is even as well.
 
-Masks are capped at 62 bits so all arithmetic stays within native ints on
-every platform we care about.
+Python integers keep masks of any width exact, and every helper here
+takes masks of any width.  ``MAX_RANKS`` bounds only rank lists that come
+from outside input (:func:`as_mask`, and so :func:`parse_subset`) and
+:func:`full_mask`, whose n sizes sweeps over all 2^n masks such as
+:func:`cdposets.analysis.inequality_pairs`.
 """
 
 from __future__ import annotations
@@ -33,8 +36,15 @@ def as_mask(ranks: int | Iterable[int]) -> int:
     return mask
 
 
+def _check_nonnegative(mask: int) -> None:
+    # a negative mask shifted right stays negative: the bit loops never end
+    if mask < 0:
+        raise ValueError("bitmask must be nonnegative")
+
+
 def ranks_from_mask(mask: int) -> tuple[int, ...]:
     """Sorted tuple of ranks present in ``mask``."""
+    _check_nonnegative(mask)
     out = []
     s = 1
     while mask:
@@ -63,6 +73,7 @@ def reverse_mask(mask: int, n: int) -> int:
 
 def maximal_runs(mask: int) -> list[tuple[int, int]]:
     """Maximal intervals [a, b] of consecutive ranks present in ``mask``."""
+    _check_nonnegative(mask)
     runs = []
     s = 1
     start = None

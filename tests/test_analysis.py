@@ -32,7 +32,7 @@ from cdposets import (
     nonneg_certificate,
 )
 from cdposets import cli
-from cdposets.subsets import full_mask, ranks_from_mask
+from cdposets.subsets import full_mask, maximal_runs, ranks_from_mask
 
 import oracles
 
@@ -399,6 +399,35 @@ def test_certificate_identity_on_corpus(corpus):
                 r = word.count("d")
                 via = 2**r * inequality_l_form(table, cert.t_mask, cert.v_mask)
                 assert via == poly.coefficient(word), (name, word)
+
+
+def _random_part1_word(rng, degree):
+    """c^i d c^j with min(i, j) <= 1, or c^i (dc)^(r-1) d c^j with r >= 2."""
+    if rng.random() < 0.5:
+        i = rng.choice([0, 1])
+        j = degree - 2 - i
+        return "c" * i + "d" + "c" * j if rng.random() < 0.5 else "c" * j + "d" + "c" * i
+    r = rng.randint(2, (degree + 1) // 3)
+    i = rng.randint(0, degree + 1 - 3 * r)
+    return "c" * i + "dc" * (r - 1) + "d" + "c" * (degree + 1 - 3 * r - i)
+
+
+def test_certificates_of_part1_words_past_62_ranks():
+    # the certificate sets are built with shifts, so no rank cap applies
+    rng = random.Random(2021)
+    for degree in [rng.randint(5, 400) for _ in range(60)] + [63, 64, 400]:
+        word = _random_part1_word(rng, degree)
+        assert len(word) + word.count("d") == degree
+        cls = classify_word(word)
+        assert cls.tag in ("Part1a", "Part1b"), word
+        cert = cls.certificate
+        supp = cd_support(word)
+        assert cert.t_mask & ~supp == 0, word
+        assert cert.s_mask & supp == 0, word
+        assert cert.v_mask == ((1 << degree) - 1) ^ cert.s_mask, word
+        for a, b in maximal_runs(cert.v_mask):
+            run = ((1 << b) - 1) ^ ((1 << (a - 1)) - 1)
+            assert (run & cert.t_mask).bit_count() == 1, (word, a, b)
 
 
 # -- negative witnesses ---------------------------------------------------------

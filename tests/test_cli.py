@@ -394,6 +394,122 @@ def test_verify_all_passes(run):
     assert "246/246" in out.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "argv,code,lines",
+    [
+        (["check-eulerian", "boolean(3)"], 0, ["eulerian: yes"]),
+        (
+            ["check-eulerian", "chain(3)"],
+            1,
+            [
+                "eulerian: no; interval from rank 0 index 0 to rank 2 index 0 "
+                "has 2 even and 1 odd elements"
+            ],
+        ),
+        (["check-inequality", "boolean(3)", "--all"], 0, ["checked 8 (T, V) pairs, 0 violations"]),
+        (
+            ["check-inequality", "chain(3)", "--all"],
+            1,
+            [
+                "checked 8 (T, V) pairs, 4 violations",
+                "T    V      f_form  l_form",
+                "---  -----  ------  ------",
+                "[1]  [1]    -1      -1/4  ",
+                "[2]  [2]    -1      -1/4  ",
+                "[2]  [1,2]  -1      -1/2  ",
+                "[1]  [1,2]  -1      -1/2  ",
+            ],
+        ),
+        (
+            ["check-inequality", "boolean(4)", "--T", "[1]", "--V", "[1,2]"],
+            0,
+            [
+                "T    V      f_form  l_form  nonnegative",
+                "---  -----  ------  ------  -----------",
+                "[1]  [1,2]  4       1       True       ",
+            ],
+        ),
+        (
+            ["check-inequality", "chain(3)", "--T", "[1]", "--V", "[1]"],
+            1,
+            [
+                "T    V    f_form  l_form  nonnegative",
+                "---  ---  ------  ------  -----------",
+                "[1]  [1]  -1      -1/4    False      ",
+            ],
+        ),
+        (
+            ["flags", "boolean(3)"],
+            0,
+            ["S      f_S", "-----  ---", "[]     1  ", "[1]    3  ", "[2]    3  ", "[1,2]  6  "],
+        ),
+        (["l-vector", "boolean(3)"], 0, ["Q      L_Q ", "-----  ----", "[]     3/2 ", "[1,2]  -1/2"]),
+        (
+            ["limit-l", "--n", "4", "--intervals", "[[1,2],[3,4]]"],
+            0,
+            [
+                "S          L_S",
+                "---------  ---",
+                "[]         1  ",
+                "[1,2]      -1 ",
+                "[3,4]      -1 ",
+                "[1,2,3,4]  1  ",
+            ],
+        ),
+    ],
+    ids=[
+        "check-eulerian-pass",
+        "check-eulerian-fail",
+        "inequality-all-clean",
+        "inequality-all-violations",
+        "inequality-pair-holds",
+        "inequality-pair-fails",
+        "flags",
+        "l-vector",
+        "limit-l",
+    ],
+)
+def test_table_forms_print_exactly(run, argv, code, lines):
+    assert run(*argv, "--format", "table") == (code, "".join(f"{line}\n" for line in lines), "")
+
+
+def test_verify_suite_json_prints_exactly(run):
+    rows = [
+        {
+            "actual": "True",
+            "check": f"boolean({k}) strictly positive cd coefficients",
+            "expected": "True",
+            "ok": True,
+            "suite": "boolean-positivity",
+        }
+        for k in range(1, 7)
+    ]
+    text = json.dumps({"passed": True, "rows": rows}, indent=2) + "\n"
+    assert run("verify", "boolean-positivity", "--format", "json") == (0, text, "")
+
+
+@pytest.mark.parametrize(
+    "word,data",
+    [
+        ("c" * 70 + "d", {"S": [], "T": [72], "V": list(range(1, 73)), "class": "Part1a"}),
+        (
+            "dc" * 30 + "d",
+            {
+                "S": list(range(3, 91, 3)),
+                "T": [2] + list(range(4, 92, 3)),
+                "V": [s for s in range(1, 93) if s % 3 or s > 90],
+                "class": "Part1b",
+            },
+        ),
+    ],
+    ids=["c^70 d", "(dc)^30 d"],
+)
+@pytest.mark.parametrize("command", ["classify", "certificate"])
+def test_part1_words_past_62_ranks(run, command, word, data):
+    text = json.dumps({**data, "word": word}, sort_keys=True, indent=2) + "\n"
+    assert run(command, word) == (0, text, "")
+
+
 def test_json_output_is_deterministic(run):
     first = run("l-vector", "dp(6,[[1,4],[3,6]],1)")
     second = run("l-vector", "dp(6,[[1,4],[3,6]],1)")

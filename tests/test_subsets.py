@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,6 +44,34 @@ def test_bad_ranks_rejected():
 def test_maximal_runs():
     assert maximal_runs(0) == []
     assert maximal_runs(as_mask([1, 2, 4, 5, 6, 9])) == [(1, 2), (4, 6), (9, 9)]
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("no answer within 2 s")
+
+
+@pytest.mark.parametrize(
+    "func,args",
+    [
+        (ranks_from_mask, (-1,)),
+        (maximal_runs, (-1,)),
+        (subset_label, (-3,)),
+        (reverse_mask, (-1, 3)),
+        (is_even_set, (-1,)),
+    ],
+    ids=["ranks_from_mask", "maximal_runs", "subset_label", "reverse_mask", "is_even_set"],
+)
+def test_negative_masks_are_refused(func, args):
+    # a negative mask shifted right stays negative, so a bit loop on one
+    # never ends; the alarm turns such a hang into a failure
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(2)
+    try:
+        with pytest.raises(ValueError, match="^bitmask must be nonnegative$"):
+            func(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_even_sets():
