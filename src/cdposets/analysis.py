@@ -40,6 +40,7 @@ the lower bit stops at the higher one and leaves it set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -55,7 +56,6 @@ from .flags import (
     cd_degree,
     cd_from_l,
     cd_support,
-    cd_words,
     l_vector,
 )
 from .poset import RankedPoset
@@ -96,7 +96,8 @@ def limit_l_vector(n: int, intervals: Sequence[Interval]) -> dict[int, int]:
     for a, b in intervals:
         if not 1 <= a <= b <= n:
             raise ValueError(f"interval [{a}, {b}] not within [1, {n}]")
-        masks.append(full_mask(b) & ~full_mask(a - 1))
+        # ranks a..b are bits a - 1..b - 1; shifts keep any n exact
+        masks.append((1 << b) - (1 << (a - 1)))
     table: dict[int, int] = {}
     for pick in range(1 << len(masks)):
         union = 0
@@ -330,15 +331,15 @@ def nonneg_certificate(word: str) -> Certificate:
 
 
 def count_part1_words(n: int) -> int:
-    """Number of degree-n words in Part1a or Part1b.
+    """Number of degree-n words in Part1a or Part1b, for n >= 5.
 
-    Defined for n >= 5, where it equals floor(C(n-2, 2) / 3) + 4.
+    There are 4 Part1a words, and the Part1b words with r >= 2 d's number
+    n - 3r + 2 for each r with 3r <= n + 1; the sum is
+    floor(C(n-2, 2) / 3) + 4, returned without listing any word.
     """
     if n < 5:
         raise ValueError(f"count is defined for degree at least 5, got {n}")
-    return sum(
-        1 for w in cd_words(n) if _raw_classify(w)[0] in ("Part1a", "Part1b")
-    )
+    return math.comb(n - 2, 2) // 3 + 4
 
 
 # -- explicit witnesses for Part3 words ---------------------------------

@@ -1,5 +1,12 @@
 """Constructions that build new ranked posets from old ones.
 
+Every construction works on the cover arrays of
+:class:`~cdposets.poset.RankedPoset`, one sorted (k, 2) integer array per
+level, with numpy index arithmetic and no Python object per cover.  Each
+lays its rows out in sorted order, except :func:`glue`, whose parts
+overlap and which leaves sorting and dropping repeats to the
+``RankedPoset`` constructor.
+
 Two constructions copy levels in place, and both are one map over the
 covers.  The copies of a level are laid out one after another: copy a of
 element i at proper level r, of old size L_r, gets index a * L_r + i, so
@@ -97,21 +104,45 @@ def _copy_levels(poset: RankedPoset, sizes: Sequence[int], linked: range) -> Ran
     """Level r of the result is ``sizes[r] / L_r`` copies of level r of
     ``poset``, copy ``a`` of element ``i`` at ``a * L_r + i``.  A cover
     (i, j) between levels r and r + 1 goes to the copy pairs (a, a) when
-    both levels lie in ``linked`` and to every pair (a, b) otherwise."""
+    both levels lie in ``linked`` and to every pair (a, b) otherwise.
+
+    All levels are mapped at once.  Within a level the result is ordered
+    by a, i, b, j (b = a on linked levels, where a single b is counted),
+    so it comes out sorted: copy a of a level of k covers is one block of
+    ``B * k`` rows, for B copies b, and within it the ``count`` covers of
+    one i, from the level's row ``start`` on, are written b by b.
+    """
     old = poset.level_sizes
-    covers = []
-    for r, cs in enumerate(poset.covers):
-        lo, hi = old[r], old[r + 1]
-        if r in linked and r + 1 in linked:
-            pairs = [(a * lo, a * hi) for a in range(sizes[r] // lo)]
-        else:
-            pairs = [
-                (a * lo, b * hi)
-                for a in range(sizes[r] // lo)
-                for b in range(sizes[r + 1] // hi)
-            ]
-        covers.append({(x + i, y + j) for i, j in cs for x, y in pairs})
-    return RankedPoset(poset.rank, sizes, covers)
+    params, out_k, rows_before = [], [], 0
+    for r, cs in enumerate(poset.cover_arrays):
+        same = r in linked and r + 1 in linked
+        a_copies = sizes[r] // old[r]
+        b_copies = 1 if same else sizes[r + 1] // old[r + 1]
+        # where copy a = 0 of the level starts, less B times its first row
+        base = sum(out_k) - rows_before * b_copies
+        params.append((old[r], old[r + 1], a_copies, b_copies, same, len(cs) * b_copies, base))
+        out_k.append(len(cs) * a_copies * b_copies)
+        rows_before += len(cs)
+    rows, level = poset._rows, poset._row_level
+    lo, hi, a_copies, b_copies, same, stride, base = np.array(params).T[:, level]
+    i, j = rows[:, 0], rows[:, 1]
+    first = np.empty(len(rows), dtype=bool)
+    first[:1] = True
+    first[1:] = (level[1:] != level[:-1]) | (i[1:] != i[:-1])
+    group = first.cumsum() - 1
+    start = first.nonzero()[0][group]
+    count = np.bincount(group)[group]
+    base += start * (b_copies - 1) + np.arange(len(rows))
+    # one image per (row, a, b), numbered t within its row
+    images = a_copies * b_copies
+    src = np.arange(len(rows)).repeat(images)
+    t = np.arange(len(src)) - (images.cumsum() - images).repeat(images)
+    a, b = np.divmod(t, b_copies[src])
+    at = base[src] + a * stride[src] + b * count[src]
+    out = np.empty((len(src), 2), dtype=np.int64)
+    out[at, 0] = a * lo[src] + i[src]
+    out[at, 1] = (a * same[src] + b) * hi[src] + j[src]
+    return RankedPoset._from_rows(poset.rank, sizes, out, out_k)
 
 
 def join(
@@ -129,16 +160,14 @@ def join(
     right._require_valid()
     rank = left.rank + right.rank - 1
     sizes = joined_sizes(left.level_sizes, right.level_sizes, budget=budget)
-    covers: list[Iterable] = list(left.covers[: left.rank - 1])
-    covers.append(
-        {
-            (x, y)
-            for x in range(left.level_sizes[left.rank - 1])
-            for y in range(right.level_sizes[1])
-        }
+    coatoms, atoms = left.level_sizes[left.rank - 1], right.level_sizes[1]
+    middle = np.array(np.divmod(np.arange(coatoms * atoms), atoms)).T
+    below = [len(cs) for cs in left.cover_arrays[:-1]]
+    above = [len(cs) for cs in right.cover_arrays[1:]]
+    rows = np.concatenate(
+        [left._rows[: sum(below)], middle, right._rows[len(right._rows) - sum(above) :]]
     )
-    covers.extend(right.covers[1:])
-    return RankedPoset(rank, sizes, covers)
+    return RankedPoset._from_rows(rank, sizes, rows, [*below, coatoms * atoms, *above])
 
 
 def joined_sizes(
@@ -224,11 +253,14 @@ def glue(
         sizes.append(total)
     _check_budget(sum(sizes), budget, "glue")
 
-    covers = [set() for _ in range(rank)]
-    for k, poset in enumerate(posets):
-        for r in range(rank):
-            lo, hi = offsets[k][r], offsets[k][r + 1]
-            covers[r].update((lo + i, hi + j) for i, j in poset.covers[r])
+    # parts glued at both ends of a level repeat their (equal) covers there;
+    # the constructor sorts the rows and drops the repeats
+    covers = [
+        np.concatenate(
+            [p.cover_arrays[r] + offsets[k][r : r + 2] for k, p in enumerate(posets)]
+        )
+        for r in range(rank)
+    ]
     return RankedPoset(rank, sizes, covers)
 
 

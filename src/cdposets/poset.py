@@ -8,6 +8,16 @@ reflexive-transitive closure of the covers.  Gradedness means every
 element below the top has an up-cover and every element above the bottom
 has a down-cover, so all maximal chains run through every level.
 
+Each cover level is stored as one read-only integer array of shape
+(k, 2), one row ``(i, j)`` per cover, the rows distinct and in
+lexicographic order.  That order is canonical, so equality compares
+arrays, and validation, duality, cover matrices and chain counts all run
+as numpy operations on them.  The arrays are int64; an index that does
+not fit in int64 (only possible in broken input, which validation then
+reports) keeps the level as an array of Python ints.  The tuple of
+frozensets of pairs in :attr:`RankedPoset.covers` is built from the
+arrays on first read.
+
 Comparability between two levels is computed as 0/1 matrices chained
 through the cover relations; this is sound because in a graded poset
 every relation x < y lies on a saturated chain.  The exhaustive Eulerian
@@ -24,7 +34,9 @@ exactly, and sums of such integers that stay in range are computed
 without rounding; :func:`exact_float_dtype` picks float32 below 2^24
 elements and float64 otherwise.  The bound is checked on the poset
 itself, so it also covers posets loaded from files, which no element
-budget limits.  Public results are int64 0/1 matrices and exact integers.
+budget limits.  The 0/1 matrices are cached in that dtype, as the
+operands of every product; public results are their int64 copies, made
+on request, and exact integers.
 
 Instances are immutable after construction.  Construction itself accepts
 structurally broken data so that :meth:`RankedPoset.validate` can report
@@ -35,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,6 +65,9 @@ _HUGE_POWER = 1 << 16
 
 # float32 represents every integer of absolute value up to 2^24 exactly
 _FLOAT32_EXACT = 2**24
+
+# float64 represents every integer up to 2^53 exactly
+_FLOAT64_EXACT = 2**53
 
 
 def exact_float_dtype(num_elements: int) -> type[np.floating]:
@@ -106,29 +122,101 @@ class EulerianResult:
         return self.eulerian
 
 
+def _level_array(pairs: Iterable[CoverPair] | np.ndarray) -> np.ndarray:
+    """One cover level as a (k, 2) array: int64, or Python ints when an
+    index does not fit in int64."""
+    if isinstance(pairs, np.ndarray):
+        return pairs
+    pairs = list(pairs)
+    try:
+        return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.asarray(pairs, dtype=object).reshape(-1, 2)
+
+
+def _sorted_rows(levels: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """The levels' rows in one array, each level's rows distinct and in
+    lexicographic order, and the number of rows of each level.  Rows
+    already in that order are not sorted again."""
+    counts = [len(cs) for cs in levels]
+    rows = np.concatenate(levels) if levels else np.empty((0, 2), dtype=np.int64)
+    level = np.arange(len(levels)).repeat(counts)
+    i, j = rows[:, 0], rows[:, 1]
+    later = (level[1:] != level[:-1]) | (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
+    if np.count_nonzero(later) < len(later):
+        order = np.lexsort((j, i, level))
+        rows, level = rows[order], level[order]
+        i, j = rows[:, 0], rows[:, 1]
+        keep = np.ones(len(rows), dtype=bool)
+        keep[1:] = (level[1:] != level[:-1]) | (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+        rows, level = rows[keep], level[keep]
+        counts = np.bincount(level, minlength=len(levels)).tolist()
+    return rows, counts
+
+
 class RankedPoset:
     """A graded bounded poset encoded as level sizes plus cover pairs.
 
-    ``covers[r]`` holds the pairs ``(i, j)`` meaning element ``i`` of level
-    ``r`` is covered by element ``j`` of level ``r + 1``.  Indices are
-    Python ints, stored as given: :meth:`from_dict`, where outside data
-    enters, checks that they are, and the constructions make ints.
+    ``cover_arrays[r]`` is the (k, 2) array of pairs ``(i, j)`` meaning
+    element ``i`` of level ``r`` is covered by element ``j`` of level
+    ``r + 1``, rows distinct and sorted (see the module docstring).  The
+    levels are consecutive views of one array of all cover rows, so that
+    whole-poset operations run once and not once per level.  The
+    constructor takes each level as a (k, 2) integer array or as any
+    iterable of integer pairs, in any order and with repeats.
+    :attr:`covers` gives the same pairs as frozensets of Python int pairs.
     """
 
-    __slots__ = ("rank", "level_sizes", "covers", "_comp", "_diagnostics")
+    __slots__ = (
+        "rank",
+        "level_sizes",
+        "cover_arrays",
+        "_rows",
+        "_row_level",
+        "_covers",
+        "_comp",
+        "_float_comp",
+        "_diagnostics",
+    )
 
     def __init__(
         self,
         rank: int,
         level_sizes: Sequence[int],
-        covers: Sequence[Iterable[CoverPair]],
+        covers: Sequence[Iterable[CoverPair] | np.ndarray],
     ):
+        self._fill(rank, level_sizes, *_sorted_rows([_level_array(cs) for cs in covers]))
+
+    @classmethod
+    def _from_rows(
+        cls, rank: int, level_sizes: Sequence[int], rows: np.ndarray, counts: Sequence[int]
+    ) -> "RankedPoset":
+        """The poset whose cover rows, ``counts[r]`` of them for level r,
+        are ``rows`` and already in the constructor's order; the
+        constructions, which lay their rows out in that order, build
+        through this without sorting them again."""
+        poset = cls.__new__(cls)
+        poset._fill(rank, level_sizes, rows, counts)
+        return poset
+
+    def _fill(
+        self, rank: int, level_sizes: Sequence[int], rows: np.ndarray, counts: Sequence[int]
+    ) -> None:
+        level = np.arange(len(counts)).repeat(counts)
+        rows.setflags(write=False)
+        level.setflags(write=False)
+        views, end = [], 0
+        for k in counts:
+            views.append(rows[end : end + k])
+            end += k
         object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "level_sizes", tuple(int(s) for s in level_sizes))
-        object.__setattr__(
-            self, "covers", tuple(frozenset(map(tuple, cs)) for cs in covers)
-        )
+        object.__setattr__(self, "level_sizes", tuple(map(int, level_sizes)))
+        object.__setattr__(self, "cover_arrays", tuple(views))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_row_level", level)
+        object.__setattr__(self, "_covers", None)
         object.__setattr__(self, "_comp", {})
+        object.__setattr__(self, "_float_comp", {})
         object.__setattr__(self, "_diagnostics", None)
 
     def __setattr__(self, name, value):
@@ -143,13 +231,23 @@ class RankedPoset:
     def num_elements(self) -> int:
         return sum(self.level_sizes)
 
+    @property
+    def covers(self) -> tuple[frozenset[CoverPair], ...]:
+        """``covers[r]``: the cover pairs of level r as a frozenset of
+        Python int pairs, built from :attr:`cover_arrays` on first read."""
+        if self._covers is None:
+            view = tuple(frozenset(map(tuple, cs.tolist())) for cs in self.cover_arrays)
+            object.__setattr__(self, "_covers", view)
+        return self._covers
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, RankedPoset):
             return NotImplemented
         return (
             self.rank == other.rank
             and self.level_sizes == other.level_sizes
-            and self.covers == other.covers
+            and np.array_equal(self._row_level, other._row_level)
+            and np.array_equal(self._rows, other._rows)
         )
 
     def __hash__(self) -> int:
@@ -171,8 +269,8 @@ class RankedPoset:
             out.append(
                 f"expected {self.rank + 1} level sizes, got {len(self.level_sizes)}"
             )
-        if len(self.covers) != self.rank:
-            out.append(f"expected {self.rank} cover levels, got {len(self.covers)}")
+        if len(self.cover_arrays) != self.rank:
+            out.append(f"expected {self.rank} cover levels, got {len(self.cover_arrays)}")
         if not out:
             if self.level_sizes[0] != 1:
                 out.append(f"level 0 must have exactly one element, got {self.level_sizes[0]}")
@@ -184,22 +282,42 @@ class RankedPoset:
             for r, size in enumerate(self.level_sizes):
                 if size < 1:
                     out.append(f"level {r} is empty")
-            for r, cs in enumerate(self.covers):
-                lo, hi = self.level_sizes[r], self.level_sizes[r + 1]
-                bad = [(i, j) for i, j in cs if not (0 <= i < lo and 0 <= j < hi)]
-                for i, j in sorted(bad):
-                    out.append(f"cover ({i}, {j}) at level {r} is out of range")
-            if not out:
-                for r, cs in enumerate(self.covers):
-                    ups = {i for i, _ in cs}
-                    downs = {j for _, j in cs}
-                    for i in range(self.level_sizes[r]):
-                        if i not in ups:
-                            out.append(f"element ({r}, {i}) has no up-cover")
-                    for j in range(self.level_sizes[r + 1]):
-                        if j not in downs:
-                            out.append(f"element ({r + 1}, {j}) has no down-cover")
+            out.extend(self._cover_diagnostics(out))
         object.__setattr__(self, "_diagnostics", tuple(out))
+        return out
+
+    def _cover_diagnostics(self, found: list[str]) -> list[str]:
+        """Covers out of range, level by level in sorted order; then, when
+        nothing else is wrong, elements without an up- or down-cover.  All
+        levels are checked at once on their concatenated rows."""
+        rows, level = self._rows, self._row_level
+        i, j = rows[:, 0], rows[:, 1]
+        # object dtype when a (broken) size does not fit in int64
+        sizes = np.array(self.level_sizes)
+        bad = (i >= sizes[level]) | (j >= sizes[level + 1]) | (i < 0) | (j < 0)
+        if np.count_nonzero(bad):
+            return [
+                f"cover ({x}, {y}) at level {r} is out of range"
+                for r, (x, y) in zip(level[bad].tolist(), rows[bad].tolist())
+            ]
+        if found:
+            return []
+        # elements numbered level after level; an element lacking an up-
+        # or a down-cover leaves its count at zero
+        starts = np.array([0, *accumulate(self.level_sizes)])
+        up = np.bincount(starts[level] + i, minlength=starts[-1])
+        down = np.bincount(starts[level + 1] + j, minlength=starts[-1])
+        # every element below the top level needs an up-cover, every
+        # element above the bottom level a down-cover
+        below, above = up[: starts[-2]], down[starts[1] :]
+        if np.count_nonzero(below) + np.count_nonzero(above) == len(below) + len(above):
+            return []
+        out = []
+        for r in range(self.rank):
+            for level, what, has in ((r, "up", up), (r + 1, "down", down)):
+                span = has[starts[level] : starts[level + 1]]
+                for x in (span == 0).nonzero()[0].tolist():
+                    out.append(f"element ({level}, {x}) has no {what}-cover")
         return out
 
     def _require_valid(self) -> None:
@@ -212,60 +330,77 @@ class RankedPoset:
     def dual(self) -> "RankedPoset":
         """Order-reversed poset: level r becomes level rank - r, covers transpose."""
         self._require_valid()
-        sizes = self.level_sizes[::-1]
-        covers = [
-            frozenset((j, i) for i, j in self.covers[self.rank - r - 1])
-            for r in range(self.rank)
-        ]
-        return RankedPoset(self.rank, sizes, covers)
-
-    def _cover_matrix(self, r: int) -> np.ndarray:
-        m = np.zeros((self.level_sizes[r], self.level_sizes[r + 1]), dtype=np.int64)
-        for i, j in self.covers[r]:
-            m[i, j] = 1
-        return m
+        # rows sorted by (level, i, j), stably sorted by (new level, j):
+        # each new level's rows (j, i) in order
+        key = (self.rank - 1 - self._row_level) * max(self.level_sizes) + self._rows[:, 1]
+        rows = self._rows[key.argsort(kind="stable"), ::-1]
+        counts = [len(cs) for cs in reversed(self.cover_arrays)]
+        return RankedPoset._from_rows(self.rank, self.level_sizes[::-1], rows, counts)
 
     def comparability(self, r1: int, r2: int) -> np.ndarray:
         """0/1 int64 matrix over level r1 x level r2 with 1 where x <= y.
 
         Satisfies the composition law: comparability(r1, r3) is the boolean
-        product of comparability(r1, r2) and comparability(r2, r3).  Each
-        level r2 > r1 + 1 is built as the product of comparability(r1, r2 - 1)
-        with the cover level, taken in :func:`exact_float_dtype` and
-        thresholded at > 0; an entry counts elements of level r2 - 1, so it
-        is exact.  The returned array is cached and read-only.
+        product of comparability(r1, r2) and comparability(r2, r3).  It is
+        the int64 copy of :meth:`_float_comparability`, made on first
+        request.  The returned array is cached and read-only.
         """
         # the cache is filled only after validation and the poset is immutable
         cached = self._comp.get((r1, r2))
         if cached is not None:
             return cached
-        self._require_valid()
-        if not 0 <= r1 <= r2 <= self.rank:
-            raise ValueError(f"need 0 <= r1 <= r2 <= {self.rank}, got ({r1}, {r2})")
-        if r1 == r2:
-            m = np.eye(self.level_sizes[r1], dtype=np.int64)
-        elif r2 == r1 + 1:
-            m = self._cover_matrix(r1)
-        else:
-            dt = exact_float_dtype(self.num_elements)
-            lower = self.comparability(r1, r2 - 1).astype(dt)
-            cover = self.comparability(r2 - 1, r2).astype(dt)
-            m = (lower @ cover > 0).astype(np.int64)
+        m = self._float_comparability(r1, r2).astype(np.int64)
         m.setflags(write=False)
         # benign race: concurrent readers may recompute, results are identical
         self._comp[(r1, r2)] = m
         return m
 
-    def count_maximal_chains(self) -> int:
-        """Number of saturated bottom-to-top chains (exact integer)."""
+    def _float_comparability(self, r1: int, r2: int) -> np.ndarray:
+        """``comparability(r1, r2)`` in :func:`exact_float_dtype`, cached and
+        read-only: the operand of every matrix product.  A cover level is
+        set from its cover array; each level r2 > r1 + 1 is the product of
+        the matrices of (r1, r2 - 1) and (r2 - 1, r2) thresholded at > 0,
+        whose entries count elements of level r2 - 1, so it is exact."""
+        cached = self._float_comp.get((r1, r2))
+        if cached is not None:
+            return cached
         self._require_valid()
-        vec = [1]
-        for r in range(self.rank):
-            nxt = [0] * self.level_sizes[r + 1]
-            for i, j in self.covers[r]:
-                nxt[j] += vec[i]
+        if not 0 <= r1 <= r2 <= self.rank:
+            raise ValueError(f"need 0 <= r1 <= r2 <= {self.rank}, got ({r1}, {r2})")
+        dt = exact_float_dtype(self.num_elements)
+        if r1 == r2:
+            m = np.eye(self.level_sizes[r1], dtype=dt)
+        elif r2 == r1 + 1:
+            m = np.zeros((self.level_sizes[r1], self.level_sizes[r2]), dtype=dt)
+            cs = self.cover_arrays[r1]
+            m[cs[:, 0], cs[:, 1]] = 1
+        else:
+            lower = self._float_comparability(r1, r2 - 1)
+            m = (lower @ self._float_comparability(r2 - 1, r2) > 0).astype(dt)
+        m.setflags(write=False)
+        self._float_comp[(r1, r2)] = m
+        return m
+
+    def count_maximal_chains(self) -> int:
+        """Number of saturated bottom-to-top chains (exact integer).
+
+        The counts of chains from the bottom to each element are summed
+        level by level in float64.  Each chain to an element extends to a
+        maximal chain, so every partial sum is at most the result: a float
+        result below 2^53 is exact, and from 2^53 on (where rounding only
+        moves sums up past it) the sums are redone in Python ints."""
+        self._require_valid()
+        vec = np.ones(1)
+        for cs, size in zip(self.cover_arrays, self.level_sizes[1:]):
+            vec = np.bincount(cs[:, 1], weights=vec[cs[:, 0]], minlength=size)
+        if vec[0] < _FLOAT64_EXACT:
+            return int(vec[0])
+        vec = np.ones(1, dtype=object)
+        for cs, size in zip(self.cover_arrays, self.level_sizes[1:]):
+            nxt = np.zeros(size, dtype=object)
+            np.add.at(nxt, cs[:, 1], vec[cs[:, 0]])
             vec = nxt
-        return vec[0]
+        return int(vec[0])
 
     def is_eulerian(self) -> EulerianResult:
         """Exhaustively test that every interval [x, y], x < y, balances
@@ -274,22 +409,21 @@ class RankedPoset:
 
         For each pair of ranks r1 < r2 - 1 one signed matrix
         sum over r of (-1)^(r - r1) comparability(r1, r) @ comparability(r, r2)
-        is accumulated in :func:`exact_float_dtype`: its (x, y) entry is the
-        even minus the odd count of [x, y].  Only inner ranks need products;
-        the endpoints add comparability(r1, r2) each with their own sign.
-        Every partial sum counts elements of one interval, so it is exact.
-        The counts of the reported interval are recomputed in int64.
+        is accumulated in :func:`exact_float_dtype`, on the matrices of
+        :meth:`_float_comparability`: its (x, y) entry is the even minus the
+        odd count of [x, y].  Only inner ranks need products; the endpoints
+        add comparability(r1, r2) each with their own sign.  Every partial
+        sum counts elements of one interval, so it is exact.  The counts of
+        the reported interval are recomputed in int64.
         """
         self._require_valid()
-        dt = exact_float_dtype(self.num_elements)
+        comp = self._float_comparability
         for r1 in range(self.rank - 1):
             for r2 in range(r1 + 2, self.rank + 1):
                 # x counts with sign +1 and y with (-1)^(r2 - r1): 2 or 0 in all
-                diff = self.comparability(r1, r2).astype(dt)
-                diff *= 1 + (-1) ** (r2 - r1)
+                diff = comp(r1, r2) * (1 + (-1) ** (r2 - r1))
                 for r in range(r1 + 1, r2):
-                    left = self.comparability(r1, r).astype(dt)
-                    prod = left @ self.comparability(r, r2).astype(dt)
+                    prod = comp(r1, r) @ comp(r, r2)
                     if (r - r1) % 2:
                         diff -= prod
                     else:
@@ -315,7 +449,7 @@ class RankedPoset:
         return {
             "rank": self.rank,
             "level_sizes": list(self.level_sizes),
-            "covers": [[list(p) for p in sorted(cs)] for cs in self.covers],
+            "covers": [cs.tolist() for cs in self.cover_arrays],
         }
 
     @classmethod
@@ -335,18 +469,16 @@ class RankedPoset:
             isinstance(cs, (list, tuple)) for cs in covers
         ):
             raise ValueError("covers must be a list of lists of pairs")
-        parsed = []
         for cs in covers:
-            level = []
             for pair in cs:
-                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                if not (
+                    isinstance(pair, (list, tuple))
+                    and len(pair) == 2
+                    and type(pair[0]) is int
+                    and type(pair[1]) is int
+                ):
                     raise ValueError(f"bad cover pair {pair!r}")
-                i, j = pair
-                if not (type(i) is int and type(j) is int):
-                    raise ValueError(f"bad cover pair {pair!r}")
-                level.append((i, j))
-            parsed.append(level)
-        return cls(rank, sizes, parsed)
+        return cls(rank, sizes, covers)
 
 
 def chain_sizes(rank: int, *, budget: int | None = None) -> list[int]:
@@ -360,7 +492,7 @@ def chain_sizes(rank: int, *, budget: int | None = None) -> list[int]:
 def chain(rank: int, *, budget: int | None = None) -> RankedPoset:
     """The chain with ``rank + 1`` elements, one per level."""
     sizes = chain_sizes(rank, budget=budget)
-    return RankedPoset(rank, sizes, [{(0, 0)} for _ in range(rank)])
+    return RankedPoset._from_rows(rank, sizes, np.zeros((rank, 2), dtype=np.int64), [1] * rank)
 
 
 def boolean_sizes(k: int, *, budget: int | None = None) -> list[int]:
@@ -379,20 +511,26 @@ def boolean_sizes(k: int, *, budget: int | None = None) -> list[int]:
 
 
 def boolean(k: int, *, budget: int | None = None) -> RankedPoset:
-    """The boolean lattice of subsets of a k-element set, ordered by inclusion."""
-    sizes = boolean_sizes(k, budget=budget)
-    from itertools import combinations
+    """The boolean lattice of subsets of a k-element set, ordered by inclusion.
 
-    levels = [list(combinations(range(k), r)) for r in range(k + 1)]
-    covers = []
-    for r in range(k):
-        index_above = {sub: j for j, sub in enumerate(levels[r + 1])}
-        cs = set()
-        for i, sub in enumerate(levels[r]):
-            members = set(sub)
-            for extra in range(k):
-                if extra not in members:
-                    bigger = tuple(sorted(members | {extra}))
-                    cs.add((i, index_above[bigger]))
-        covers.append(cs)
-    return RankedPoset(k, sizes, covers)
+    Level r lists the r-subsets of {0, ..., k-1} in the order of
+    ``itertools.combinations``.  Reading bit e of a subset's bitmask as
+    2^(k-1-e), that order is decreasing value: at the first element where
+    two sorted subsets differ, the smaller element outweighs every later
+    bit.  Adding a smaller element to a subset gives an earlier superset
+    for the same reason, so covers listed by subset and then by added
+    element come out sorted.
+    """
+    sizes = boolean_sizes(k, budget=budget)
+    single = 1 << np.arange(k)
+    bits = (np.arange(1 << k)[:, None] & single) != 0
+    # masks by level, then in level order
+    order = np.lexsort((-(bits @ single[::-1]), bits.sum(axis=1)))
+    starts = np.cumsum([0, *sizes])
+    index = np.empty(1 << k, dtype=np.int64)  # position of each mask in its level
+    index[order] = np.arange(1 << k) - starts[:-1].repeat(sizes)
+    below, added = (~bits[order[: starts[k]]]).nonzero()
+    rows = np.empty((len(below), 2), dtype=np.int64)
+    rows[:, 0] = index[order[below]]
+    rows[:, 1] = index[order[below] | single[added]]
+    return RankedPoset._from_rows(k, sizes, rows, [(k - r) * sizes[r] for r in range(k)])

@@ -8,6 +8,9 @@ small enough to enumerate.  ``random_graded`` makes such posets.
 ``replicate_interval_stepwise`` and ``horizontal_double_stepwise`` are the
 level-copying constructions as the library first wrote them: replication
 branch by branch, and the double as one replication per proper level.
+``dual_pairs``, ``join_pairs`` and ``glue_pairs`` are the other
+constructions as first written.  All of them compute covers as Python
+sets of tuples, the representation the library's cover arrays replaced.
 ``dp_poset``, ``lemma2_glued`` and ``lemma3_glued`` build the paper's
 families from them by direct construction calls, as the library did
 before it defined them as expression trees.
@@ -21,7 +24,7 @@ from itertools import combinations
 
 from cdposets import RankedPoset, chain, glue
 from cdposets import validate_even_interval_system
-from cdposets.constructions import replicated_sizes
+from cdposets.constructions import joined_sizes, replicated_sizes
 from cdposets.errors import NotCdExpressibleError
 from cdposets.exprs import ExpressionError, Node, _Token, _tokenize
 from cdposets.flags import CdPolynomial, cd_support, cd_words
@@ -334,6 +337,55 @@ def horizontal_double_stepwise(poset, *, budget=None):
     for r in range(1, poset.rank):
         out = replicate_interval_stepwise(out, r, r, 2, budget=budget)
     return out
+
+
+def dual_pairs(poset):
+    """The dual as the library first wrote it: levels reversed and every
+    cover pair transposed, as Python sets of tuples."""
+    poset._require_valid()
+    covers = [{(j, i) for i, j in poset.covers[poset.rank - r - 1]} for r in range(poset.rank)]
+    return RankedPoset(poset.rank, poset.level_sizes[::-1], covers)
+
+
+def join_pairs(left, right, *, budget=None):
+    """The join as the library first wrote it: the covers below the top of
+    ``left``, all coatom-atom pairs, then the covers above the bottom of
+    ``right``, as Python sets of tuples."""
+    left._require_valid()
+    right._require_valid()
+    sizes = joined_sizes(left.level_sizes, right.level_sizes, budget=budget)
+    middle = {
+        (x, y)
+        for x in range(left.level_sizes[left.rank - 1])
+        for y in range(right.level_sizes[1])
+    }
+    covers = [*left.covers[: left.rank - 1], middle, *right.covers[1:]]
+    return RankedPoset(left.rank + right.rank - 1, sizes, covers)
+
+
+def glue_pairs(parts):
+    """The layout of ``glue(parts)`` as the library first wrote it, as
+    Python sets of tuples, for parts that glue consistently: the shared
+    block of each glued rank first, then the other parts' levels in part
+    order."""
+    rank = parts[0][0].rank
+    sets = [set(ranks) for _, ranks in parts]
+    offsets = [[0] * (rank + 1) for _ in parts]
+    sizes = []
+    for r in range(rank + 1):
+        shared = [p.level_sizes[r] for (p, _), gs in zip(parts, sets) if r in gs]
+        total = shared[0] if shared else 0
+        for k, (p, _) in enumerate(parts):
+            if r not in sets[k]:
+                offsets[k][r] = total
+                total += p.level_sizes[r]
+        sizes.append(total)
+    covers = [set() for _ in range(rank)]
+    for k, (p, _) in enumerate(parts):
+        for r in range(rank):
+            lo, hi = offsets[k][r], offsets[k][r + 1]
+            covers[r].update((lo + i, hi + j) for i, j in p.covers[r])
+    return RankedPoset(rank, sizes, covers)
 
 
 def dp_poset(n, intervals, copies, *, require_even=True, budget=None):

@@ -330,6 +330,20 @@ def test_count_part1_formula():
         count_part1_words(4)
 
 
+def test_count_part1_matches_enumeration():
+    # every cd word of degree n classified, against the closed form
+    for n in range(5, 21):
+        part1 = sum(classify_word(w).tag in ("Part1a", "Part1b") for w in cd_words(n))
+        assert count_part1_words(n) == part1, n
+
+
+@pytest.mark.parametrize("n,count", [(21, 61), (100, 1588), (10**6, 166665833338)])
+def test_count_part1_past_the_word_budget(n, count):
+    # 4 Part1a words, and n - 3r + 2 Part1b words for each r >= 2 with 3r <= n + 1
+    assert 4 + sum(n - 3 * r + 2 for r in range(2, (n + 1) // 3 + 1)) == count
+    assert count_part1_words(n) == count
+
+
 def test_classes_partition_all_words():
     for n in range(1, 11):
         words = cd_words(n)

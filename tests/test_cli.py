@@ -159,6 +159,28 @@ def test_limit_l_json(run):
     assert json.loads(out) == {"n": 4, "entries": {"[]": 1, "[1,2,3,4]": -1}}
 
 
+def _ranks(low, high):
+    return "[" + ",".join(map(str, range(low, high + 1))) + "]"
+
+
+@pytest.mark.parametrize(
+    "intervals,entries",
+    [
+        ([[1, 50]], {"[]": 1, _ranks(1, 50): -1}),
+        ([[1, 70]], {"[]": 1, _ranks(1, 70): -1}),
+        (
+            [[1, 64], [63, 100]],
+            {"[]": 1, _ranks(1, 64): -1, _ranks(63, 100): -1, _ranks(1, 100): 1},
+        ),
+    ],
+    ids=["[1,50]", "[1,70]", "[1,64],[63,100]"],
+)
+def test_limit_l_intervals_past_62_ranks(run, intervals, entries):
+    text = json.dumps({"entries": entries, "n": 100}, sort_keys=True, indent=2) + "\n"
+    argv = ["limit-l", "--n", "100", "--intervals", json.dumps(intervals)]
+    assert run(*argv) == (0, text, "")
+
+
 def test_limit_l_max_k_budget(run):
     code, _, err = run(
         "limit-l", "--n", "4", "--intervals", "[[1,2],[3,4]]", "--max-k", "1"

@@ -110,18 +110,21 @@ def test_double_of_invalid_rank_one_poset_is_rejected():
 
 def test_double_builds_one_poset(monkeypatch):
     built = []
+    fill = RankedPoset._fill
 
-    def counting(*args):
+    def counting(self, *args):
+        # every poset, through the constructor or from sorted rows
         built.append(args)
-        return RankedPoset(*args)
+        fill(self, *args)
 
     def refuse(*args, **kwargs):
         raise AssertionError("horizontal_double called another construction")
 
-    monkeypatch.setattr(constructions, "RankedPoset", counting)
-    monkeypatch.setattr(constructions, "replicate_interval", refuse)
     p = oracles.random_graded(np.random.default_rng(7), [1, 3, 2, 3, 2, 1])
-    assert horizontal_double(p) == oracles.horizontal_double_stepwise(p)
+    want = oracles.horizontal_double_stepwise(p)
+    monkeypatch.setattr(RankedPoset, "_fill", counting)
+    monkeypatch.setattr(constructions, "replicate_interval", refuse)
+    assert horizontal_double(p) == want
     assert len(built) == 1
 
 
