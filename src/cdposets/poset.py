@@ -386,9 +386,10 @@ class RankedPoset:
 
         The counts of chains from the bottom to each element are summed
         level by level in float64.  Each chain to an element extends to a
-        maximal chain, so every partial sum is at most the result: a float
-        result below 2^53 is exact, and from 2^53 on (where rounding only
-        moves sums up past it) the sums are redone in Python ints."""
+        maximal chain, so every partial sum is at most the result.  Sums
+        below 2^53 are exact, and rounding never carries a sum from 2^53 or
+        more back below it, so a float result below 2^53 is exact; from
+        2^53 on the sums are redone in Python ints."""
         self._require_valid()
         vec = np.ones(1)
         for cs, size in zip(self.cover_arrays, self.level_sizes[1:]):
