@@ -124,7 +124,7 @@ def _copy_levels(poset: RankedPoset, sizes: Sequence[int], linked: range) -> Ran
         out_k.append(len(cs) * a_copies * b_copies)
         rows_before += len(cs)
     rows, level = poset._rows, poset._row_level
-    lo, hi, a_copies, b_copies, same, stride, base = np.array(params).T[:, level]
+    lo, hi, a_copies, b_copies, same, stride, base = np.array(params)[level].T
     i, j = rows[:, 0], rows[:, 1]
     first = np.empty(len(rows), dtype=bool)
     first[:1] = True
@@ -228,12 +228,14 @@ def glue(
         else:
             shared_size.append(0)
 
-    # comparability between two glued levels must not depend on the part
+    # comparability between two glued levels must not depend on the part;
+    # the 0/1 matrices are compared as the float matrices the products use
     for r, r2 in combinations(range(rank + 1), 2):
         both = [k for k in range(len(posets)) if r in glue_sets[k] and r2 in glue_sets[k]]
         for k in both[1:]:
             if not np.array_equal(
-                posets[both[0]].comparability(r, r2), posets[k].comparability(r, r2)
+                posets[both[0]]._float_comparability(r, r2),
+                posets[k]._float_comparability(r, r2),
             ):
                 raise GlueInconsistentError(
                     f"parts {both[0]} and {k} disagree on comparability between "
