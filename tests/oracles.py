@@ -15,12 +15,16 @@ sets of tuples, the representation the library's cover arrays replaced.
 families from them by direct construction calls, as the library did
 before it defined them as expression trees.
 
+``assert_same_poset`` compares a poset with a reference in every form.
+
 ``_Parser`` and ``parse_expression`` are the expression parser as the
 library first wrote it, one hand-written branch per constructor.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from cdposets import RankedPoset, chain, glue
 from cdposets import validate_even_interval_system
@@ -36,6 +40,18 @@ from cdposets.subsets import (
     ranks_from_mask,
     subset_label,
 )
+
+
+def assert_same_poset(got, want, what):
+    """``got`` is ``want`` in every form the library offers: the covers
+    view, the dict, equality and hash, and both validate clean; its cover
+    arrays are read-only int64 (k, 2) arrays."""
+    assert got.covers == want.covers, what
+    assert got.to_dict() == want.to_dict(), what
+    assert got == want and hash(got) == hash(want), what
+    assert got.validate() == want.validate() == [], what
+    for cs in got.cover_arrays:
+        assert cs.dtype == np.int64 and cs.shape[1:] == (2,) and not cs.flags.writeable, what
 
 
 def random_graded(rng, level_sizes):

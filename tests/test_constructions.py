@@ -151,11 +151,15 @@ def _replications(p):
 
 
 def test_one_map_matches_stepwise_on_corpus(corpus):
-    for name, p in corpus:
-        assert horizontal_double(p) == oracles.horizontal_double_stepwise(p), name
+    named = [*corpus, *((f"random {k}", p) for k, p in enumerate(_random_posets()))]
+    for name, p in named:
+        oracles.assert_same_poset(
+            horizontal_double(p), oracles.horizontal_double_stepwise(p), name
+        )
         for low, high, copies in _replications(p):
             expected = oracles.replicate_interval_stepwise(p, low, high, copies)
-            assert replicate_interval(p, low, high, copies) == expected, name
+            got = replicate_interval(p, low, high, copies)
+            oracles.assert_same_poset(got, expected, (name, low, high, copies))
 
 
 def test_one_map_matches_stepwise_under_every_budget():

@@ -1,10 +1,11 @@
 """Cover levels stored as sorted integer arrays.
 
-Every construction is compared with the tuple-set references in
-``oracles`` on the corpus and on seeded random graded posets: the
-``covers`` view, ``to_dict``, equality, hash, validation, and the budget
-check on both sides of its limit.  Broken input keeps the diagnostics of
-the tuple-set representation, and chain counts stay exact past int64.
+The dual, join and glue are compared with the tuple-set references in
+``oracles`` on the corpus and on seeded random graded posets, in every
+form ``oracles.assert_same_poset`` checks (``test_constructions`` does
+the same for replication and doubling, under every budget too).  Broken
+input keeps the diagnostics of the tuple-set representation, and chain
+counts stay exact past int64.
 """
 
 import json
@@ -17,10 +18,8 @@ from cdposets import (
     RankedPoset,
     build_poset,
     glue,
-    horizontal_double,
     join,
     parse_expression,
-    replicate_interval,
 )
 from cdposets.corpus import eulerian_corpus
 
@@ -40,65 +39,20 @@ def posets():
     return out
 
 
-def assert_same(got, want, what):
-    assert got.covers == want.covers, what
-    assert got.to_dict() == want.to_dict(), what
-    assert got == want and hash(got) == hash(want), what
-    assert got.validate() == want.validate() == [], what
-    for cs in got.cover_arrays:
-        assert cs.dtype == np.int64 and cs.shape[1:] == (2,) and not cs.flags.writeable
-
-
-def assert_same_under_budgets(make, reference, what):
-    """``make(budget)`` equals ``reference(budget)`` at a budget of exactly
-    its element count, and both refuse one element less alike."""
-    want = reference(None)
-    total = want.num_elements
-    assert_same(make(total), want, what)
-    with pytest.raises(BudgetError) as got_error:
-        make(total - 1)
-    with pytest.raises(BudgetError) as want_error:
-        reference(total - 1)
-    assert str(got_error.value) == str(want_error.value), what
-
-
-def test_replicate_matches_stepwise(posets):
-    for name, p in posets:
-        for low in range(1, p.rank):
-            for high in range(low, p.rank):
-                for copies in (1, 2, 3):
-                    assert_same_under_budgets(
-                        lambda b: replicate_interval(p, low, high, copies, budget=b),
-                        lambda b: oracles.replicate_interval_stepwise(
-                            p, low, high, copies, budget=b
-                        ),
-                        (name, low, high, copies),
-                    )
-
-
-def test_double_matches_stepwise(posets):
-    for name, p in posets:
-        if p.rank < 2:
-            continue
-        assert_same_under_budgets(
-            lambda b: horizontal_double(p, budget=b),
-            lambda b: oracles.horizontal_double_stepwise(p, budget=b),
-            name,
-        )
-
-
 def test_dual_matches_transposed_pairs(posets):
     for name, p in posets:
-        assert_same(p.dual(), oracles.dual_pairs(p), name)
+        oracles.assert_same_poset(p.dual(), oracles.dual_pairs(p), name)
 
 
 def test_join_matches_pairs(posets):
     for (name, left), (other, right) in zip(posets, posets[1:] + posets[:1]):
-        assert_same_under_budgets(
-            lambda b: join(left, right, budget=b),
-            lambda b: oracles.join_pairs(left, right, budget=b),
-            (name, other),
-        )
+        want = oracles.join_pairs(left, right)
+        oracles.assert_same_poset(join(left, right), want, (name, other))
+        # both sides of the budget
+        total = want.num_elements
+        oracles.assert_same_poset(join(left, right, budget=total), want, (name, other))
+        with pytest.raises(BudgetError, match=f"^join would have {total} elements, "):
+            join(left, right, budget=total - 1)
 
 
 def test_glue_matches_pairs(posets):
@@ -117,7 +71,7 @@ def test_glue_matches_pairs(posets):
             [(p, some), (p, ends), (other, ends)],
         ):
             want = oracles.glue_pairs(parts)
-            assert_same(glue(parts), want, (name, other_name, sorted(some)))
+            oracles.assert_same_poset(glue(parts), want, (name, other_name, sorted(some)))
             with pytest.raises(BudgetError, match=f"^glue would have {want.num_elements} "):
                 glue(parts, budget=want.num_elements - 1)
 
