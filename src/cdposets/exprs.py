@@ -48,14 +48,15 @@ The identities multiply the maximal-chain counts of the children by
 factors of at least 1 (N, 2^n, the other side of a join), so no node
 has more maximal chains than the root.  Every entry of a node's table,
 and every intermediate product that computes it, is at most the count
-of that node.  So when the root's count is below ``flags._INT64_SAFE``
-all tables are int64; otherwise they are Python integers (object
-arrays).
+of that node.  So when the root's count is below ``_INT64_SAFE`` = 2^62
+all tables are int64, whose elementwise products cannot overflow;
+otherwise they are Python integers (object arrays).
 """
 
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -72,7 +73,7 @@ from .constructions import (
     replicated_sizes,
     validate_even_interval_system,
 )
-from .flags import FlagVector, _chain_count_dtype, check_flag_ranks, flag_vector
+from .flags import FlagVector, check_flag_ranks, flag_vector
 from .poset import RankedPoset, boolean, boolean_sizes, chain, chain_sizes
 
 
@@ -82,6 +83,14 @@ from .poset import RankedPoset, boolean, boolean_sizes, chain, chain_sizes
 # 1000 with room for the callers' frames
 _MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests more than {_MAX_DEPTH} levels deep"
+
+# below this many maximal chains at the root the tables are int64 (module docstring)
+_INT64_SAFE = 2**62
+
+# the tokenizer reads ASCII digits and names only: str.isdigit also takes
+# other scripts' digits, and int() reads some of them
+_NAME_START = string.ascii_letters + "_"
+_NAME_CHARS = _NAME_START + string.digits
 
 
 class ExpressionError(ValueError):
@@ -112,14 +121,14 @@ def _tokenize(text: str) -> Iterator[_Token]:
         elif ch in "()[],":
             yield _Token("PUNCT", ch, pos)
             pos += 1
-        elif ch.isdigit():
+        elif ch in string.digits:
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos] in string.digits:
                 pos += 1
             yield _Token("INT", text[start:pos], start)
-        elif ch.isalpha() or ch == "_":
+        elif ch in _NAME_START:
             start = pos
-            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+            while pos < len(text) and text[pos] in _NAME_CHARS:
                 pos += 1
             yield _Token("NAME", text[start:pos], start)
         else:
@@ -390,7 +399,8 @@ def _sized_flag_vector(node: Node, budget: int | None) -> tuple[list[int], FlagV
     plan = _plan(node, budget)
     n = len(plan.sizes) - 2
     check_flag_ranks(n)
-    return plan.sizes, FlagVector(n, plan.table(_chain_count_dtype(plan.chains)).tolist())
+    dtype = np.int64 if plan.chains < _INT64_SAFE else object
+    return plan.sizes, FlagVector(n, plan.table(dtype).tolist())
 
 
 def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:

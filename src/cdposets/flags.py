@@ -31,8 +31,11 @@ rank s whose entry (M, y) counts the chains with intermediate ranks
 M + {s} ending at the element y of rank s.  Such chains extend to maximal
 chains, and a maximal chain restricts to exactly one of them, so every
 entry, and every partial sum of the nonnegative products that build it,
-is at most ``count_maximal_chains()``; below ``_INT64_SAFE`` the tables are
-int64, otherwise Python integers (object arrays) with the same code.  The
+is an integer of at most ``count_maximal_chains()``.  Below 2^53 the
+tables are in :func:`~cdposets.poset.exact_float_dtype` of that count and
+multiply the poset's cached float 0/1 matrices, exact as the Eulerian test
+is; from 2^53 on they are Python integers (object arrays), with the same
+code, times int64 copies of those matrices made for the call.  The
 h and L transforms are butterflies over the n bits of the mask; a stage
 maps (a, b) to (a, b - a), (a, b + a) or, for L, (b, 2a - b), so it grows
 the largest absolute value by at most a factor 2, 2 or 3.  They run in
@@ -48,7 +51,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import BudgetError, NotCdExpressibleError
-from .poset import RankedPoset
+from .poset import _FLOAT64_EXACT, RankedPoset, exact_float_dtype
 from .subsets import (
     as_mask,
     is_even_set,
@@ -60,20 +63,6 @@ from .subsets import (
 
 # full tables have 2^n entries; past this the dense representation is hopeless
 MAX_FLAG_RANKS = 20
-
-# Every entry of flag_vector's chain-count tables, and every partial sum
-# of the products that build them, counts chains through some ranks, so it
-# is at most count_maximal_chains().  The products multiply by
-# RankedPoset.comparability, an int64 0/1 matrix (its float kernel is
-# internal to poset.py), so below this bound int64 cannot overflow.
-_INT64_SAFE = 2**62
-
-
-def _chain_count_dtype(chains: int) -> type:
-    """dtype of chain-count tables whose entries are at most ``chains``:
-    int64 below ``_INT64_SAFE``, Python integers (object) otherwise."""
-    return np.int64 if chains < _INT64_SAFE else object
-
 
 # Entries the chain-count tables of flag_vector may hold at once.  They
 # hold sum over s > k of 2^(s-k-1) * L[s] entries when the ranks 1..k are
@@ -226,22 +215,27 @@ def flag_vector(poset: RankedPoset) -> FlagVector:
     single column is the flag vector.  That is O(n^2) matrix products.
     When the tables would exceed a fixed entry cap, the lowest ranks are
     walked depth first and only the ranks above them are batched.  The
-    tables are int64 when the number of maximal chains allows it and
-    Python integers otherwise, so results are exact regardless of size.
+    tables are floats below 2^53 maximal chains and Python integers from
+    there on (module docstring), so results are exact regardless of size.
     """
     poset._require_valid()
     n = poset.n
     check_flag_ranks(n)
-    dtype = _chain_count_dtype(poset.count_maximal_chains())
+    chains = poset.count_maximal_chains()
+    if chains < _FLOAT64_EXACT:
+        dtype, comparability = exact_float_dtype(chains), poset._float_comparability
+    else:
+        # an object table times a float matrix would multiply by floats
+        dtype, comparability = object, poset.comparability
     split = _split_rank(poset.level_sizes)
     values = np.empty(1 << n, dtype=dtype)
     # (rank, chain counts ending at its elements, mask) of the prefix walk
     stack = [(0, np.ones((1, 1), dtype=dtype), 0)]
     while stack:
         at, vec, mask = stack.pop()
-        values[mask :: 1 << split] = _batched_counts(poset, at, vec, split)
+        values[mask :: 1 << split] = _batched_counts(poset, comparability, at, vec, split)
         for s in range(at + 1, split + 1):
-            stack.append((s, vec @ poset.comparability(at, s), mask | 1 << (s - 1)))
+            stack.append((s, vec @ comparability(at, s), mask | 1 << (s - 1)))
     return FlagVector(n, values.tolist())
 
 
@@ -255,20 +249,20 @@ def _split_rank(sizes: tuple[int, ...]) -> int:
 
 
 def _batched_counts(
-    poset: RankedPoset, at: int, vec: np.ndarray, split: int
+    poset: RankedPoset, comparability, at: int, vec: np.ndarray, split: int
 ) -> np.ndarray:
     """Chain counts from the chains counted by ``vec`` (one row over the
     elements of rank ``at`` <= ``split``) to the top, for every set of
     intermediate ranks above ``split``, indexed by that set shifted down
-    by ``split`` bits."""
+    by ``split`` bits; ``comparability(t, s)`` gives the 0/1 matrices."""
     tables: list[np.ndarray] = []
     for s in range(split + 1, poset.rank + 1):
         table = np.empty((1 << (s - split - 1), poset.level_sizes[s]), dtype=vec.dtype)
         # row 0 comes straight from rank at; the rows of the block from rank
         # t are the masks whose highest rank is t
-        np.matmul(vec, poset.comparability(at, s), out=table[:1])
+        np.matmul(vec, comparability(at, s), out=table[:1])
         for t, g in enumerate(tables, split + 1):
-            np.matmul(g, poset.comparability(t, s), out=table[len(g) : 2 * len(g)])
+            np.matmul(g, comparability(t, s), out=table[len(g) : 2 * len(g)])
         tables.append(table)
     return tables[-1][:, 0]
 

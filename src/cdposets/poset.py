@@ -34,9 +34,10 @@ exactly, and sums of such integers that stay in range are computed
 without rounding; :func:`exact_float_dtype` picks float32 below 2^24
 elements and float64 otherwise.  The bound is checked on the poset
 itself, so it also covers posets loaded from files, which no element
-budget limits.  The 0/1 matrices are cached in that dtype, as the
-operands of every product; public results are their int64 copies, made
-on request, and exact integers.
+budget limits.  The 0/1 matrices are cached once, in that dtype, as the
+operands of every product, the flag vector's included;
+:meth:`RankedPoset.comparability` returns an int64 copy made on each
+call, and public results are exact integers.
 
 Instances are immutable after construction.  Construction itself accepts
 structurally broken data so that :meth:`RankedPoset.validate` can report
@@ -174,7 +175,6 @@ class RankedPoset:
         "_rows",
         "_row_level",
         "_covers",
-        "_comp",
         "_float_comp",
         "_diagnostics",
     )
@@ -215,7 +215,6 @@ class RankedPoset:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_row_level", level)
         object.__setattr__(self, "_covers", None)
-        object.__setattr__(self, "_comp", {})
         object.__setattr__(self, "_float_comp", {})
         object.__setattr__(self, "_diagnostics", None)
 
@@ -342,17 +341,11 @@ class RankedPoset:
 
         Satisfies the composition law: comparability(r1, r3) is the boolean
         product of comparability(r1, r2) and comparability(r2, r3).  It is
-        the int64 copy of :meth:`_float_comparability`, made on first
-        request.  The returned array is cached and read-only.
+        a read-only int64 copy of :meth:`_float_comparability`, made on
+        each call.
         """
-        # the cache is filled only after validation and the poset is immutable
-        cached = self._comp.get((r1, r2))
-        if cached is not None:
-            return cached
         m = self._float_comparability(r1, r2).astype(np.int64)
         m.setflags(write=False)
-        # benign race: concurrent readers may recompute, results are identical
-        self._comp[(r1, r2)] = m
         return m
 
     def _float_comparability(self, r1: int, r2: int) -> np.ndarray:
@@ -415,7 +408,7 @@ class RankedPoset:
         odd count of [x, y].  Only inner ranks need products; the endpoints
         add comparability(r1, r2) each with their own sign.  Every partial
         sum counts elements of one interval, so it is exact.  The counts of
-        the reported interval are recomputed in int64.
+        the reported interval are recounted on the same matrices.
         """
         self._require_valid()
         comp = self._float_comparability
@@ -435,13 +428,14 @@ class RankedPoset:
         return EulerianResult(True)
 
     def _violation(self, r1: int, x: int, r2: int, y: int) -> IntervalViolation:
-        """Exact even and odd rank counts of the interval [x, y]."""
-        ends = int(self.comparability(r1, r2)[x, y])  # x and y, if x <= y
+        """Exact even and odd rank counts of the interval [x, y]: each sum
+        counts elements of one level, so it is exact in the float dtype."""
+        comp = self._float_comparability
+        ends = int(comp(r1, r2)[x, y])  # x and y, if x <= y
         counts = [ends, 0]
         counts[(r2 - r1) % 2] += ends
         for r in range(r1 + 1, r2):
-            below = self.comparability(r1, r)[x]
-            counts[(r - r1) % 2] += int(below @ self.comparability(r, r2)[:, y])
+            counts[(r - r1) % 2] += int(comp(r1, r)[x] @ comp(r, r2)[:, y])
         return IntervalViolation(r1, x, r2, y, counts[0], counts[1])
 
     # -- serialization ------------------------------------------------

@@ -689,3 +689,49 @@ def test_limit_l_rejects_non_integer_endpoints_and_negative_n(run, argv, fragmen
     code, out, err = run("limit-l", *argv)
     assert code == 2 and out == ""
     assert err == f"error: {fragment}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,offset",
+    [
+        (["build", "chain(²)"], 6),
+        (["build", "chain(١٢)"], 6),
+        (["cd-index", "boolean(３)"], 8),
+        (["build", "chaîn(2)"], 3),
+    ],
+    ids=["superscript", "arabic-indic", "fullwidth", "latin-letter"],
+)
+def test_non_ascii_characters_are_parse_errors(run, argv, offset):
+    # str.isdigit accepts the three digits, int() reads all but '²', and
+    # str.isalpha accepts 'î'
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: unexpected character {argv[1][offset]!r} at offset {offset}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["build", "glue([chain(2),chain(3)],[[0,2],[0,3]])"],
+         "all parts must share one rank, got 3 and 2"),
+        (["build", "glue([chain(2)],[[0,2,5]])"], "part 0 glue ranks [0, 2, 5] outside [0, 2]"),
+        (["build", "boolean(0)"], "boolean rank must be at least 1, got 0"),
+        (["limit-l", "--n", "4", "--intervals", json.dumps([[1, 2]] * 21)],
+         "21 intervals exceed the limit of 20"),
+        (["limit-l", "--n", "4", "--intervals", "[[1,2]"],
+         "bad interval list '[[1,2]': Expecting ',' delimiter: line 1 column 7 (char 6)"),
+        (["limit-l", "--n", "4", "--intervals", "{}"],
+         "intervals must be a JSON list of [low, high] pairs"),
+    ],
+    ids=["glue-ranks", "glue-outside", "boolean-0", "limit-l-21", "limit-l-json", "limit-l-object"],
+)
+def test_usage_errors_print_one_line(run, argv, message):
+    assert run(*argv) == (2, "", f"error: {message}\n")
+
+
+def test_poset_file_without_fields_is_usage_error(run, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    assert run("check-eulerian", str(empty)) == (
+        2, "", "error: poset object needs rank/level_sizes/covers: 'rank'\n"
+    )

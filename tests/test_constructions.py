@@ -223,6 +223,11 @@ def test_glue_requires_bottom_and_top():
         glue([(b, {0, 1}), (b, {0, 1})])
 
 
+def test_glue_needs_a_part():
+    with pytest.raises(ValueError, match="^glue needs at least one part$"):
+        glue([])
+
+
 def test_glue_size_mismatch():
     with pytest.raises(GlueMismatchError):
         glue(

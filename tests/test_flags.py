@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 import cdposets.flags as flags_mod
 from cdposets import (
     AbPolynomial,
+    BudgetError,
     CdPolynomial,
     FlagVector,
     LVector,
     NotCdExpressibleError,
+    RankedPoset,
     boolean,
     cd_degree,
     cd_from_l,
@@ -58,17 +60,54 @@ def test_flag_vector_matches_chain_enumeration(small_corpus):
             assert f[ranks] == count, (name, sorted(ranks))
 
 
-def test_flag_vector_big_integer_path_agrees():
-    # force the fallback that avoids int64 accumulation and compare
+def _record_comparability(monkeypatch) -> list:
+    """The (r1, r2) of every later RankedPoset.comparability call; of
+    flag_vector's routes only the Python-integer one makes these copies."""
+    calls = []
+    original = RankedPoset.comparability
+
+    def recording(self, r1, r2):
+        calls.append((r1, r2))
+        return original(self, r1, r2)
+
+    monkeypatch.setattr(RankedPoset, "comparability", recording)
+    return calls
+
+
+def test_flag_vector_big_integer_path_agrees(monkeypatch):
+    # force the Python-integer route on a poset that takes the float route
     p = boolean(6)
     fast = flag_vector(p)
-    original = flags_mod._INT64_SAFE
-    flags_mod._INT64_SAFE = 0
-    try:
-        slow = flag_vector(p)
-    finally:
-        flags_mod._INT64_SAFE = original
+    monkeypatch.setattr(flags_mod, "_FLOAT64_EXACT", 0)
+    calls = _record_comparability(monkeypatch)
+    slow = flag_vector(p)
+    assert calls
     assert fast == slow
+
+
+@pytest.mark.parametrize("k, bigint", [(14, False), (15, True)])
+def test_built_flag_vector_either_side_of_2_to_53_chains(monkeypatch, k, bigint):
+    # double^4(chain(k)) has 16^(k-1) maximal chains: 2^52 takes the float64
+    # route and 2^56 the Python-integer one; f_S = 16^|S| either way
+    p = build_poset(parse_expression(f"double(double(double(double(chain({k})))))"))
+    assert p.count_maximal_chains() == 16 ** (k - 1)
+    assert (p.count_maximal_chains() >= flags_mod._FLOAT64_EXACT) == bigint
+    calls = _record_comparability(monkeypatch)
+    f = flag_vector(p)
+    assert bool(calls) == bigint
+    assert all(v == 16 ** bin(m).count("1") for m, v in f.items())
+
+
+def test_corpus_float_route_matches_python_int_route(monkeypatch, corpus):
+    def refuse(self, r1, r2):
+        raise AssertionError(f"int64 comparability({r1}, {r2}) made")
+
+    # below 2^53 chains, flag vectors and cd-indices make no int64 matrix
+    with monkeypatch.context() as patch:
+        patch.setattr(RankedPoset, "comparability", refuse)
+        fast = [(flag_vector(p), cd_index(p)) for _, p in corpus]
+    monkeypatch.setattr(flags_mod, "_FLOAT64_EXACT", 0)
+    assert [(flag_vector(p), cd_index(p)) for _, p in corpus] == fast
 
 
 def _random_posets():
@@ -86,16 +125,17 @@ def test_flag_vector_matches_oracle_on_random_posets():
 
 
 @pytest.mark.parametrize(
-    "safe, entries",
+    "exact, entries",
     [(0, None), (None, 0), (None, 40), (0, 40)],
     ids=["object", "depth-first", "split", "object-split"],
 )
-def test_flag_vector_paths_agree(monkeypatch, safe, entries):
+def test_flag_vector_paths_agree(monkeypatch, exact, entries):
     posets = [p for _, p in _random_posets()]
     posets += [boolean(6), build_poset(parse_expression("dp(8,[[1,2],[3,8]],2)"))]
     want = [flag_vector(p) for p in posets]
-    if safe is not None:
-        monkeypatch.setattr(flags_mod, "_INT64_SAFE", safe)
+    calls = _record_comparability(monkeypatch)
+    if exact is not None:
+        monkeypatch.setattr(flags_mod, "_FLOAT64_EXACT", exact)
     if entries is not None:
         monkeypatch.setattr(flags_mod, "_TABLE_ENTRIES", entries)
     splits = [(flags_mod._split_rank(p.level_sizes), p.n) for p in posets]
@@ -106,6 +146,7 @@ def test_flag_vector_paths_agree(monkeypatch, safe, entries):
     else:
         assert any(0 < k < n for k, n in splits)
     assert [flag_vector(p) for p in posets] == want
+    assert bool(calls) == (exact is not None)
 
 
 def test_split_rank_is_least_that_fits():
@@ -123,7 +164,7 @@ def test_split_rank_is_least_that_fits():
 def test_flag_vector_beyond_int64():
     # 2^65 maximal chains, so the tables hold Python integers
     p = build_poset(parse_expression("double(double(double(double(double(chain(14))))))"))
-    assert p.count_maximal_chains() == 32**13 > flags_mod._INT64_SAFE
+    assert p.count_maximal_chains() == 32**13 >= flags_mod._FLOAT64_EXACT
     f = flag_vector(p)
     assert all(v == 32 ** bin(m).count("1") for m, v in f.items())
 
@@ -245,6 +286,13 @@ def test_cd_words_small():
     assert cd_words(1) == ["c"]
     assert cd_words(2) == ["cc", "d"]
     assert cd_words(3) == ["ccc", "cd", "dc"]
+
+
+def test_cd_words_refuses_bad_degrees():
+    with pytest.raises(ValueError, match="^degree must be nonnegative, got -1$"):
+        cd_words(-1)
+    with pytest.raises(BudgetError, match="^enumerating cd words of degree 21 is out of budget$"):
+        cd_words(21)
 
 
 def test_cd_degree_and_support():

@@ -113,6 +113,10 @@ def test_validate_reports_bad_shapes():
     assert any("level 0" in d for d in q.validate())
 
 
+def test_validate_refuses_rank_zero():
+    assert RankedPoset(0, [1], []).validate() == ["rank must be at least 1, got 0"]
+
+
 def test_dual_involution_and_sizes(corpus):
     for name, p in corpus:
         d = p.dual()
@@ -133,11 +137,18 @@ def test_comparability_against_closure(small_corpus):
 
 
 def test_comparability_matrices_are_cached_and_frozen():
+    # one cache, of the float matrices; comparability copies to int64
     b = boolean(3)
+    assert b._float_comparability(0, 3) is b._float_comparability(0, 3)
     m = b.comparability(0, 3)
-    assert m is b.comparability(0, 3)
+    assert m.dtype == np.int64
     with pytest.raises(ValueError):
         m[0, 0] = 7
+
+
+def test_comparability_refuses_reversed_ranks():
+    with pytest.raises(ValueError, match=r"^need 0 <= r1 <= r2 <= 2, got \(2, 1\)$"):
+        chain(2).comparability(2, 1)
 
 
 def test_count_maximal_chains_against_enumeration(small_corpus):

@@ -41,6 +41,11 @@ def test_bad_ranks_rejected():
         as_mask([100])
 
 
+def test_reverse_mask_refuses_ranks_past_n():
+    with pytest.raises(ValueError, match="^rank 3 exceeds n = 2$"):
+        reverse_mask(0b100, 2)
+
+
 def test_maximal_runs():
     assert maximal_runs(0) == []
     assert maximal_runs(as_mask([1, 2, 4, 5, 6, 9])) == [(1, 2), (4, 6), (9, 9)]
