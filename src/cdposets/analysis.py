@@ -157,7 +157,9 @@ def inequality_f_form(flags: FlagVector, t_set, v_set) -> int:
     Nonnegative whenever the flag vector comes from an Eulerian poset and
     (T, V) satisfies the run condition checked here.
     """
-    t_mask, v_mask = as_mask(t_set), as_mask(v_set)
+    # valid masks pass as they are: this runs once per (T, V) pair
+    t_mask = t_set if type(t_set) is int and t_set >= 0 else as_mask(t_set)
+    v_mask = v_set if type(v_set) is int and v_set >= 0 else as_mask(v_set)
     _check_inequality_pair(flags.n, t_mask, v_mask)
     s_mask = ((1 << flags.n) - 1) ^ v_mask
     values = flags.values
@@ -173,7 +175,9 @@ def inequality_f_form(flags: FlagVector, t_set, v_set) -> int:
 
 def inequality_l_form(table: LVector, t_set, v_set) -> Fraction:
     """(-1)^|T| * sum of L_Q over T within Q within V."""
-    t_mask, v_mask = as_mask(t_set), as_mask(v_set)
+    # valid masks pass as they are: this runs once per (T, V) pair
+    t_mask = t_set if type(t_set) is int and t_set >= 0 else as_mask(t_set)
+    v_mask = v_set if type(v_set) is int and v_set >= 0 else as_mask(v_set)
     _check_inequality_pair(table.n, t_mask, v_mask)
     free = v_mask ^ t_mask
     numerators = table.numerators

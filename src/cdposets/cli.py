@@ -20,6 +20,7 @@ not Eulerian, an inequality is violated, a verification suite mismatches),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -411,7 +412,10 @@ def _cmd_verify(args):
 # -- argument parsing -----------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing keeps no
+    state in it, and building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="cdposets",
         description="Build ranked posets and compute their flag and cd data.",

@@ -29,14 +29,16 @@ posets of equal rank along chosen levels, index by index.
 
 The paper's families (``dp``, ``lemma2``, ``lemma3``) are expression
 trees over these constructions, defined in :mod:`cdposets.exprs`.  When
-flag vectors are computed from such a tree, only :func:`glue` is built;
-the others have identities there.
+flag vectors are computed from such a tree, only the parts of a glue are
+built, for its checks, and the glue itself only when a chain of it can
+cross parts; the others have identities there.  The walk runs the glue's
+checks through the same helper as :func:`glue`, once per glue.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,8 +195,34 @@ def glue(
 
     Raises :class:`GlueMismatchError` on level-size disagreement and
     :class:`GlueInconsistentError` when two parts glued at ranks r < r'
-    induce different comparabilities between the shared levels.
+    induce different comparabilities between the shared levels.  The
+    comparabilities come from the cover arrays: the elements of every
+    level that two parts glue at are carried up each part, one cover
+    level at a time, as 0/1 rows over the level reached.  No dense
+    comparability matrix of a part's own levels is made, so a part with
+    wide unshared levels (``lemma2``'s third part has 4096-element levels
+    at N = 8) costs rows, not 4096 x 4096 matrices.  When several pairs
+    of ranks disagree, the first pair (r, r') in lexicographic order is
+    reported.
     """
+    return _glued(_glue_layout(parts, budget=budget))
+
+
+class _GlueLayout(NamedTuple):
+    """The checked parts of a glue, their glue sets, the glue's level sizes,
+    and where each part's level r starts in level r of the glue."""
+
+    posets: list[RankedPoset]
+    sets: list[frozenset[int]]
+    sizes: list[int]
+    offsets: list[list[int]]
+
+
+def _glue_layout(
+    parts: Sequence[tuple[RankedPoset, Iterable[int]]], *, budget: int | None = None
+) -> _GlueLayout:
+    """Every check of :func:`glue`, in its order: parts, ranks, glue sets,
+    level sizes, comparabilities, budget; then the layout it builds."""
     if not parts:
         raise ValueError("glue needs at least one part")
     posets = []
@@ -228,19 +256,14 @@ def glue(
         else:
             shared_size.append(0)
 
-    # comparability between two glued levels must not depend on the part;
-    # the 0/1 matrices are compared as the float matrices the products use
-    for r, r2 in combinations(range(rank + 1), 2):
-        both = [k for k in range(len(posets)) if r in glue_sets[k] and r2 in glue_sets[k]]
-        for k in both[1:]:
-            if not np.array_equal(
-                posets[both[0]]._float_comparability(r, r2),
-                posets[k]._float_comparability(r, r2),
-            ):
-                raise GlueInconsistentError(
-                    f"parts {both[0]} and {k} disagree on comparability between "
-                    f"glued ranks {r} and {r2}"
-                )
+    # comparability between two glued levels must not depend on the part
+    disagreements = _disagreements(posets, glue_sets, shared_size)
+    if disagreements:
+        r, r2, first, k = min(disagreements)
+        raise GlueInconsistentError(
+            f"parts {first} and {k} disagree on comparability between "
+            f"glued ranks {r} and {r2}"
+        )
 
     offsets = [[0] * (rank + 1) for _ in posets]
     sizes = []
@@ -254,16 +277,66 @@ def glue(
                 total += poset.level_sizes[r]
         sizes.append(total)
     _check_budget(sum(sizes), budget, "glue")
+    return _GlueLayout(posets, glue_sets, sizes, offsets)
 
+
+def _disagreements(
+    posets: Sequence[RankedPoset], glue_sets: Sequence[frozenset[int]], shared_size: Sequence[int]
+) -> list[tuple[int, int, int, int]]:
+    """(r, r2, first, k) for every two ranks r < r2 at which parts
+    disagree: ``first`` is the first part glued at both and k the first
+    other part whose comparability between the two levels differs from it.
+
+    Each part carries the rows of its glued levels, those that another
+    part glues at too, up its cover arrays, all of them at once: at level
+    r2 the rows of level r are the 0/1 comparabilities of level r with
+    level r2.  Between two levels, the rows are gathered by the lower
+    element of each cover and summed, as a logical or, by its upper
+    element."""
+    rank = posets[0].rank
+    shared = [r for r in range(rank) if sum(r in gs for gs in glue_sets) > 1]
+    if not shared:  # a single part
+        return []
+    # every part glues at rank 0, which is shared, so every part carries rows
+    reach = [np.ones((1, 1), dtype=bool) for _ in posets]
+    start = [{0: 0} for _ in posets]
+    out = []
+    for r2 in range(1, rank + 1):
+        for k, poset in enumerate(posets):
+            covers = poset.cover_arrays[r2 - 1]
+            row, cover = reach[k][:, covers[:, 0]].nonzero()
+            reach[k] = np.zeros((len(reach[k]), poset.level_sizes[r2]), dtype=bool)
+            reach[k][row, covers[cover, 1]] = True
+        for r in shared:
+            if r >= r2:
+                break
+            both = [k for k, gs in enumerate(glue_sets) if r in gs and r2 in gs]
+            block = [reach[k][start[k][r] : start[k][r] + shared_size[r]] for k in both]
+            for k, rows in zip(both[1:], block[1:]):
+                if not np.array_equal(block[0], rows):
+                    out.append((r, r2, both[0], k))
+                    break
+        if r2 in shared:
+            for k, gs in enumerate(glue_sets):
+                if r2 in gs:
+                    start[k][r2] = len(reach[k])
+                    rows = np.eye(shared_size[r2], dtype=bool)
+                    reach[k] = np.concatenate([reach[k], rows])
+    return out
+
+
+def _glued(layout: _GlueLayout) -> RankedPoset:
+    """The glue of a checked layout."""
     # parts glued at both ends of a level repeat their (equal) covers there;
     # the constructor sorts the rows and drops the repeats
+    posets, offsets = layout.posets, layout.offsets
     covers = [
         np.concatenate(
             [p.cover_arrays[r] + offsets[k][r : r + 2] for k, p in enumerate(posets)]
         )
-        for r in range(rank)
+        for r in range(posets[0].rank)
     ]
-    return RankedPoset(rank, sizes, covers)
+    return RankedPoset(posets[0].rank, layout.sizes, covers)
 
 
 # -- interval systems on a chain --------------------------------------

@@ -40,23 +40,65 @@ the tables are:
   and is unchanged otherwise.
 * ``join(P, Q)``: f_S = f^P of the low n_P bits of S times f^Q of the
   rest, so the table is the outer product of the two.
-* ``glue``: built by the walk from its parts' posets and passed to
-  :func:`~cdposets.flags.flag_vector`, the only node built; the nodes
-  above it (the doubles of ``lemma2`` and ``lemma3``) use the identities.
+* ``glue`` of parts P_1, ..., P_p with glue sets G_1, ..., G_p: the walk
+  builds the parts, because :func:`~cdposets.constructions.glue`'s checks
+  read their cover arrays.  When for every two parts j != k the ranks
+  outside G_j ∩ G_k form one run of consecutive ranks (or none), then
+
+      f_S = sum over nonempty J of (-1)^(|J|+1) [|J| = 1 or S ⊆ ∩_{j∈J} G_j] f_S(P_min J),
+
+  and the walk computes it from the parts' tables as
+  f_S = sum over j of [S ⊄ G_j or S ⊄ G_k for every k < j] f_S(P_j), the
+  inclusion-exclusion grouped by min J.  Otherwise the glue is built and
+  its table computed by :func:`~cdposets.flags.flag_vector`, the only
+  table the walk takes from a poset.
+
+Why the identity holds.  A chain of the glue lies in part j when all its
+elements are images of elements of P_j and each two of them compare
+there.  Write P(x) for the parts an element x is an image of: all parts
+that glue at its rank if x is in the shared block, else its own part
+only.  For two elements x < y of adjacent ranks, y covers x in part j
+exactly when j is in P(x) ∩ P(y) and y covers x at all: if the cover
+comes from part k != j, then x and y are both shared by j and k, and
+the glue's check makes j and k agree on comparability between those two
+levels.  So a maximal chain x_0 < ... < x_r lies in part j exactly when
+j is in every P(x_u).  Suppose it lies in no part.  Let a be the first
+rank at which P(x_0) ∩ ... ∩ P(x_a) is empty; pick j in the intersection
+up to a - 1, and k in P(x_(a-1)) ∩ P(x_a), which the cover from x_(a-1)
+to x_a makes nonempty.  Then k != j, and since k is not in the
+intersection up to a, k misses P(x_b) for some b < a - 1.  So b and a lie
+outside G_j ∩ G_k, and a - 1 inside it: two runs.  Hence under the
+condition every maximal chain of the glue lies in one part, and so does
+every chain, which extends to a maximal one.  The chains with rank set S
+are the union over j of the images A_j of the S-chains of P_j, and each
+P_j maps injectively.  An image lies in two parts' A_j only when all its
+elements are shared, so for |J| >= 2 the intersection of the A_j, j in
+J, is empty unless S ⊆ ∩ G_j; then it is A_min J, since the parts agree
+on comparabilities between shared levels.  Inclusion-exclusion gives
+the identity.  The condition holds for ``lemma2`` and ``lemma3``, so
+their glues are never built for flag data; it fails for
+``glue([boolean(4), boolean(4)], [[0, 2, 4], [0, 2, 4]])``, whose chains
+run from part 0's rank 1 through shared rank 2 to part 1's rank 3.
 
 The identities multiply the maximal-chain counts of the children by
-factors of at least 1 (N, 2^n, the other side of a join), so no node
-has more maximal chains than the root.  Every entry of a node's table,
-and every intermediate product that computes it, is at most the count
-of that node.  So when the root's count is below ``_INT64_SAFE`` = 2^62
-all tables are int64, whose elementwise products cannot overflow;
-otherwise they are Python integers (object arrays).
+factors of at least 1 (N, 2^n, the other side of a join), and a glue has
+at least as many maximal chains as each part, whose maximal chains are
+distinct maximal chains of the glue; so no node has more maximal chains
+than the root.  Every entry of a node's table, and every intermediate
+product or partial sum that computes it, is at most the count of that
+node: f_S is at most the number of maximal chains, and a glue's table
+adds its parts' tables in order, each term 0 or an entry of a part,
+so every partial sum is at most the glue's own f_S.  So when the root's
+count is below ``_INT64_SAFE`` = 2^62 all tables are int64, whose
+elementwise products and sums cannot overflow; otherwise they are Python
+integers (object arrays).
 """
 
 from __future__ import annotations
 
 import math
 import string
+from itertools import combinations
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -64,8 +106,9 @@ import numpy as np
 
 from .constructions import (
     Interval,
+    _glue_layout,
+    _glued,
     doubled_sizes,
-    glue,
     horizontal_double,
     join,
     joined_sizes,
@@ -256,8 +299,9 @@ def build_poset(node: Node, *, budget: int | None = None) -> RankedPoset:
     construction functions.
 
     The walk behind :func:`flag_vector_of` checks the whole tree first
-    (sizes, arguments, budgets and nesting, building only ``glue``
-    nodes); then each node is built from its children's posets."""
+    (sizes, arguments, budgets and nesting; it builds only the parts of
+    ``glue`` nodes, and the glues whose chains can cross parts); then each
+    node is built from its children's posets, each glue once."""
     return _plan(node, budget).poset()
 
 
@@ -383,7 +427,8 @@ class _Plan(NamedTuple):
 
 def flag_vector_of(node: Node, *, budget: int | None = None) -> FlagVector:
     """``flag_vector(build_poset(node, budget=budget))`` without building
-    the poset, except under ``glue`` nodes.
+    the poset: only the parts of ``glue`` nodes are built, and a glue
+    itself only when a chain of it can cross parts (module docstring).
 
     Both run the same walk, which carries level sizes and the number of
     maximal chains and so raises the same errors in the same order; then
@@ -449,16 +494,20 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
             lambda: join(left.poset(), right.poset(), budget=budget),
         )
     if kind == "glue":
-        # the only node built during the walk
         parts, rank_sets = args
         if len(parts) != len(rank_sets):
             raise ValueError(
                 f"glue got {len(parts)} parts but {len(rank_sets)} rank sets"
             )
-        built = [_plan(part, budget, depth + 1).poset() for part in parts]
-        poset = glue(list(zip(built, rank_sets)), budget=budget)
+        plans = [_plan(part, budget, depth + 1) for part in parts]
+        layout = _glue_layout(
+            [(plan.poset(), ranks) for plan, ranks in zip(plans, rank_sets)], budget=budget
+        )
+        if _chains_stay_in_parts(layout.sets):
+            return _glued_plan(plans, layout)
+        poset = _glued(layout)
         return _Plan(
-            list(poset.level_sizes),
+            layout.sizes,
             poset.count_maximal_chains(),
             lambda dtype: np.array(flag_vector(poset).values, dtype),
             lambda: poset,
@@ -497,6 +546,46 @@ def _replicated(inner: _Plan, low: int, high: int, copies: int, budget: int | No
         table,
         lambda: replicate_interval(inner.poset(), low, high, copies, budget=budget),
     )
+
+
+def _chains_stay_in_parts(glue_sets: Sequence[frozenset[int]]) -> bool:
+    """Whether, for every two parts, the ranks outside both glue sets form
+    one run of consecutive ranks (or none): then every maximal chain of the
+    glue lies in one part (module docstring)."""
+    for first, second in combinations(glue_sets, 2):
+        shared = first & second
+        outside = [r for r in range(max(shared) + 1) if r not in shared]
+        if outside and outside[-1] - outside[0] >= len(outside):
+            return False
+    return True
+
+
+def _glued_plan(plans: Sequence[_Plan], layout) -> _Plan:
+    """A glue whose maximal chains each lie in one part, from its parts'
+    plans: its flag table adds theirs, except that an S within the glue
+    sets of several parts counts in the first of them only."""
+    n = len(layout.sizes) - 2
+    # the glue sets as masks of proper ranks
+    masks = [sum(1 << (r - 1) for r in gs if 1 <= r <= n) for gs in layout.sets]
+    full = (1 << n) - 1
+    chains = 0
+    for k, plan in enumerate(plans):
+        if masks[k] != full or full not in masks[:k]:
+            chains += plan.chains
+
+    def table(dtype):
+        subsets = np.arange(1 << n)
+        out = np.zeros(1 << n, dtype)
+        earlier = np.zeros(1 << n, dtype=bool)  # S within an earlier glue set
+        for plan, mask in zip(plans, masks):
+            inside = (subsets & ~mask) == 0
+            part = plan.table(dtype)
+            part[inside & earlier] = 0
+            out += part
+            earlier |= inside
+        return out
+
+    return _Plan(layout.sizes, chains, table, lambda: _glued(layout))
 
 
 def _boolean_table(k: int, dtype) -> np.ndarray:

@@ -135,6 +135,33 @@ def test_limit_cd_coefficient_trivial_word():
 # -- interval inequality ----------------------------------------------------
 
 
+def test_inequality_forms_convert_only_what_is_not_a_mask(monkeypatch):
+    import cdposets.analysis as analysis
+
+    f = flag_vector(boolean(4))
+    table = l_vector(f)
+    converted = []
+    as_mask = analysis.as_mask
+
+    def spy(ranks):
+        converted.append(ranks)
+        return as_mask(ranks)
+
+    monkeypatch.setattr(analysis, "as_mask", spy)
+    for form, data in ((inequality_f_form, f), (inequality_l_form, table)):
+        converted.clear()
+        want = form(data, 0b10, 0b11)
+        assert converted == []
+        # rank lists, and bools (masks of one bit), go through as_mask
+        assert form(data, [2], (1, 2)) == want
+        assert form(data, True, 0b11) == form(data, 1, 0b11)
+        assert converted == [[2], (1, 2), True]
+        for t_set, v_set in ((-1, 0b11), (0b10, -3)):
+            with pytest.raises(ValueError) as info:
+                form(data, t_set, v_set)
+            assert str(info.value) == "bitmask must be nonnegative"
+
+
 def test_inequality_preconditions():
     f = flag_vector(boolean(4))
     table = l_vector(f)

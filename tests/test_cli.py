@@ -735,3 +735,71 @@ def test_poset_file_without_fields_is_usage_error(run, tmp_path):
     assert run("check-eulerian", str(empty)) == (
         2, "", "error: poset object needs rank/level_sizes/covers: 'rank'\n"
     )
+
+
+def test_one_parser_serves_every_command(capsys, monkeypatch, tmp_path):
+    # the parser is built once per process; each command prints what a
+    # freshly built parser prints, usage errors and help included
+    from cdposets import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    target = tmp_path / "f.json"
+    commands = [
+        ["flags", "boolean(3)"],
+        ["verify", "duality"],
+        ["build", "lemma3(2)", "-o", str(target)],
+        ["build", "boolean(2)"],
+        ["flags", "boolean(3)", "--format", "xml"],
+        ["--help"],
+    ]
+
+    def outputs(fresh):
+        target.unlink(missing_ok=True)
+        out = []
+        for argv in commands:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out, target.read_text()
+
+    cli.build_parser.cache_clear()
+    cached = outputs(fresh=False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in cached[0]] == [0, 0, 0, 0, 2, 0]
+    assert "invalid choice: 'xml'" in cached[0][4][2]
+    assert cached[0][5][1].startswith("usage: cdposets")
+    assert outputs(fresh=True) == cached
+
+
+def test_witnesses_build_no_glue(run, monkeypatch):
+    expected = {word: run("witness", word, "--N", "3") for word in ("dcccdd", "ccdccccc")}
+
+    def refuse(layout):
+        raise AssertionError("built a glue")
+
+    monkeypatch.setattr(exprs, "_glued", refuse)
+    for word, output in expected.items():
+        assert run("witness", word, "--N", "3") == output
+    assert json.loads(expected["dcccdd"][1])["coefficient"] == 4 * (3**2 - 3**4)
+    assert json.loads(expected["ccdccccc"][1])["coefficient"] == -2 * (3 - 1) ** 2
+
+
+def test_built_glue_runs_its_checks_once(run, monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(exprs, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exprs, name, spy)
+
+    counted("_glue_layout")
+    counted("_glued")
+    code, out, err = run("check-eulerian", "lemma2(7,3)")
+    assert (code, json.loads(out), err) == (0, {"eulerian": True}, "")
+    assert calls == ["_glue_layout", "_glued"]

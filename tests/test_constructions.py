@@ -1,7 +1,11 @@
 """Replication, doubling, join, glue, and the named poset families."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdposets import (
     BudgetError,
@@ -254,6 +258,60 @@ def test_glue_inconsistent_relations():
     )
     with pytest.raises(GlueInconsistentError):
         glue([(boolean(3), {0, 1, 2, 3}), (dense, {0, 1, 2, 3})])
+
+
+def dense_disagreement(posets, sets):
+    """The first disagreement as the comparability matrices show it, pairs
+    of ranks in lexicographic order, or None."""
+    for r, r2 in combinations(range(posets[0].rank + 1), 2):
+        both = [k for k, gs in enumerate(sets) if r in gs and r2 in gs]
+        for k in both[1:]:
+            if not np.array_equal(
+                posets[both[0]].comparability(r, r2), posets[k].comparability(r, r2)
+            ):
+                return f"parts {both[0]} and {k} disagree on comparability between glued ranks {r} and {r2}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 6), st.data())
+def test_glue_reports_the_first_disagreement(rank, data):
+    # level sizes 1, 2, ..., 2, 1 throughout; the copies are linked across
+    # all proper ranks, none, or all but one split
+    split = data.draw(st.integers(1, rank - 2))
+    twins = [
+        replicate_interval(chain(rank), 1, rank - 1, 2),
+        horizontal_double(chain(rank)),
+        replicate_interval(replicate_interval(chain(rank), 1, split, 2), split + 1, rank - 1, 2),
+    ]
+    picks = data.draw(st.lists(st.sampled_from(range(3)), min_size=2, max_size=4))
+    inner = st.sets(st.integers(1, rank - 1))
+    sets = [{0, rank} | data.draw(inner) for _ in picks]
+    posets = [twins[i] for i in picks]
+    expected = dense_disagreement(posets, sets)
+    if expected is None:
+        glue(list(zip(posets, sets)))
+    else:
+        with pytest.raises(GlueInconsistentError) as info:
+            glue(list(zip(posets, sets)))
+        assert str(info.value) == expected
+
+
+def test_glue_reports_the_lowest_pair_not_the_first_reached():
+    # parts 0 and 2 disagree on ranks 2 and 3, parts 0 and 1 on ranks 1 and
+    # 4: the pair (1, 4) comes first, though its upper rank is higher
+    linked = replicate_interval(chain(5), 1, 4, 2)
+    split = replicate_interval(replicate_interval(chain(5), 1, 3, 2), 4, 4, 2)
+    parts = [
+        (linked, {0, 1, 2, 3, 4, 5}),
+        (split, {0, 1, 4, 5}),
+        (horizontal_double(chain(5)), {0, 2, 3, 5}),
+    ]
+    message = "parts 0 and 1 disagree on comparability between glued ranks 1 and 4"
+    assert dense_disagreement(*zip(*parts)) == message
+    with pytest.raises(GlueInconsistentError) as info:
+        glue(parts)
+    assert str(info.value) == message
 
 
 def test_glue_fully_identified_parts_collapse():

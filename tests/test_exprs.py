@@ -321,6 +321,137 @@ def test_tree_path_builds_only_glue(monkeypatch, text):
     assert flag_vector_of(node) == expected
 
 
+# -- glues from their parts ---------------------------------------------------
+
+
+@st.composite
+def glue_parts(draw, rank, depth=2):
+    """A part of the given rank from chain, boolean, double, dni and dual."""
+    if depth == 0 or draw(st.booleans()):
+        leaves = [f"chain({rank})", f"boolean({rank})"]
+        return draw(st.sampled_from(leaves if rank < 5 else leaves[:1]))
+    kind = draw(st.sampled_from(["double", "dni", "dual"]))
+    inner = draw(glue_parts(rank, depth - 1))
+    if kind == "dni":
+        low = draw(st.integers(1, rank - 1))
+        high = draw(st.integers(low, rank - 1))
+        return f"dni({inner}, {low}, {high}, {draw(st.integers(1, 3))})"
+    return f"{kind}({inner})"
+
+
+def twins(rank):
+    """Parts with level sizes 1, 2, ..., 2, 1 whose copies are linked
+    across all proper ranks, across none, or apart between ranks 1 and 2."""
+    return [
+        f"dni(chain({rank}), 1, {rank - 1}, 2)",
+        f"double(chain({rank}))",
+        f"dni(dni(chain({rank}), 1, 1, 2), 2, {rank - 1}, 2)",
+    ]
+
+
+@st.composite
+def glue_trees(draw):
+    """A glue of 2-4 parts, maybe under a double, dual or join.  Parts are
+    drawn from two expressions, so that repeats glue consistently: two
+    random parts, whose level sizes often differ, or two twins, which
+    often disagree on comparabilities (the split twin needs rank 3).
+    Every glue set is one set with at most one rank flipped, so the glue
+    sets fall on both sides of the one-run condition."""
+    rank = draw(st.integers(2, 5))
+    if rank > 2 and draw(st.booleans()):
+        pool = draw(st.lists(st.sampled_from(twins(rank)), min_size=2, max_size=2))
+    else:
+        pool = [draw(glue_parts(rank)), draw(glue_parts(rank))]
+    inner = st.integers(1, rank - 1)
+    common = {0, rank} | draw(st.sets(inner))
+    parts, sets = [], []
+    for _ in range(draw(st.integers(2, 4))):
+        parts.append(draw(st.sampled_from(pool)))
+        sets.append(sorted(common ^ draw(st.sets(inner, max_size=1))))
+    tree = f"glue([{', '.join(parts)}], {sets})"
+    wrap = draw(
+        st.sampled_from(["{}", "double({})", "dual({})", "join({}, chain(2))", "join(boolean(2), {})"])
+    )
+    return wrap.format(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(glue_trees(), st.sampled_from([None, 12, 40, 150]))
+def test_glue_from_its_parts_matches_the_built_glue(tree, budget):
+    node = parse_expression(tree)
+
+    def built():
+        poset = build_poset(node, budget=budget)
+        return list(poset.level_sizes), flag_vector(poset)
+
+    assert outcome(lambda: exprs._sized_flag_vector(node, budget)) == outcome(built)
+
+
+@pytest.mark.parametrize(
+    "text,from_parts",
+    [
+        ("glue([boolean(3), boolean(3)], [[0, 3], [0, 3]])", True),
+        ("glue([boolean(4), boolean(4)], [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]])", True),
+        ("glue([boolean(4), boolean(4), chain(4)], [[0, 1, 4], [0, 1, 4], [0, 4]])", True),
+        (
+            "double(glue([dni(chain(5), 2, 3, 2), dni(chain(5), 2, 2, 3)], [[0, 1, 4, 5], [0, 1, 4, 5]]))",
+            True,
+        ),
+        ("lemma2(9, 2)", True),
+        ("lemma3(2)", True),
+        # part 0's rank 1, shared rank 2, part 1's rank 3: outside both, ranks 1 and 3
+        ("glue([boolean(4), boolean(4)], [[0, 2, 4], [0, 2, 4]])", False),
+        ("glue([boolean(4), boolean(4), boolean(4)], [[0, 1, 4], [0, 1, 4], [0, 3, 4]])", True),
+        (
+            "glue([boolean(4), boolean(4), boolean(4)], [[0, 1, 2, 4], [0, 1, 2, 4], [0, 2, 4]])",
+            False,
+        ),
+        (
+            "dual(glue([dni(chain(5), 1, 4, 2), dni(chain(5), 1, 4, 2)], [[0, 2, 5], [0, 2, 5]]))",
+            False,
+        ),
+    ],
+)
+def test_glue_is_built_only_when_a_chain_can_cross_parts(monkeypatch, text, from_parts):
+    node = parse_expression(text)
+    expected = build_poset(node)
+    builds = []
+    glued = exprs._glued
+
+    def spy(layout):
+        builds.append(layout)
+        return glued(layout)
+
+    monkeypatch.setattr(exprs, "_glued", spy)
+    sizes, table = exprs._sized_flag_vector(node, None)
+    assert (sizes, table) == (list(expected.level_sizes), flag_vector(expected))
+    assert len(builds) == (0 if from_parts else 1)
+    # either way the poset is built once
+    builds.clear()
+    assert build_poset(node) == expected
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "sets,one_run",
+    [
+        ([{0, 3}], True),
+        ([{0, 1, 2, 3}, {0, 1, 2, 3}], True),  # nothing outside
+        ([{0, 1, 6, 7}, {0, 1, 6, 7}], True),  # lemma3
+        ([{0, 1, 2, 6, 7, 8}, {0, 1, 2, 6, 7, 8}, {0, 8}], True),  # lemma2(7, N)
+        ([{0, 2, 4}, {0, 2, 4}], False),
+        ([{0, 1, 4}, {0, 1, 4}, {0, 3, 4}], True),
+        ([{0, 1, 2, 4}, {0, 1, 2, 4}, {0, 2, 4}], False),  # parts 0 and 2 miss 1 and 3
+        ([{0, 1, 2, 5}, {0, 3, 4, 5}], True),
+        ([{0, 2, 5}, {0, 3, 5}], True),
+        ([{0, 2, 5}, {0, 2, 3, 5}, {0, 3, 5}], False),  # parts 0 and 1 miss 1, 3 and 4
+        ([{0, 1, 3, 5}, {0, 3, 5}], False),
+    ],
+)
+def test_one_run_condition(sets, one_run):
+    assert exprs._chains_stay_in_parts([frozenset(s) for s in sets]) == one_run
+
+
 def test_corpus_names_build_their_posets(corpus):
     for name, poset in corpus:
         assert build_poset(parse_expression(name)) == poset, name
