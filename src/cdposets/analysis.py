@@ -69,6 +69,8 @@ from .subsets import (
 )
 
 MAX_LIMIT_INTERVALS = 20
+# bits of the masks a limit table may hold: 2^k unions as wide as the top rank
+_LIMIT_TABLE_BITS = 1 << 30
 
 
 # -- limits over growing replication ----------------------------------
@@ -85,6 +87,9 @@ def limit_l_vector(n: int, intervals: Sequence[Interval]) -> dict[int, int]:
 
     including entries that cancel to zero.  The empty union gives L of the
     empty set = 1.  The system need not be an even interval system.
+
+    Raises :class:`BudgetError` before any mask is built when the table
+    could hold more than 2^30 mask bits: (highest interval end) * 2^k.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -92,12 +97,18 @@ def limit_l_vector(n: int, intervals: Sequence[Interval]) -> dict[int, int]:
         raise BudgetError(
             f"{len(intervals)} intervals exceed the limit of {MAX_LIMIT_INTERVALS}"
         )
-    masks = []
     for a, b in intervals:
         if not 1 <= a <= b <= n:
             raise ValueError(f"interval [{a}, {b}] not within [1, {n}]")
-        # ranks a..b are bits a - 1..b - 1; shifts keep any n exact
-        masks.append((1 << b) - (1 << (a - 1)))
+    top = max((b for _, b in intervals), default=0)
+    bits = top << len(intervals)
+    if bits > _LIMIT_TABLE_BITS:
+        raise BudgetError(
+            f"limit_l_vector could hold {top} * 2^{len(intervals)} = {bits} mask "
+            f"bits, limit is 2^{_LIMIT_TABLE_BITS.bit_length() - 1}"
+        )
+    # ranks a..b are bits a - 1..b - 1; shifts keep any n exact
+    masks = [(1 << b) - (1 << (a - 1)) for a, b in intervals]
     table: dict[int, int] = {}
     for pick in range(1 << len(masks)):
         union = 0
@@ -201,15 +212,10 @@ def inequality_pairs(n: int):
     each rank of the run from the highest down, then none.
     """
     for v_mask in range(full_mask(n) + 1):
-        choices = []
-        rest = v_mask
-        while rest:
-            low = rest & -rest
-            run = rest & ~(rest + low)
-            rest ^= run
-            top = run.bit_length() - 1
-            bottom = low.bit_length() - 1
-            choices.append([1 << s for s in range(top, bottom - 1, -1)] + [0])
+        choices = [
+            [1 << (s - 1) for s in range(b, a - 1, -1)] + [0]
+            for a, b in maximal_runs(v_mask)
+        ]
         for picks in product(*choices):
             yield sum(picks), v_mask
 

@@ -166,12 +166,16 @@ def _cmd_check_eulerian(args):
     )
 
 
-def _inequality_forms(flags, t_mask: int, v_mask: int) -> tuple[int, Fraction]:
-    """Both forms of the (T, V) inequality: the L form is the f form over
+def _l_form(n: int, t_mask: int, v_mask: int, f_val: int) -> Fraction:
+    """The L form of the (T, V) inequality from its f form: the f form over
     2^(|S| + |T|) for every table (see :mod:`cdposets.analysis`)."""
+    return Fraction(f_val, 2 ** (n - v_mask.bit_count() + t_mask.bit_count()))
+
+
+def _inequality_forms(flags, t_mask: int, v_mask: int) -> tuple[int, Fraction]:
+    """Both forms of the (T, V) inequality."""
     f_val = inequality_f_form(flags, t_mask, v_mask)
-    scale = flags.n - v_mask.bit_count() + t_mask.bit_count()
-    return f_val, Fraction(f_val, 2**scale)
+    return f_val, _l_form(flags.n, t_mask, v_mask, f_val)
 
 
 def _inequality_row(t_mask: int, v_mask: int, f_val: int, l_val: Fraction) -> dict:
@@ -185,13 +189,17 @@ def _inequality_row(t_mask: int, v_mask: int, f_val: int, l_val: Fraction) -> di
 
 def _cmd_check_inequality(args):
     flags = _load_flags(args.poset, args.max_elements)
+    # --all takes neither --T nor --V; without it both are needed
+    if args.all != (args.T is None) or args.all != (args.V is None):
+        raise ValueError("provide either --all or both --T and --V")
     if args.all:
         pairs = 0
         violations = []
         for t_mask, v_mask in inequality_pairs(flags.n):
             pairs += 1
-            f_val, l_val = _inequality_forms(flags, t_mask, v_mask)
+            f_val = inequality_f_form(flags, t_mask, v_mask)
             if f_val < 0:
+                l_val = _l_form(flags.n, t_mask, v_mask, f_val)
                 violations.append(_inequality_row(t_mask, v_mask, f_val, l_val))
 
         def table():
@@ -200,8 +208,6 @@ def _cmd_check_inequality(args):
                 _emit_table(violations, ["T", "V", "f_form", "l_form"])
 
         return 1 if violations else 0, {"pairs": pairs, "violations": violations}, table
-    if args.T is None or args.V is None:
-        raise ValueError("provide either --all or both --T and --V")
     t_mask, v_mask = parse_subset(args.T), parse_subset(args.V)
     f_val, l_val = _inequality_forms(flags, t_mask, v_mask)
     detail = _inequality_row(t_mask, v_mask, f_val, l_val)
@@ -211,11 +217,23 @@ def _cmd_check_inequality(args):
     )
 
 
+# ranks that the labels of one limit-l table may list in all; a label
+# peaks at about 115 bytes a rank while it is built (CPython 3.11), so one
+# label at the limit takes about 4 GB
+_LABEL_RANKS = 1 << 25
+
+
 def _cmd_limit_l(args):
     intervals = _parse_intervals(args.intervals)
     if args.max_k is not None and len(intervals) > args.max_k:
         raise BudgetError(f"{len(intervals)} intervals exceed --max-k {args.max_k}")
     table = limit_l_vector(args.n, intervals)
+    ranks = sum(mask.bit_count() for mask in table)
+    if ranks > _LABEL_RANKS:
+        raise BudgetError(
+            f"limit-l labels would list {ranks} ranks, "
+            f"limit is 2^{_LABEL_RANKS.bit_length() - 1}"
+        )
     entries = {subset_label(mask): value for mask, value in sorted(table.items())}
     return 0, {"n": args.n, "entries": entries}, lambda: _emit_table(
         [{"S": key, "L_S": value} for key, value in entries.items()], ["S", "L_S"]

@@ -84,8 +84,11 @@ def doubled_sizes(sizes: Sequence[int], *, budget: int | None = None) -> list[in
     """Level sizes of :func:`horizontal_double`, checked level by level as
     if each proper level were replicated in turn."""
     out = list(sizes)
-    for r in range(1, len(sizes) - 1):
-        out = replicated_sizes(out, r, r, 2, budget=budget)
+    total = sum(out)
+    for r in range(1, len(out) - 1):
+        total += out[r]
+        out[r] *= 2
+        _check_budget(total, budget, "replicate_interval")
     return out
 
 

@@ -54,7 +54,6 @@ from .errors import BudgetError, NotCdExpressibleError
 from .poset import _FLOAT64_EXACT, RankedPoset, exact_float_dtype
 from .subsets import (
     as_mask,
-    is_even_set,
     maximal_runs,
     parse_subset,
     subset_label,
@@ -576,23 +575,25 @@ def cd_from_l(table: LVector) -> CdPolynomial:
     """
     n = table.n
     scale = 1 << n
-    nonzero = [(mask, a) for mask, a in enumerate(table.numerators) if a]
-    for mask, a in nonzero:
-        if not is_even_set(mask):
-            raise NotCdExpressibleError(
-                f"L value {Fraction(a, scale)} on non-even rank set {subset_label(mask)}",
-                mask,
-            )
     # runs[k]: the words of (cc - 2d)^k with their coefficients
     runs = [[("", 1)]]
     for _ in range(n // 2):
         runs.append([(p + w, pc * c) for p, pc in (("cc", 1), ("d", -2)) for w, c in runs[-1]])
     sums: dict[str, int] = {}
-    for mask, a in nonzero:
+    for mask, a in enumerate(table.numerators):
+        if not a:
+            continue
+        # one scan both proves Q even and gives the runs to expand
+        mask_runs = maximal_runs(mask)
+        if any((high - low + 1) % 2 for low, high in mask_runs):
+            raise NotCdExpressibleError(
+                f"L value {Fraction(a, scale)} on non-even rank set {subset_label(mask)}",
+                mask,
+            )
         words = [("", a)]
         pos = 1
         # the empty run (n + 1, n) adds the c's after the last run
-        for low, high in maximal_runs(mask) + [(n + 1, n)]:
+        for low, high in mask_runs + [(n + 1, n)]:
             gap = "c" * (low - pos)
             words = [
                 (w + gap + piece, c * pc)

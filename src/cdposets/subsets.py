@@ -8,7 +8,10 @@ ranks has even length, and Q *evenly contains* S when S and Q are even,
 S is a subset of Q, and Q minus S is even as well.
 
 Python integers keep masks of any width exact, and every helper here
-takes masks of any width.  ``MAX_RANKS`` bounds only rank lists that come
+takes masks of any width.  Ranks and maximal runs are read from
+``bin(mask)`` in one pass, so they cost time linear in the width however
+many runs there are; peeling bits or runs off the integer would copy it
+once per bit or run.  ``MAX_RANKS`` bounds only rank lists that come
 from outside input (:func:`as_mask`, and so :func:`parse_subset`) and
 :func:`full_mask`, whose n sizes sweeps over all 2^n masks such as
 :func:`cdposets.analysis.inequality_pairs`.
@@ -36,23 +39,18 @@ def as_mask(ranks: int | Iterable[int]) -> int:
     return mask
 
 
-def _check_nonnegative(mask: int) -> None:
-    # a negative mask shifted right stays negative: the bit loops never end
+def _bits(mask: int) -> str:
+    """``mask`` in binary, lowest bit first: rank s is the character at
+    index s - 1."""
+    # bin of a negative mask carries a sign, so its characters are not bits
     if mask < 0:
         raise ValueError("bitmask must be nonnegative")
+    return bin(mask)[:1:-1]
 
 
 def ranks_from_mask(mask: int) -> tuple[int, ...]:
     """Sorted tuple of ranks present in ``mask``."""
-    _check_nonnegative(mask)
-    out = []
-    s = 1
-    while mask:
-        if mask & 1:
-            out.append(s)
-        mask >>= 1
-        s += 1
-    return tuple(out)
+    return tuple(s for s, bit in enumerate(_bits(mask), 1) if bit == "1")
 
 
 def full_mask(n: int) -> int:
@@ -73,21 +71,16 @@ def reverse_mask(mask: int, n: int) -> int:
 
 def maximal_runs(mask: int) -> list[tuple[int, int]]:
     """Maximal intervals [a, b] of consecutive ranks present in ``mask``."""
-    _check_nonnegative(mask)
+    bits = _bits(mask)
     runs = []
-    s = 1
-    start = None
-    while mask:
-        if mask & 1:
-            if start is None:
-                start = s
-        elif start is not None:
-            runs.append((start, s - 1))
-            start = None
-        mask >>= 1
-        s += 1
-    if start is not None:
-        runs.append((start, s - 1))
+    start = bits.find("1")
+    while start >= 0:
+        stop = bits.find("0", start)
+        if stop < 0:
+            stop = len(bits)
+        # ranks start + 1 .. stop are the characters start .. stop - 1
+        runs.append((start + 1, stop))
+        start = bits.find("1", stop)
     return runs
 
 

@@ -17,6 +17,9 @@ before it defined them as expression trees.
 
 ``assert_same_poset`` compares a poset with a reference in every form.
 
+``ranks_bitwise``, ``runs_bitwise`` and ``reverse_bitwise`` read masks one
+bit at a time by shifting, as the library first did.
+
 ``_Parser`` and ``parse_expression`` are the expression parser as the
 library first wrote it, one hand-written branch per constructor.
 """
@@ -217,6 +220,34 @@ def is_even_runs(ranks):
             run = 1
         prev = s
     return run % 2 == 0
+
+
+def ranks_bitwise(mask):
+    """Ranks of a nonnegative mask, read one bit at a time by shifting."""
+    ranks = []
+    s = 1
+    while mask:
+        if mask & 1:
+            ranks.append(s)
+        mask >>= 1
+        s += 1
+    return ranks
+
+
+def runs_bitwise(mask):
+    """Maximal runs of a mask, grown rank by rank from ``ranks_bitwise``."""
+    runs = []
+    for s in ranks_bitwise(mask):
+        if runs and runs[-1][1] == s - 1:
+            runs[-1] = (runs[-1][0], s)
+        else:
+            runs.append((s, s))
+    return runs
+
+
+def reverse_bitwise(mask, n):
+    """The flip s -> n + 1 - s of a subset of [1, n], bit by bit."""
+    return sum(1 << (n - s) for s in ranks_bitwise(mask))
 
 
 def classify(word):

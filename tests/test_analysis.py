@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cdposets import (
+    BudgetError,
     boolean,
     cd_index,
     cd_support,
@@ -80,6 +81,21 @@ def test_limit_l_overlapping_pair():
 def test_limit_l_rejects_bad_interval():
     with pytest.raises(ValueError):
         limit_l_vector(3, [(2, 4)])
+
+
+def test_limit_table_bits_are_bounded_before_the_masks():
+    # up to 2^k unions as wide as the highest end: 2^20 * 2^10 bits is the
+    # limit, and the ten equal intervals leave two unions
+    top = 1 << 20
+    assert limit_l_vector(top, [(top, top)] * 10) == {0: 1, 1 << (top - 1): -1}
+    with pytest.raises(BudgetError) as info:
+        limit_l_vector(top + 1, [(top + 1, top + 1)] * 10)
+    assert str(info.value) == (
+        "limit_l_vector could hold 1048577 * 2^10 = 1073742848 mask bits, limit is 2^30"
+    )
+    # a bad interval is named before the bound is checked
+    with pytest.raises(ValueError, match=r"^interval \[1, 5\] not within \[1, 4\]$"):
+        limit_l_vector(4, [(1, 5)] + [(1, 4)] * 19)
 
 
 def test_halved_two_system_sum():
@@ -312,11 +328,14 @@ def test_valid_pairs_skip_the_run_scan(monkeypatch):
     def no_scan(mask):
         raise AssertionError(f"run scan reached for V = {mask}")
 
+    # inequality_pairs itself reads the runs of each V, so list the pairs
+    # before the scan is patched away
+    pairs = {n: list(inequality_pairs(n)) for n in range(11)}
     monkeypatch.setattr(analysis, "maximal_runs", no_scan)
     for n in range(11):
         f = FlagVector(n, [1] * (1 << n))
         table = l_vector(f)
-        for t_mask, v_mask in inequality_pairs(n):
+        for t_mask, v_mask in pairs[n]:
             inequality_f_form(f, t_mask, v_mask)
             inequality_l_form(table, t_mask, v_mask)
 

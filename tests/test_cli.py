@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,31 @@ def test_check_inequality_needs_a_mode(run):
     assert "--all" in err
 
 
+@pytest.mark.parametrize(
+    "extra", [["--T", "[1]", "--V", "[1]"], ["--T", "[1]"], ["--V", "[1]"]]
+)
+def test_check_inequality_all_refuses_a_pair(run, extra):
+    assert run("check-inequality", "boolean(3)", "--all", *extra) == (
+        2, "", "error: provide either --all or both --T and --V\n"
+    )
+
+
+def test_check_inequality_all_builds_l_forms_for_violations_only(run, monkeypatch):
+    from cdposets import cli
+
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(cli, "Fraction", counted)
+    code, out, _ = run("check-inequality", "chain(4)", "--all")
+    data = json.loads(out)
+    assert code == 1
+    assert 0 < len(made) == len(data["violations"]) < data["pairs"]
+
+
 def test_limit_l_json(run):
     code, out, _ = run("limit-l", "--n", "4", "--intervals", "[[1,4]]")
     assert code == 0
@@ -179,6 +205,66 @@ def test_limit_l_intervals_past_62_ranks(run, intervals, entries):
     text = json.dumps({"entries": entries, "n": 100}, sort_keys=True, indent=2) + "\n"
     argv = ["limit-l", "--n", "100", "--intervals", json.dumps(intervals)]
     assert run(*argv) == (0, text, "")
+
+
+def _limit_json(n, entries):
+    return json.dumps({"entries": entries, "n": n}, sort_keys=True, indent=2) + "\n"
+
+
+def test_limit_l_table_bound(run):
+    # the table may hold 2^30 mask bits: (highest end) * 2^k
+    top = 1 << 20
+    argv = ["limit-l", "--n", str(top), "--intervals", json.dumps([[top, top]] * 10)]
+    assert run(*argv) == (0, _limit_json(top, {"[]": 1, f"[{top}]": -1}), "")
+    top += 1
+    argv = ["limit-l", "--n", str(top), "--intervals", json.dumps([[top, top]] * 10)]
+    assert run(*argv) == (
+        2,
+        "",
+        "error: limit_l_vector could hold 1048577 * 2^10 = 1073742848 mask bits, "
+        "limit is 2^30\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "n,intervals,message",
+    [
+        (10**9, [[1, 10**9]], "1000000000 * 2^1 = 2000000000"),
+        (50000, [[49999 - 2 * k, 50000 - 2 * k] for k in range(20)],
+         "50000 * 2^20 = 52428800000"),
+    ],
+    ids=["one-interval-1e9", "twenty-at-the-top"],
+)
+def test_limit_l_refuses_wide_tables_quickly(run, n, intervals, message):
+    start = time.perf_counter()
+    code, out, err = run("limit-l", "--n", str(n), "--intervals", json.dumps(intervals))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: limit_l_vector could hold {message} mask bits, limit is 2^30\n"
+
+
+def test_limit_l_label_bound(run, monkeypatch):
+    from cdposets import cli
+
+    def no_label(mask):
+        raise AssertionError("a label was written past the bound")
+
+    # one rank past 2^25 is refused before a label is written (writing
+    # them would take gigabytes)
+    monkeypatch.setattr(cli, "subset_label", no_label)
+    argv = ["limit-l", "--n", str(2**25 + 1), "--intervals", f"[[1,{2**25 + 1}]]"]
+    assert run(*argv) == (
+        2, "", "error: limit-l labels would list 33554433 ranks, limit is 2^25\n"
+    )
+    monkeypatch.undo()
+    # both sides of the limit, lowered so that the accepted side is small
+    monkeypatch.setattr(cli, "_LABEL_RANKS", 8)
+    assert run("limit-l", "--n", "9", "--intervals", "[[1,8]]") == (
+        0, _limit_json(9, {"[]": 1, _ranks(1, 8): -1}), ""
+    )
+    assert run("limit-l", "--n", "9", "--intervals", "[[1,9]]") == (
+        2, "", "error: limit-l labels would list 9 ranks, limit is 2^3\n"
+    )
 
 
 def test_limit_l_max_k_budget(run):
@@ -643,6 +729,42 @@ def test_budget_trip_above_a_large_lattice_is_quick(run):
     assert err == (
         "error: replicate_interval would have 1004779 elements, budget is 1000000\n"
     )
+
+
+def _wide_word_json():
+    # c^400000 d: Part1a with j = 0, so S is empty, T = {n} and V = [1, n]
+    n = 400002
+    data = {
+        "S": [], "T": [n], "V": list(range(1, n + 1)), "class": "Part1a",
+        "word": "c" * 400000 + "d",
+    }
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (
+            ["limit-l", "--n", "1000000", "--intervals", "[[1,1000000]]"],
+            lambda: (0, _limit_json(10**6, {"[]": 1, _ranks(1, 10**6): -1}), ""),
+        ),
+        (["classify", "c" * 400000 + "d"], lambda: (0, _wide_word_json(), "")),
+        (["certificate", "c" * 400000 + "d"], lambda: (0, _wide_word_json(), "")),
+        (
+            ["flags", "double(chain(20000))"],
+            lambda: (2, "", "error: flag vector over 19999 proper ranks is out of budget\n"),
+        ),
+    ],
+    ids=["limit-l-1e6", "classify-c400000d", "certificate-c400000d", "double-chain-20000"],
+)
+def test_wide_inputs_answer_in_linear_time(run, argv, want):
+    # rank masks are read in one pass over their binary digits and the
+    # double's level sizes with one running total; a read that copied the
+    # mask or the size list at every step took 7 to 30 s on these
+    start = time.perf_counter()
+    got = run(*argv)
+    assert time.perf_counter() - start < 4
+    assert got == want()
 
 
 NINES = "9" * 4300  # the largest integer the default conversion limit parses

@@ -113,6 +113,36 @@ def test_reverse_mask_involution(ranks, n):
     )
 
 
+def _mask_from_runs(lengths):
+    # alternate runs of present and absent ranks, from rank 1 up
+    bits = "".join(("1", "0")[k % 2] * length for k, length in enumerate(lengths))
+    return int(bits[::-1] or "0", 2)
+
+
+# wide masks: random bits, strict alternation, and runs of random lengths
+wide_masks = st.one_of(
+    st.integers(0, (1 << 4000) - 1),
+    st.integers(0, 2000).map(lambda k: int("10" * k or "0", 2)),
+    st.lists(st.integers(1, 30), max_size=300).map(_mask_from_runs),
+)
+
+
+@given(wide_masks, st.integers(-3, 3))
+def test_mask_readers_match_bitwise_oracle(mask, slack):
+    ranks = oracles.ranks_bitwise(mask)
+    assert ranks_from_mask(mask) == tuple(ranks)
+    assert maximal_runs(mask) == oracles.runs_bitwise(mask)
+    assert is_even_set(mask) == oracles.is_even_runs(ranks)
+    assert subset_label(mask) == "[" + ",".join(map(str, ranks)) + "]"
+    n = max(mask.bit_length() + slack, 0)
+    if mask.bit_length() <= n:
+        assert reverse_mask(mask, n) == oracles.reverse_bitwise(mask, n)
+    else:
+        first = next(s for s in ranks if s > n)
+        with pytest.raises(ValueError, match=f"^rank {first} exceeds n = {n}$"):
+            reverse_mask(mask, n)
+
+
 def test_labels():
     assert subset_label(0) == "[]"
     assert subset_label(as_mask([2, 4])) == "[2,4]"
