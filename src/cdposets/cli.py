@@ -9,8 +9,20 @@ building the poset.
 Commands return their results and :func:`main` writes them: each
 ``_cmd_*`` function returns its exit code, a JSON object and a table form
 (a line of text, or a function that prints the table), and ``main`` alone
-chooses the format and writes to stdout or to the ``build -o`` file.  Output is deterministic: JSON with sorted keys, or
-fixed-width tables, rendered only when ``--format table`` asks for them.
+chooses the format and writes to stdout or to the ``build -o`` file.
+Output is deterministic: JSON with sorted keys, or fixed-width tables,
+rendered only when ``--format table`` asks for them.
+
+The JSON is exactly ``json.dumps(obj, sort_keys=True, indent=2)``, but
+:func:`_json_text` writes it without that call wherever a dict's keys are
+all plain (ASCII, printable, above '"', no backslash), as subset labels
+and cd words are: json indents only in its Python encoder and sorts
+(key, value) pairs, which cost more than computing a 2^n table.  The
+values of such a table are rendered by one call of json's C encoder, in
+table order, each entry becomes one line, and the lines are sorted as
+strings, which orders plain keys as sorting the keys does.  Any other
+object, such as the cover lists of ``build``, is json's own output.  A
+table form is printed as one string.
 
 Exit codes: 0 on success, 1 when a mathematical check fails (a poset is
 not Eulerian, an inequality is violated, a verification suite mismatches),
@@ -82,24 +94,79 @@ def _load_flags(text: str, budget: int | None) -> FlagVector:
 
 
 def _emit_json(obj, path: str | None = None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    text = _json_text(obj)
     if path:
         with open(path, "w") as handle:
-            handle.write(text + "\n")
+            handle.write(text)
+            handle.write("\n")
     else:
         print(text)
 
 
+# the scalars, which json's C encoder writes as its Python encoder does
+_SCALARS = {str, int, float, bool, type(None)}
+# the characters of a plain key: ASCII, printable, above '"' and not '\\'
+_PLAIN = bytes(range(ord('"') + 1, 0x7F)).replace(b"\\", b"")
+
+
+def _has_plain_keys(obj) -> bool:
+    """True when ``obj`` is a nonempty dict whose keys are all plain strings."""
+    if type(obj) is not dict or not obj or set(map(type, obj)) != {str}:
+        return False
+    # '#' is plain, so the joined keys are plain when each key is
+    keys = "#".join(obj)
+    return keys.isascii() and not keys.encode().translate(None, _PLAIN)
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, with each table
+    rendered by json's C encoder (see :func:`_json_pieces`)."""
+    pieces = []
+    try:
+        _json_pieces(obj, "\n", pieces)
+    except (TypeError, ValueError, RecursionError):
+        # json words every failure itself; a cycle, say, is its ValueError
+        # but endless recursion in _json_pieces
+        return json.dumps(obj, sort_keys=True, indent=2)
+    return "".join(pieces)
+
+
+def _json_pieces(obj, newline: str, pieces: list[str]) -> None:
+    """Append the indented JSON of ``obj``, whose lines start with ``newline``.
+
+    A dict whose keys are all plain (see ``_PLAIN``) is written here.  A
+    plain key is its own JSON text between quotes.  If the values are
+    scalars, one call of the C encoder renders them in table order, each
+    entry becomes one line, and the lines are sorted as strings: a plain
+    key sorts as its line does, since the '"' that ends a key is below
+    every plain character.  Other values are written one by one, in key
+    order.  Everything else is json's own indented output, shifted right:
+    encoded JSON holds no newline but between its lines.
+    """
+    if not _has_plain_keys(obj):
+        pieces.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
+        return
+    inner = newline + "  "
+    if set(map(type, obj.values())) <= _SCALARS:
+        values = json.dumps(list(obj.values()), separators=(",\n", ":"))[1:-1].split(",\n")
+        lines = sorted([f'"{key}": {value}' for key, value in zip(obj, values)])
+        pieces += ("{", inner, ("," + inner).join(lines), newline, "}")
+        return
+    sep = "{"
+    for key in sorted(obj):
+        pieces += (sep, inner, '"', key, '": ')
+        _json_pieces(obj[key], inner, pieces)
+        sep = ","
+    pieces += (newline, "}")
+
+
 def _emit_table(rows: list[dict], columns: list[str]) -> None:
-    widths = {
-        col: max(len(col), *(len(str(row.get(col, ""))) for row in rows)) if rows else len(col)
-        for col in columns
-    }
-    header = "  ".join(col.ljust(widths[col]) for col in columns)
-    print(header)
-    print("  ".join("-" * widths[col] for col in columns))
-    for row in rows:
-        print("  ".join(str(row.get(col, "")).ljust(widths[col]) for col in columns))
+    padded = []
+    for col in columns:
+        texts = [str(row.get(col, "")) for row in rows]
+        width = max(len(col), max(map(len, texts), default=0))
+        padded.append([col.ljust(width), "-" * width, *(text.ljust(width) for text in texts)])
+    print("\n".join(map("  ".join, zip(*padded))))
 
 
 def _add_poset_arg(sub: argparse.ArgumentParser) -> None:
@@ -217,9 +284,9 @@ def _cmd_check_inequality(args):
     )
 
 
-# ranks that the labels of one limit-l table may list in all; a label
-# peaks at about 115 bytes a rank while it is built (CPython 3.11), so one
-# label at the limit takes about 4 GB
+# ranks that the labels of one limit-l table may list in all; a label and
+# the copies of it that printing makes peak at about 27 bytes a rank
+# (16,000,000 ranks, CPython 3.11), so one label at the limit takes about 1 GB
 _LABEL_RANKS = 1 << 25
 
 

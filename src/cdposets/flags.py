@@ -121,8 +121,9 @@ class LVector:
     """Rational table over all 2^n subsets whose denominators divide 2^n.
 
     Stored as the integer ``numerators`` 2^n * L_Q; ``values``, indexing,
-    :meth:`items`, :meth:`nonzero` and :meth:`to_dict` give exact
-    :class:`~fractions.Fraction` values.
+    :meth:`items` and :meth:`nonzero` give exact
+    :class:`~fractions.Fraction` values, and :meth:`to_dict` their strings,
+    written from the numerators.
     """
 
     __slots__ = ("n", "numerators")
@@ -187,13 +188,23 @@ class LVector:
 
     def to_dict(self) -> dict:
         """n plus the nonzero entries as exact rational strings."""
-        entries = self.nonzero()
+        n = self.n
+        entries = [(m, v) for m, v in enumerate(self.numerators) if v]
         # an entry of subset_labels costs about an eighth of a subset_label call
         if 8 * len(entries) > len(self.numerators):
-            label = subset_labels(self.n).__getitem__
+            label = subset_labels(n).__getitem__
         else:
             label = subset_label
-        return {"n": self.n, "entries": {label(m): str(v) for m, v in entries}}
+        return {"n": n, "entries": {label(m): _dyadic_str(v, n) for m, v in entries}}
+
+
+def _dyadic_str(numerator: int, n: int) -> str:
+    """``str(Fraction(numerator, 2**n))`` without the gcd: the fraction in
+    lowest terms drops the numerator's trailing zero bits, at most n."""
+    k = min(n, (numerator & -numerator).bit_length() - 1) if numerator else n
+    if k == n:
+        return str(numerator >> n)
+    return f"{numerator >> k}/{1 << (n - k)}"
 
 
 # -- computing flag data ----------------------------------------------

@@ -8,12 +8,13 @@ ranks has even length, and Q *evenly contains* S when S and Q are even,
 S is a subset of Q, and Q minus S is even as well.
 
 Python integers keep masks of any width exact, and every helper here
-takes masks of any width.  Ranks and maximal runs are read from
-``bin(mask)`` in one pass, so they cost time linear in the width however
-many runs there are; peeling bits or runs off the integer would copy it
-once per bit or run.  ``MAX_RANKS`` bounds only rank lists that come
-from outside input (:func:`as_mask`, and so :func:`parse_subset`) and
-:func:`full_mask`, whose n sizes sweeps over all 2^n masks such as
+takes masks of any width.  Ranks, maximal runs, labels and reversed
+masks are read from ``bin(mask)`` in one pass, so they cost time linear
+in the width however many runs there are; peeling bits or runs off the
+integer, or setting them one at a time, would copy it once per bit or
+run.  ``MAX_RANKS`` bounds only rank lists that come from outside input
+(:func:`as_mask`, and so :func:`parse_subset`) and :func:`full_mask`,
+whose n sizes sweeps over all 2^n masks such as
 :func:`cdposets.analysis.inequality_pairs`.
 """
 
@@ -61,12 +62,13 @@ def full_mask(n: int) -> int:
 
 def reverse_mask(mask: int, n: int) -> int:
     """Image of a subset of [1, n] under the flip s -> n + 1 - s."""
-    out = 0
-    for s in ranks_from_mask(mask):
-        if s > n:
-            raise ValueError(f"rank {s} exceeds n = {n}")
-        out |= 1 << (n - s)
-    return out
+    bits = _bits(mask)
+    high = bits.find("1", max(n, 0))
+    if high >= 0:
+        raise ValueError(f"rank {high + 1} exceeds n = {n}")
+    # rank s is character s - 1 of bits and bit n - s of the image, so
+    # bits padded to n characters is the image written highest bit first
+    return int(bits[:n].ljust(n, "0") or "0", 2)
 
 
 def maximal_runs(mask: int) -> list[tuple[int, int]]:
@@ -106,21 +108,36 @@ def evenly_contains(inner: int | Iterable[int], outer: int | Iterable[int]) -> b
     return is_even_set(s) and is_even_set(q) and is_even_set(q & ~s)
 
 
+# ranks that subset_label turns into text at a time
+_LABEL_WINDOW = 1 << 16
+
+
 def subset_label(mask: int) -> str:
     """Canonical string key for a subset, e.g. "[1,2]"; "[]" for the empty set."""
-    return "[" + ",".join(map(str, ranks_from_mask(mask))) + "]"
+    bits = _bits(mask)
+    # one window of ranks at a time: its rank ints and their strings are
+    # freed before the next, so the label and its pieces are the largest
+    # things built, about 2 bytes for each byte of the label
+    chunks = [
+        ",".join(
+            [str(s) for s, bit in enumerate(bits[w : w + _LABEL_WINDOW], w + 1) if bit == "1"]
+        )
+        for w in range(0, len(bits), _LABEL_WINDOW)
+    ]
+    return "[" + ",".join(filter(None, chunks)) + "]"
 
 
 def subset_labels(n: int) -> list[str]:
     """``subset_label(mask)`` for every mask below 2^n, in mask order.
 
-    Built incrementally: the masks that add rank s are the earlier ones
-    with ",s" appended before the closing bracket.
+    Built as one string: the masks that add rank s are the earlier ones
+    with ",s" before the closing bracket, so each rank is one replace over
+    the labels so far.
     """
-    inner = [""]
+    text = "[]"
     for s in range(1, n + 1):
-        inner += [f"{text},{s}" for text in inner]
-    return [f"[{text[1:]}]" for text in inner]
+        text += "|" + text.replace("]", f",{s}]")
+    return text.replace("[,", "[").split("|")
 
 
 def parse_subset(text: str) -> int:

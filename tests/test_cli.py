@@ -13,9 +13,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cdposets import exprs, inequality_pairs
-from cdposets.cli import main
+from cdposets import cd_from_l, exprs, inequality_pairs, l_vector
+from cdposets.cli import _json_text, main
+from cdposets.exprs import build_poset, flag_vector_of, parse_expression
 
 
 @pytest.fixture
@@ -925,3 +928,103 @@ def test_built_glue_runs_its_checks_once(run, monkeypatch):
     code, out, err = run("check-eulerian", "lemma2(7,3)")
     assert (code, json.loads(out), err) == (0, {"eulerian": True}, "")
     assert calls == ["_glue_layout", "_glued"]
+
+
+# -- JSON output ----------------------------------------------------------
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _outcome(encode, obj):
+    try:
+        return encode(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# prefix pairs, characters at and around the plain range, and non-ASCII
+_TRICKY_KEYS = [
+    "", "c", "cd", "cdc", "d", "dc", "[]", "[1]", "[1,2]", "[10]", "[1,10]", "[2]",
+    "n", "entries", "terms", " ", "a b", "!", "!a", '"', 'a"', "\\", "a\\b", "#", "~",
+    "\x00", "\n", "\x1f", "\x7f", "a\x7f", "é", "☃", "\ud800", "[1]\x00",
+]
+_str_keys = st.one_of(
+    st.sampled_from(_TRICKY_KEYS),
+    st.text(alphabet="[]1,20cd", max_size=6),
+    st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x80), max_size=4),
+    st.text(max_size=3),
+)
+_other_keys = st.one_of(st.integers(), st.booleans(), st.none(), st.floats())
+_scalar_kinds = [
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=8),
+    st.sampled_from([",\n  ", ',\n  "a": 1', "\n", '"', "\\", "NaN"]),
+]
+_scalars = st.one_of(*_scalar_kinds)
+
+
+def _dicts(values):
+    return st.one_of(
+        st.dictionaries(_str_keys, values, max_size=8),
+        st.dictionaries(st.one_of(_str_keys, _other_keys), values, max_size=3),
+    )
+
+
+# a Fraction is the leaf that json refuses
+_json_objects = st.recursive(
+    st.one_of(*_scalar_kinds, st.fractions()),
+    lambda children: st.one_of(
+        _dicts(children),
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_json_objects)
+def test_json_text_is_json_dumps(obj):
+    assert _outcome(_json_text, obj) == _outcome(_dumps, obj)
+
+
+# plain keys, and plain keys mixed with one character just outside the
+# plain range: space, '!', '"', '\\', a control character, DEL, non-ASCII
+@pytest.mark.parametrize("extra", ["", " ", "!", '"', "\\", "\x1f", "\x7f", "é"])
+@given(data=st.data())
+def test_json_text_sorts_tables_as_json_does(extra, data):
+    keys = st.text(alphabet="[]1,20cd#~" + extra, max_size=6)
+    table = data.draw(st.dictionaries(keys, _scalars, min_size=2, max_size=12))
+    assert _json_text({"n": 3, "entries": table}) == _dumps({"n": 3, "entries": table})
+
+
+def test_json_text_defers_cycles_to_json():
+    cycle = {"a": 1}
+    cycle["b"] = {"c": cycle}
+    assert _outcome(_json_text, cycle) == (ValueError, "Circular reference detected")
+
+
+@pytest.mark.parametrize(
+    "expr", ["dp(14,[[4,9],[10,11],[12,13]],3)", "dp(16,[[1,12]],2)"]
+)
+def test_table_commands_print_json_dumps_of_the_library_dicts(run, expr):
+    flags = flag_vector_of(parse_expression(expr))
+    expected = {
+        "flags": flags.to_dict(),
+        "l-vector": l_vector(flags).to_dict(),
+        "cd-index": cd_from_l(l_vector(flags)).to_dict(),
+    }
+    for command, data in expected.items():
+        assert run(command, expr) == (0, _dumps(data) + "\n", ""), command
+
+
+def test_build_prints_json_dumps_of_the_poset_dict(run, tmp_path):
+    data = build_poset(parse_expression("boolean(6)")).to_dict()
+    assert run("build", "boolean(6)") == (0, _dumps(data) + "\n", "")
+    target = tmp_path / "boolean6.json"
+    assert run("build", "boolean(6)", "-o", str(target)) == (0, "", "")
+    assert target.read_text() == _dumps(data) + "\n"

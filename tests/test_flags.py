@@ -465,3 +465,15 @@ def test_table_dicts_label_like_subset_label(nonzero):
     }
     flags = FlagVector(6, numerators)
     assert flags.to_dict() == {subset_label(m): str(v) for m, v in flags.items()}
+
+
+_numerators = st.one_of(
+    st.integers(),
+    st.integers(-(2**400), 2**400),
+    st.tuples(st.integers(-1000, 1000), st.integers(0, 200)).map(lambda t: t[0] << t[1]),
+)
+
+
+@given(_numerators, st.integers(0, 70))
+def test_dyadic_strings_are_fraction_strings(numerator, n):
+    assert flags_mod._dyadic_str(numerator, n) == str(Fraction(numerator, 2**n))

@@ -1,4 +1,5 @@
 import signal
+import time
 
 import pytest
 from hypothesis import given
@@ -44,6 +45,24 @@ def test_bad_ranks_rejected():
 def test_reverse_mask_refuses_ranks_past_n():
     with pytest.raises(ValueError, match="^rank 3 exceeds n = 2$"):
         reverse_mask(0b100, 2)
+    # the lowest rank past n is named, whatever lies below it
+    with pytest.raises(ValueError, match="^rank 2 exceeds n = 1$"):
+        reverse_mask(0b1011, 1)
+    with pytest.raises(ValueError, match="^rank 1 exceeds n = 0$"):
+        reverse_mask(1, 0)
+    assert reverse_mask(0, 0) == 0
+
+
+def test_reverse_mask_is_linear_in_the_width():
+    # one OR per rank into a growing integer took minutes at this width
+    width = 1_000_000
+    start = time.perf_counter()
+    assert reverse_mask((1 << width) - 1, width) == (1 << width) - 1
+    assert reverse_mask(1, width) == 1 << (width - 1)
+    assert reverse_mask(0b1101 << (width - 8), width) == 0b1011 << 4
+    with pytest.raises(ValueError, match=f"^rank {width} exceeds n = {width - 1}$"):
+        reverse_mask((1 << width) - 1, width - 1)
+    assert time.perf_counter() - start < 2
 
 
 def test_maximal_runs():
@@ -181,6 +200,22 @@ def test_subset_label_matches_json_form():
         assert parse_subset(want) == mask
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", [*range(13), 16])
 def test_subset_labels_match_subset_label(n):
     assert subset_labels(n) == [subset_label(m) for m in range(1 << n)]
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        0b111 << 65534,
+        1 | 0b11 << 65535 | 1 << 199999,
+        1 << 131072,
+        int("1000000" * 11429, 2) << 59999,
+        (1 << 140000) - 1,
+    ],
+    ids=["across-window", "empty-windows", "second-window-start", "spread", "full"],
+)
+def test_subset_label_across_windows(mask):
+    # labels are written 2^16 ranks at a time; no window may add or drop a comma
+    assert subset_label(mask) == "[" + ",".join(map(str, ranks_from_mask(mask))) + "]"
