@@ -116,7 +116,7 @@ from .constructions import (
     replicated_sizes,
     validate_even_interval_system,
 )
-from .flags import FlagVector, check_flag_ranks, flag_vector
+from .flags import FlagVector, check_flag_ranks, flag_vector, reversed_table
 from .poset import RankedPoset, boolean, boolean_sizes, chain, chain_sizes
 
 
@@ -476,7 +476,7 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
         return _Plan(
             inner.sizes[::-1],
             inner.chains,
-            lambda dtype: _reversed(inner.table(dtype)),
+            lambda dtype: reversed_table(inner.table(dtype)),
             lambda: inner.poset().dual(),
         )
     if kind == "double":
@@ -598,9 +598,3 @@ def _boolean_table(k: int, dtype) -> np.ndarray:
         below = np.concatenate([below, below * binom[top]])
         top = np.concatenate([top, np.full(len(top), s)])
     return below * np.array([math.comb(k, t) for t in range(k)], dtype)[top]
-
-
-def _reversed(table: np.ndarray) -> np.ndarray:
-    """The table indexed by bit-reversed masks: the flag table of the dual."""
-    n = len(table).bit_length() - 1
-    return table.reshape([2] * n).transpose().ravel()

@@ -219,6 +219,11 @@ def check_flag_ranks(n: int) -> None:
 def flag_vector(poset: RankedPoset) -> FlagVector:
     """Exact flag vector of a valid ranked poset.
 
+    The table is cached on the poset, which is immutable, and stored only
+    once it has been computed, so a call that raises caches nothing and the
+    next call raises the same error.  :meth:`RankedPoset.dual` hands the
+    dual the bit reversal of a cached table (:func:`reversed_table`).
+
     Chain counts are built level by level: the table for rank s stacks,
     for every lower rank t, the table for t times comparability(t, s), so
     its row index is the mask of the ranks below s and the top rank's
@@ -228,6 +233,13 @@ def flag_vector(poset: RankedPoset) -> FlagVector:
     tables are floats below 2^53 maximal chains and Python integers from
     there on (module docstring), so results are exact regardless of size.
     """
+    if poset._flags is None:
+        object.__setattr__(poset, "_flags", _computed_flag_vector(poset))
+    return poset._flags
+
+
+def _computed_flag_vector(poset: RankedPoset) -> FlagVector:
+    """The flag vector from the matrix products of :func:`flag_vector`."""
     poset._require_valid()
     n = poset.n
     check_flag_ranks(n)
@@ -247,6 +259,14 @@ def flag_vector(poset: RankedPoset) -> FlagVector:
         for s in range(at + 1, split + 1):
             stack.append((s, vec @ comparability(at, s), mask | 1 << (s - 1)))
     return FlagVector(n, values.tolist())
+
+
+def reversed_table(table: np.ndarray) -> np.ndarray:
+    """The 2^n table indexed by bit-reversed masks: f_S(P*) = f_(n+1-S)(P),
+    the flag table of the dual.  Entries are only moved, so an object table
+    stays exact."""
+    n = len(table).bit_length() - 1
+    return table.reshape([2] * n).transpose().ravel()
 
 
 def _split_rank(sizes: tuple[int, ...]) -> int:

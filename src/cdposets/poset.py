@@ -39,6 +39,13 @@ operands of every product, the flag vector's included;
 :meth:`RankedPoset.comparability` returns an int64 copy made on each
 call, and public results are exact integers.
 
+Each poset also caches its flag table once :func:`~cdposets.flags.flag_vector`
+has computed it: one :class:`~cdposets.flags.FlagVector` of 2^n Python
+ints, n = rank - 1, held for as long as the poset lives.
+:meth:`RankedPoset.dual` hands the dual the bit reversal of a held table,
+since f_S(P*) = f_(n+1-S)(P), so the dual's table takes no matrix
+products.  Equality and hashing do not read the cache.
+
 Instances are immutable after construction.  Construction itself accepts
 structurally broken data so that :meth:`RankedPoset.validate` can report
 what is wrong; every other operation requires a valid poset.
@@ -177,6 +184,7 @@ class RankedPoset:
         "_covers",
         "_float_comp",
         "_diagnostics",
+        "_flags",
     )
 
     def __init__(
@@ -217,6 +225,7 @@ class RankedPoset:
         object.__setattr__(self, "_covers", None)
         object.__setattr__(self, "_float_comp", {})
         object.__setattr__(self, "_diagnostics", None)
+        object.__setattr__(self, "_flags", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RankedPoset is immutable")
@@ -327,14 +336,22 @@ class RankedPoset:
     # -- structure ----------------------------------------------------
 
     def dual(self) -> "RankedPoset":
-        """Order-reversed poset: level r becomes level rank - r, covers transpose."""
+        """Order-reversed poset: level r becomes level rank - r, covers
+        transpose.  When this poset holds its flag table, the dual gets its
+        bit reversal, f_S(P*) = f_(n+1-S)(P), instead of computing its own."""
         self._require_valid()
         # rows sorted by (level, i, j), stably sorted by (new level, j):
         # each new level's rows (j, i) in order
         key = (self.rank - 1 - self._row_level) * max(self.level_sizes) + self._rows[:, 1]
         rows = self._rows[key.argsort(kind="stable"), ::-1]
         counts = [len(cs) for cs in reversed(self.cover_arrays)]
-        return RankedPoset._from_rows(self.rank, self.level_sizes[::-1], rows, counts)
+        dual = RankedPoset._from_rows(self.rank, self.level_sizes[::-1], rows, counts)
+        if self._flags is not None:
+            from .flags import FlagVector, reversed_table  # flags imports this module
+
+            table = reversed_table(np.array(self._flags.values, dtype=object))
+            object.__setattr__(dual, "_flags", FlagVector(self.n, table.tolist()))
+        return dual
 
     def comparability(self, r1: int, r2: int) -> np.ndarray:
         """0/1 int64 matrix over level r1 x level r2 with 1 where x <= y.

@@ -1006,6 +1006,9 @@ def test_json_text_defers_cycles_to_json():
     cycle = {"a": 1}
     cycle["b"] = {"c": cycle}
     assert _outcome(_json_text, cycle) == (ValueError, "Circular reference detected")
+    cycle = [1, []]
+    cycle[1].append(cycle)
+    assert _outcome(_json_text, cycle) == (ValueError, "Circular reference detected")
 
 
 @pytest.mark.parametrize(
@@ -1028,3 +1031,55 @@ def test_build_prints_json_dumps_of_the_poset_dict(run, tmp_path):
     target = tmp_path / "boolean6.json"
     assert run("build", "boolean(6)", "-o", str(target)) == (0, "", "")
     assert target.read_text() == _dumps(data) + "\n"
+
+
+# lists of scalar lists, empty ones included, alone and as dict values
+_scalar_lists = st.lists(st.lists(_scalars, max_size=4), max_size=6)
+
+
+@given(st.one_of(_scalar_lists, st.lists(_scalar_lists, max_size=3), _dicts(_scalar_lists)))
+def test_json_text_writes_lists_of_scalar_lists_as_json_does(obj):
+    assert _outcome(_json_text, obj) == _outcome(_dumps, obj)
+
+
+def test_build_json_writes_its_lists_through_the_c_encoder(monkeypatch):
+    # one unindented call for the level sizes and one per cover level
+    data = build_poset(parse_expression("boolean(6)")).to_dict()
+    dumps, calls = json.dumps, []
+
+    def recording(obj, **kwargs):
+        calls.append((type(obj), kwargs.get("indent")))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", recording)
+    text = _json_text(data)
+    monkeypatch.undo()
+    assert text == _dumps(data)
+    assert [call for call in calls if call[0] is list] == [(list, None)] * 7
+
+
+def test_verify_duality_fails_when_the_dual_table_is_not_reversed(run, monkeypatch):
+    # the suite computes each dual's table by matrix products and compares
+    # it with the reversal that poset.dual() hands over
+    from cdposets import flags
+
+    monkeypatch.setattr(flags, "reversed_table", lambda table: table)
+    code, out, _ = run("verify", "duality")
+    assert code == 1
+    assert "False" in out and not out.endswith("176/176 checks passed\n")
+
+
+def test_verify_duality_computes_both_tables(run, monkeypatch):
+    # each corpus poset and its dual get their tables from matrix products,
+    # not the dual from its poset's table
+    from cdposets import flags
+
+    computed_flag_vector, computed = flags._computed_flag_vector, []
+
+    def counting(poset):
+        computed.append(poset)
+        return computed_flag_vector(poset)
+
+    monkeypatch.setattr(flags, "_computed_flag_vector", counting)
+    assert run("verify", "duality")[0] == 0
+    assert len(computed) == 2 * 176

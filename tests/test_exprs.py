@@ -164,6 +164,23 @@ def test_tree_path_matches_built_poset(tree, budget):
     assert outcome(lambda: flag_vector_of(node, budget=budget)) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(trees())
+def test_handed_dual_table_matches_rebuilt_dual(tree):
+    # the dual of a poset holding its table is handed the reversal; a dual
+    # rebuilt from the covers computes its own by matrix products
+    try:
+        poset = build_poset(parse_expression(tree[0]))
+        table = flag_vector(poset)
+    except (ValueError, BudgetError):
+        return
+    handed = poset.dual()
+    rebuilt = RankedPoset.from_dict(poset.to_dict()).dual()
+    assert handed._flags is not None and rebuilt._flags is None
+    assert flag_vector(handed) == flag_vector(rebuilt)
+    assert flag_vector(handed.dual()) == table
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -74,13 +74,18 @@ def _record_comparability(monkeypatch) -> list:
     return calls
 
 
+def _fresh(p: RankedPoset) -> RankedPoset:
+    """An equal poset holding no flag table, so flag_vector computes one."""
+    return RankedPoset.from_dict(p.to_dict())
+
+
 def test_flag_vector_big_integer_path_agrees(monkeypatch):
     # force the Python-integer route on a poset that takes the float route
     p = boolean(6)
     fast = flag_vector(p)
     monkeypatch.setattr(flags_mod, "_FLOAT64_EXACT", 0)
     calls = _record_comparability(monkeypatch)
-    slow = flag_vector(p)
+    slow = flag_vector(_fresh(p))
     assert calls
     assert fast == slow
 
@@ -102,12 +107,18 @@ def test_corpus_float_route_matches_python_int_route(monkeypatch, corpus):
     def refuse(self, r1, r2):
         raise AssertionError(f"int64 comparability({r1}, {r2}) made")
 
-    # below 2^53 chains, flag vectors and cd-indices make no int64 matrix
+    # below 2^53 chains, flag vectors and cd-indices make no int64 matrix;
+    # each route runs on its own fresh posets, not on tables cached earlier
     with monkeypatch.context() as patch:
         patch.setattr(RankedPoset, "comparability", refuse)
-        fast = [(flag_vector(p), cd_index(p)) for _, p in corpus]
+        fast = [(flag_vector(q), cd_index(q)) for q in (_fresh(p) for _, p in corpus)]
     monkeypatch.setattr(flags_mod, "_FLOAT64_EXACT", 0)
-    assert [(flag_vector(p), cd_index(p)) for _, p in corpus] == fast
+    calls = _record_comparability(monkeypatch)
+    for (_, p), want in zip(corpus, fast):
+        calls.clear()
+        q = _fresh(p)
+        assert (flag_vector(q), cd_index(q)) == want
+        assert calls
 
 
 def _random_posets():
@@ -145,8 +156,104 @@ def test_flag_vector_paths_agree(monkeypatch, exact, entries):
         assert all(k == n for k, n in splits)
     else:
         assert any(0 < k < n for k, n in splits)
-    assert [flag_vector(p) for p in posets] == want
+    # the walk batches the ranks above the split once per mask of the ranks
+    # up to it, so the splits it batched at show that each route ran
+    batched_counts, used = flags_mod._batched_counts, []
+
+    def recording(poset, comparability, at, vec, split):
+        used.append(split)
+        return batched_counts(poset, comparability, at, vec, split)
+
+    monkeypatch.setattr(flags_mod, "_batched_counts", recording)
+    assert [flag_vector(_fresh(p)) for p in posets] == want
+    assert used == [k for k, _ in splits for _ in range(1 << k)]
     assert bool(calls) == (exact is not None)
+
+
+# -- the flag table cached on the poset ------------------------------------
+
+
+def _count_computed(monkeypatch) -> list:
+    """The posets whose flag tables are computed by matrix products from
+    now on."""
+    computed = []
+    original = flags_mod._computed_flag_vector
+
+    def counting(poset):
+        computed.append(poset)
+        return original(poset)
+
+    monkeypatch.setattr(flags_mod, "_computed_flag_vector", counting)
+    return computed
+
+
+def test_flag_vector_is_computed_once_per_poset(monkeypatch):
+    computed = _count_computed(monkeypatch)
+    p = build_poset(parse_expression("dp(4,[[1,2],[3,4]],2)"))
+    first = flag_vector(p)
+    assert flag_vector(p) is first
+    assert cd_index(p) == cd_index(_fresh(p))
+    assert computed == [p, _fresh(p)]
+
+
+def test_failed_flag_vector_caches_nothing():
+    bad = RankedPoset.from_dict(
+        {"rank": 2, "level_sizes": [1, 2, 1], "covers": [[[0, 0]], [[0, 0]]]}
+    )
+    message = "invalid poset: element (1, 1) has no down-cover"
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            flag_vector(bad)
+        assert str(err.value).startswith(message)
+        assert bad._flags is None
+    tall = chain(flags_mod.MAX_FLAG_RANKS + 2)
+    for _ in range(2):
+        with pytest.raises(BudgetError, match="flag vector over 21 proper ranks is out of budget"):
+            flag_vector(tall)
+        assert tall._flags is None
+
+
+def test_equality_and_hash_ignore_the_cached_table():
+    p = build_poset(parse_expression("dp(4,[[1,4]],1)"))
+    q = _fresh(p)
+    flag_vector(p)
+    assert p._flags is not None and q._flags is None
+    assert p == q and hash(p) == hash(q)
+    assert p.dual() == q.dual() and hash(p.dual()) == hash(q.dual())
+    assert len({p, q}) == 1
+
+
+def _assert_handed_dual_table_is_the_dual_table(p: RankedPoset, monkeypatch) -> None:
+    """p's dual, taken once p holds its table, computes none of its own and
+    holds the table that a rebuilt dual computes by matrix products."""
+    flag_vector(p)
+    with monkeypatch.context() as patch:
+        computed = _count_computed(patch)
+        handed = p.dual()
+        assert flag_vector(handed) is handed._flags
+        assert computed == []
+        rebuilt = _fresh(p).dual()
+        assert rebuilt._flags is None
+        assert flag_vector(handed) == flag_vector(rebuilt)
+        assert computed == [rebuilt]
+
+
+def test_handed_dual_tables_on_the_corpus(monkeypatch, corpus):
+    assert len(corpus) == 176
+    for _, p in corpus:
+        _assert_handed_dual_table_is_the_dual_table(_fresh(p), monkeypatch)
+
+
+@pytest.mark.parametrize("doubles, rank", [(4, 15), (5, 14)])
+def test_handed_dual_table_past_2_to_53_chains(monkeypatch, doubles, rank):
+    # 2^56 and 2^65 maximal chains: both tables take the Python-integer
+    # route, and the reversal keeps entries past 2^63 exact
+    text = "double(" * doubles + f"chain({rank})" + ")" * doubles
+    p = build_poset(parse_expression(text))
+    chains = 2 ** (doubles * (rank - 1))
+    assert p.count_maximal_chains() == chains >= flags_mod._FLOAT64_EXACT
+    _assert_handed_dual_table_is_the_dual_table(p, monkeypatch)
+    assert max(flag_vector(p.dual()).values) == chains
 
 
 def test_split_rank_is_least_that_fits():
