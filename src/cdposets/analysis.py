@@ -107,17 +107,14 @@ def limit_l_vector(n: int, intervals: Sequence[Interval]) -> dict[int, int]:
             f"limit_l_vector could hold {top} * 2^{len(intervals)} = {bits} mask "
             f"bits, limit is 2^{_LIMIT_TABLE_BITS.bit_length() - 1}"
         )
-    # ranks a..b are bits a - 1..b - 1; shifts keep any n exact
-    masks = [(1 << b) - (1 << (a - 1)) for a, b in intervals]
-    table: dict[int, int] = {}
-    for pick in range(1 << len(masks)):
-        union = 0
-        sign = 1
-        for idx, mask in enumerate(masks):
-            if pick >> idx & 1:
-                union |= mask
-                sign = -sign
-        table[union] = table.get(union, 0) + sign
+    # one inclusion-exclusion step per interval: the subfamilies that take
+    # it flip the sign of those that do not and move to their union with
+    # it; ranks a..b are bits a - 1..b - 1, and shifts keep any n exact
+    table = {0: 1}
+    for a, b in intervals:
+        mask = (1 << b) - (1 << (a - 1))
+        for union, value in list(table.items()):
+            table[union | mask] = table.get(union | mask, 0) - value
     return table
 
 

@@ -37,7 +37,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import islice
 from typing import Callable
 
@@ -57,6 +56,7 @@ from .exprs import ExpressionError, build_poset, flag_vector_of, parse_expressio
 from .flags import (
     CdPolynomial,
     FlagVector,
+    _dyadic_str,
     cd_from_l,
     cd_index,
     cd_words,
@@ -268,24 +268,14 @@ def _cmd_check_eulerian(args):
     )
 
 
-def _l_form(n: int, t_mask: int, v_mask: int, f_val: int) -> Fraction:
-    """The L form of the (T, V) inequality from its f form: the f form over
-    2^(|S| + |T|) for every table (see :mod:`cdposets.analysis`)."""
-    return Fraction(f_val, 2 ** (n - v_mask.bit_count() + t_mask.bit_count()))
-
-
-def _inequality_forms(flags, t_mask: int, v_mask: int) -> tuple[int, Fraction]:
-    """Both forms of the (T, V) inequality."""
-    f_val = inequality_f_form(flags, t_mask, v_mask)
-    return f_val, _l_form(flags.n, t_mask, v_mask, f_val)
-
-
-def _inequality_row(t_mask: int, v_mask: int, f_val: int, l_val: Fraction) -> dict:
+def _inequality_row(n: int, t_mask: int, v_mask: int, f_val: int) -> dict:
+    # the L form is the f form over 2^(|S| + |T|) for every table (see
+    # cdposets.analysis)
     return {
         "T": subset_label(t_mask),
         "V": subset_label(v_mask),
         "f_form": str(f_val),
-        "l_form": str(l_val),
+        "l_form": _dyadic_str(f_val, n - v_mask.bit_count() + t_mask.bit_count()),
     }
 
 
@@ -301,8 +291,7 @@ def _cmd_check_inequality(args):
             pairs += 1
             f_val = inequality_f_form(flags, t_mask, v_mask)
             if f_val < 0:
-                l_val = _l_form(flags.n, t_mask, v_mask, f_val)
-                violations.append(_inequality_row(t_mask, v_mask, f_val, l_val))
+                violations.append(_inequality_row(flags.n, t_mask, v_mask, f_val))
 
         def table():
             print(f"checked {pairs} (T, V) pairs, {len(violations)} violations")
@@ -311,8 +300,8 @@ def _cmd_check_inequality(args):
 
         return 1 if violations else 0, {"pairs": pairs, "violations": violations}, table
     t_mask, v_mask = parse_subset(args.T), parse_subset(args.V)
-    f_val, l_val = _inequality_forms(flags, t_mask, v_mask)
-    detail = _inequality_row(t_mask, v_mask, f_val, l_val)
+    f_val = inequality_f_form(flags, t_mask, v_mask)
+    detail = _inequality_row(flags.n, t_mask, v_mask, f_val)
     detail["nonnegative"] = f_val >= 0
     return 0 if f_val >= 0 else 1, detail, lambda: _emit_table(
         [detail], ["T", "V", "f_form", "l_form", "nonnegative"]

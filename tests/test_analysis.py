@@ -3,6 +3,7 @@ certificates, and the negative-coefficient witnesses."""
 
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -57,12 +58,54 @@ def to_sets(table):
     ],
 )
 def test_limit_l_matches_subfamily_oracle(n, intervals):
-    got = to_sets(limit_l_vector(n, intervals))
-    want = oracles.limit_l(n, intervals)
-    for union, value in want.items():
-        assert got.get(union, 0) == value
-    for union, value in got.items():
-        assert want.get(union, 0) == value
+    # entries that cancel to zero included
+    assert to_sets(limit_l_vector(n, intervals)) == oracles.limit_l(n, intervals)
+
+
+def _random_system(rng, n):
+    intervals = []
+    for _ in range(rng.randint(0, 8)):
+        if intervals and rng.random() < 0.25:
+            # a chosen interval again, or one nested in it
+            a, b = rng.choice(intervals)
+            if rng.random() < 0.5:
+                a = rng.randint(a, b)
+                b = rng.randint(a, b)
+        else:
+            a = rng.randint(1, n)
+            b = rng.randint(a, n)
+        intervals.append((a, b))
+    return intervals
+
+
+def test_limit_l_sweep_matches_subfamily_oracle():
+    # the whole table, entries that cancel to zero included, with its keys
+    # first met in the order the subfamilies count up in binary
+    rng = random.Random(17)
+    for trial in range(300):
+        n = trial % 12 + 1
+        intervals = _random_system(rng, n)
+        got = limit_l_vector(n, intervals)
+        assert to_sets(got) == oracles.limit_l(n, intervals), (n, intervals)
+        unions = [0]  # the union of subfamily `pick` at index pick
+        for a, b in intervals:
+            unions += [u | full_mask(b) & ~full_mask(a - 1) for u in unions]
+        assert list(got) == list(dict.fromkeys(unions)), (n, intervals)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("no answer within 0.5 s")
+
+
+def test_limit_l_of_repeated_intervals_follows_the_unions():
+    # 2^20 subfamilies but two unions: the steps visit the unions only
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        assert limit_l_vector(1, [(1, 1)] * 20) == {0: 1, 1: -1}
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_limit_l_single_full_interval():
@@ -246,7 +289,8 @@ def test_l_form_is_scaled_f_form_on_random_tables():
             l_val = inequality_l_form(table, t_mask, v_mask)
             scale = n - v_mask.bit_count() + t_mask.bit_count()
             assert f_val == 2**scale * l_val, (f.values, t_mask, v_mask)
-            assert cli._inequality_forms(f, t_mask, v_mask) == (f_val, l_val)
+            row = cli._inequality_row(n, t_mask, v_mask, f_val)
+            assert row["l_form"] == str(l_val), (f.values, t_mask, v_mask)
 
 
 def test_inequality_can_fail_off_eulerian_posets():

@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -170,12 +169,13 @@ def test_check_inequality_all_builds_l_forms_for_violations_only(run, monkeypatc
     from cdposets import cli
 
     made = []
+    printer = cli._dyadic_str
 
     def counted(*args):
         made.append(args)
-        return Fraction(*args)
+        return printer(*args)
 
-    monkeypatch.setattr(cli, "Fraction", counted)
+    monkeypatch.setattr(cli, "_dyadic_str", counted)
     code, out, _ = run("check-inequality", "chain(4)", "--all")
     data = json.loads(out)
     assert code == 1
@@ -532,6 +532,27 @@ def test_verify_all_passes(run):
             ],
         ),
         (
+            ["check-inequality", "chain(4)", "--all"],
+            1,
+            [
+                "checked 21 (T, V) pairs, 12 violations",
+                "T    V        f_form  l_form",
+                "---  -------  ------  ------",
+                "[1]  [1]      -1      -1/8  ",
+                "[2]  [2]      -1      -1/8  ",
+                "[2]  [1,2]    -1      -1/4  ",
+                "[1]  [1,2]    -1      -1/4  ",
+                "[3]  [3]      -1      -1/8  ",
+                "[1]  [1,3]    -1      -1/4  ",
+                "[3]  [1,3]    -1      -1/4  ",
+                "[3]  [2,3]    -1      -1/4  ",
+                "[2]  [2,3]    -1      -1/4  ",
+                "[3]  [1,2,3]  -1      -1/2  ",
+                "[2]  [1,2,3]  -1      -1/2  ",
+                "[1]  [1,2,3]  -1      -1/2  ",
+            ],
+        ),
+        (
             ["check-inequality", "boolean(4)", "--T", "[1]", "--V", "[1,2]"],
             0,
             [
@@ -573,6 +594,7 @@ def test_verify_all_passes(run):
         "check-eulerian-fail",
         "inequality-all-clean",
         "inequality-all-violations",
+        "inequality-all-violations-chain4",
         "inequality-pair-holds",
         "inequality-pair-fails",
         "flags",
