@@ -68,8 +68,8 @@ from .subsets import (
     subset_label,
 )
 
-MAX_LIMIT_INTERVALS = 20
-# bits of the masks a limit table may hold: 2^k unions as wide as the top rank
+# unions the steps may visit, and mask bits the unions they build may hold
+_LIMIT_VISITS = 1 << 20
 _LIMIT_TABLE_BITS = 1 << 30
 
 
@@ -88,30 +88,35 @@ def limit_l_vector(n: int, intervals: Sequence[Interval]) -> dict[int, int]:
     including entries that cancel to zero.  The empty union gives L of the
     empty set = 1.  The system need not be an even interval system.
 
-    Raises :class:`BudgetError` before any mask is built when the table
-    could hold more than 2^30 mask bits: (highest interval end) * 2^k.
+    Raises :class:`BudgetError` before a step builds its mask when the
+    unions the steps visit (the table sizes summed, bounding the time and
+    the table) pass 2^20, or the bits of the unions they build (each size
+    times the highest end so far, summed) pass 2^30.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if len(intervals) > MAX_LIMIT_INTERVALS:
-        raise BudgetError(
-            f"{len(intervals)} intervals exceed the limit of {MAX_LIMIT_INTERVALS}"
-        )
     for a, b in intervals:
         if not 1 <= a <= b <= n:
             raise ValueError(f"interval [{a}, {b}] not within [1, {n}]")
-    top = max((b for _, b in intervals), default=0)
-    bits = top << len(intervals)
-    if bits > _LIMIT_TABLE_BITS:
-        raise BudgetError(
-            f"limit_l_vector could hold {top} * 2^{len(intervals)} = {bits} mask "
-            f"bits, limit is 2^{_LIMIT_TABLE_BITS.bit_length() - 1}"
-        )
     # one inclusion-exclusion step per interval: the subfamilies that take
     # it flip the sign of those that do not and move to their union with
     # it; ranks a..b are bits a - 1..b - 1, and shifts keep any n exact
     table = {0: 1}
+    visits = bits = top = 0
     for a, b in intervals:
+        top = max(top, b)
+        visits += len(table)
+        bits += len(table) * top
+        if visits > _LIMIT_VISITS:
+            raise BudgetError(
+                f"limit_l_vector would visit {visits} unions, "
+                f"limit is 2^{_LIMIT_VISITS.bit_length() - 1}"
+            )
+        if bits > _LIMIT_TABLE_BITS:
+            raise BudgetError(
+                f"limit_l_vector would build {bits} mask bits, "
+                f"limit is 2^{_LIMIT_TABLE_BITS.bit_length() - 1}"
+            )
         mask = (1 << b) - (1 << (a - 1))
         for union, value in list(table.items()):
             table[union | mask] = table.get(union | mask, 0) - value

@@ -316,8 +316,6 @@ _LABEL_RANKS = 1 << 25
 
 def _cmd_limit_l(args):
     intervals = _parse_intervals(args.intervals)
-    if args.max_k is not None and len(intervals) > args.max_k:
-        raise BudgetError(f"{len(intervals)} intervals exceed --max-k {args.max_k}")
     table = limit_l_vector(args.n, intervals)
     ranks = sum(mask.bit_count() for mask in table)
     if ranks > _LABEL_RANKS:
@@ -565,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("limit-l", help="limit L table of an interval system")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--intervals", required=True, help='e.g. "[[1,2],[3,4]]"')
-    sub.add_argument("--max-k", type=int, default=None)
     _add_format_arg(sub, "json")
     sub.set_defaults(func=_cmd_limit_l)
 

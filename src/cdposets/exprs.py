@@ -328,17 +328,12 @@ def _replicated_chain(rank: int, replications) -> Node:
     return tree
 
 
-def _dp_tree(n: int, intervals, copies: int, require_even: bool = True) -> Node:
+def _dp_tree(n: int, intervals, copies: int) -> Node:
     if copies < 1:
         raise ValueError(f"copies must be at least 1, got {copies}")
-    if require_even:
-        diags = validate_even_interval_system(n, intervals)
-        if diags:
-            raise ValueError("bad interval system: " + "; ".join(diags))
-    else:
-        for a, b in intervals:
-            if not 1 <= a <= b <= n:
-                raise ValueError(f"interval [{a}, {b}] not within [1, {n}]")
+    diags = validate_even_interval_system(n, intervals)
+    if diags:
+        raise ValueError("bad interval system: " + "; ".join(diags))
     replications = [(a, b, copies + 1) for a, b in intervals]
     return Node("double", (_replicated_chain(n + 1, replications),))
 
@@ -377,7 +372,6 @@ def dp_poset(
     intervals: Sequence[Interval],
     copies: int,
     *,
-    require_even: bool = True,
     budget: int | None = None,
 ) -> RankedPoset:
     """Replicate each listed interval of the chain of rank n + 1 into
@@ -387,10 +381,10 @@ def dp_poset(
     interval system of k intervals the result is Eulerian with
     2^n * (copies + 1)^k maximal chains, and for the single system
     {[1, n]} the cd-index is (copies + 1) c^n - copies (cc - 2d)^{n/2},
-    so copies = 0 would be the doubled chain.  Set ``require_even=False``
-    to experiment with systems that fail validation.
+    so copies = 0 would be the doubled chain.  Other systems are built as
+    trees: {[1, 3]} at n = 4, copies = 1 is ``double(dni(chain(5),1,3,2))``.
     """
-    return build_poset(_dp_tree(n, intervals, copies, require_even), budget=budget)
+    return build_poset(_dp_tree(n, intervals, copies), budget=budget)
 
 
 def lemma2_poset(n: int, copies: int, *, budget: int | None = None) -> RankedPoset:

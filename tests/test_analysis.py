@@ -4,6 +4,7 @@ certificates, and the negative-coefficient witnesses."""
 import math
 import random
 import signal
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -78,19 +79,53 @@ def _random_system(rng, n):
     return intervals
 
 
+def _subfamily_table(intervals):
+    """The table straight from its definition, in masks: each subfamily
+    adds (-1)^size at its union, the subfamilies counted up in binary, so
+    the keys come in the order the unions are first met."""
+    unions = [0]  # the union of subfamily `pick` at index pick
+    for a, b in intervals:
+        unions += [u | (1 << b) - (1 << (a - 1)) for u in unions]
+    table = {}
+    for pick, union in enumerate(unions):
+        table[union] = table.get(union, 0) + (-1) ** pick.bit_count()
+    return table
+
+
+def _assert_same_table(got, want, system):
+    # entries that cancel to zero included, keys in the same order
+    assert got == want, system
+    assert list(got) == list(want), system
+
+
 def test_limit_l_sweep_matches_subfamily_oracle():
-    # the whole table, entries that cancel to zero included, with its keys
-    # first met in the order the subfamilies count up in binary
     rng = random.Random(17)
     for trial in range(300):
         n = trial % 12 + 1
         intervals = _random_system(rng, n)
         got = limit_l_vector(n, intervals)
         assert to_sets(got) == oracles.limit_l(n, intervals), (n, intervals)
-        unions = [0]  # the union of subfamily `pick` at index pick
-        for a, b in intervals:
-            unions += [u | full_mask(b) & ~full_mask(a - 1) for u in unions]
-        assert list(got) == list(dict.fromkeys(unions)), (n, intervals)
+        _assert_same_table(got, _subfamily_table(intervals), (n, intervals))
+
+
+def test_limit_l_sweep_of_wide_and_long_systems():
+    # systems of up to 20 intervals and ranks up to 2^22; each keeps
+    # top * 2^k within 2^22, so its 2^k subfamily unions stay small
+    rng = random.Random(18)
+    for trial in range(60):
+        k = rng.choice([0, 1, 2, 4, 8, 12, 16]) if trial else 20
+        n = rng.randint(1, 1 << 22)
+        top = rng.randint(1, min(n, (1 << 22) >> k))
+        intervals = []
+        for _ in range(k):
+            if intervals and rng.random() < 0.25:
+                intervals.append(rng.choice(intervals))
+            else:
+                a = rng.randint(1, top)
+                intervals.append((a, rng.randint(a, top)))
+        _assert_same_table(
+            limit_l_vector(n, intervals), _subfamily_table(intervals), (n, intervals)
+        )
 
 
 def _raise_timeout(signum, frame):
@@ -103,6 +138,10 @@ def test_limit_l_of_repeated_intervals_follows_the_unions():
     signal.setitimer(signal.ITIMER_REAL, 0.5)
     try:
         assert limit_l_vector(1, [(1, 1)] * 20) == {0: 1, 1: -1}
+        # and no bound on the intervals or their ends follows 2^k
+        assert limit_l_vector(4, [(1, 2)] * 21) == {0: 1, 0b11: -1}
+        top = (1 << 20) + 1
+        assert limit_l_vector(top, [(top, top)] * 10) == {0: 1, 1 << (top - 1): -1}
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -126,19 +165,52 @@ def test_limit_l_rejects_bad_interval():
         limit_l_vector(3, [(2, 4)])
 
 
-def test_limit_table_bits_are_bounded_before_the_masks():
-    # up to 2^k unions as wide as the highest end: 2^20 * 2^10 bits is the
-    # limit, and the ten equal intervals leave two unions
-    top = 1 << 20
-    assert limit_l_vector(top, [(top, top)] * 10) == {0: 1, 1 << (top - 1): -1}
+def test_limit_l_visits_are_bounded(monkeypatch):
+    from cdposets import analysis
+
+    # 10^6 equal intervals visit two unions a step: refused one past 2^20
     with pytest.raises(BudgetError) as info:
-        limit_l_vector(top + 1, [(top + 1, top + 1)] * 10)
-    assert str(info.value) == (
-        "limit_l_vector could hold 1048577 * 2^10 = 1073742848 mask bits, limit is 2^30"
-    )
-    # a bad interval is named before the bound is checked
+        limit_l_vector(1, [(1, 1)] * 10**6)
+    assert str(info.value) == "limit_l_vector would visit 1048577 unions, limit is 2^20"
+    # both sides of the limit, lowered: the tables have 2, 2, ..., 3, 3
+    # entries before the steps, 16 visits in all, then 19
+    monkeypatch.setattr(analysis, "_LIMIT_VISITS", 1 << 4)
+    system = [(1, 1)] * 6 + [(1, 2)] * 2
+    assert limit_l_vector(2, system) == {0: 1, 1: -1, 0b11: 0}
+    with pytest.raises(BudgetError) as info:
+        limit_l_vector(2, system + [(1, 1)])
+    assert str(info.value) == "limit_l_vector would visit 19 unions, limit is 2^4"
+
+
+def test_limit_table_bits_are_bounded_before_the_masks(monkeypatch):
+    from cdposets import analysis
+
+    top = (1 << 30) + 1
+    with pytest.raises(BudgetError) as info:
+        limit_l_vector(top, [(top, top)])
+    assert str(info.value) == "limit_l_vector would build 1073741825 mask bits, limit is 2^30"
+    # both sides of the limit, lowered: each step counts the size of the
+    # table times the highest end so far, 1 * 1 + 2 * 511 bits, then 1025
+    monkeypatch.setattr(analysis, "_LIMIT_TABLE_BITS", 1 << 10)
+    assert limit_l_vector(1024, [(1024, 1024)]) == {0: 1, 1 << 1023: -1}
+    assert limit_l_vector(1024, [(1, 1), (511, 511)]) == {
+        0: 1, 1: -1, 1 << 510: -1, 1 << 510 | 1: 1
+    }
+    for system in ([(1025, 1025)], [(1, 1), (512, 512)]):
+        with pytest.raises(BudgetError) as info:
+            limit_l_vector(1025, system)
+        assert str(info.value) == "limit_l_vector would build 1025 mask bits, limit is 2^10"
+    # the refused step's mask, 1.25 MB, is never built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            limit_l_vector(10**7, [(1, 10**7)])
+        assert tracemalloc.get_traced_memory()[1] < 10**5
+    finally:
+        tracemalloc.stop()
+    # the intervals are all checked before the first step
     with pytest.raises(ValueError, match=r"^interval \[1, 5\] not within \[1, 4\]$"):
-        limit_l_vector(4, [(1, 5)] + [(1, 4)] * 19)
+        limit_l_vector(4, [(1, 4)] * 10**6 + [(1, 5)])
 
 
 def test_halved_two_system_sum():

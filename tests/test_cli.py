@@ -214,27 +214,37 @@ def _limit_json(n, entries):
     return json.dumps({"entries": entries, "n": n}, sort_keys=True, indent=2) + "\n"
 
 
-def test_limit_l_table_bound(run):
-    # the table may hold 2^30 mask bits: (highest end) * 2^k
-    top = 1 << 20
+def test_limit_l_table_bound(run, monkeypatch):
+    from cdposets import analysis
+
+    # ten intervals at rank 2^20 + 1 leave two unions of 2^20 + 1 bits
+    top = (1 << 20) + 1
     argv = ["limit-l", "--n", str(top), "--intervals", json.dumps([[top, top]] * 10)]
     assert run(*argv) == (0, _limit_json(top, {"[]": 1, f"[{top}]": -1}), "")
-    top += 1
-    argv = ["limit-l", "--n", str(top), "--intervals", json.dumps([[top, top]] * 10)]
+    # the unions built may hold 2^30 mask bits
+    top = (1 << 30) + 1
+    argv = ["limit-l", "--n", str(top), "--intervals", json.dumps([[top, top]])]
     assert run(*argv) == (
-        2,
-        "",
-        "error: limit_l_vector could hold 1048577 * 2^10 = 1073742848 mask bits, "
-        "limit is 2^30\n",
+        2, "", "error: limit_l_vector would build 1073741825 mask bits, limit is 2^30\n"
+    )
+    # and may visit 2^20 unions; both sides, lowered: 16 visits, then 19
+    monkeypatch.setattr(analysis, "_LIMIT_VISITS", 1 << 4)
+    system = [[1, 1]] * 6 + [[1, 2]] * 2
+    argv = ["limit-l", "--n", "2", "--intervals"]
+    assert run(*argv, json.dumps(system)) == (
+        0, _limit_json(2, {"[]": 1, "[1]": -1, "[1,2]": 0}), ""
+    )
+    assert run(*argv, json.dumps(system + [[1, 1]])) == (
+        2, "", "error: limit_l_vector would visit 19 unions, limit is 2^4\n"
     )
 
 
 @pytest.mark.parametrize(
     "n,intervals,message",
     [
-        (10**9, [[1, 10**9]], "1000000000 * 2^1 = 2000000000"),
+        (10**9, [[1, 10**9]], "limit-l labels would list 1000000000 ranks, limit is 2^25"),
         (50000, [[49999 - 2 * k, 50000 - 2 * k] for k in range(20)],
-         "50000 * 2^20 = 52428800000"),
+         "limit_l_vector would build 1638350000 mask bits, limit is 2^30"),
     ],
     ids=["one-interval-1e9", "twenty-at-the-top"],
 )
@@ -242,8 +252,7 @@ def test_limit_l_refuses_wide_tables_quickly(run, n, intervals, message):
     start = time.perf_counter()
     code, out, err = run("limit-l", "--n", str(n), "--intervals", json.dumps(intervals))
     assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert err == f"error: limit_l_vector could hold {message} mask bits, limit is 2^30\n"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_limit_l_label_bound(run, monkeypatch):
@@ -270,12 +279,12 @@ def test_limit_l_label_bound(run, monkeypatch):
     )
 
 
-def test_limit_l_max_k_budget(run):
-    code, _, err = run(
+def test_limit_l_has_no_max_k(run):
+    code, out, err = run(
         "limit-l", "--n", "4", "--intervals", "[[1,2],[3,4]]", "--max-k", "1"
     )
-    assert code == 2
-    assert "max-k" in err
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --max-k 1\n")
 
 
 def test_limit_l_rejects_malformed_intervals(run):
@@ -863,8 +872,9 @@ def test_non_ascii_characters_are_parse_errors(run, argv, offset):
          "all parts must share one rank, got 3 and 2"),
         (["build", "glue([chain(2)],[[0,2,5]])"], "part 0 glue ranks [0, 2, 5] outside [0, 2]"),
         (["build", "boolean(0)"], "boolean rank must be at least 1, got 0"),
-        (["limit-l", "--n", "4", "--intervals", json.dumps([[1, 2]] * 21)],
-         "21 intervals exceed the limit of 20"),
+        (["limit-l", "--n", str(2**31),
+          "--intervals", json.dumps([[1, 2]] * 20 + [[1, 2**31]])],
+         "limit_l_vector would build 4294967374 mask bits, limit is 2^30"),
         (["limit-l", "--n", "4", "--intervals", "[[1,2]"],
          "bad interval list '[[1,2]': Expecting ',' delimiter: line 1 column 7 (char 6)"),
         (["limit-l", "--n", "4", "--intervals", "{}"],

@@ -404,9 +404,6 @@ def test_dp_rejects_bad_systems():
         dp_poset(4, [(1, 3)], 2)
     with pytest.raises(ValueError):
         dp_poset(4, [(1, 2)], 0)
-    # bypass flag lets invalid systems through for experiments
-    p = dp_poset(4, [(1, 3)], 1, require_even=False)
-    assert p.validate() == []
 
 
 def test_dp_is_eulerian_for_all_small_systems():

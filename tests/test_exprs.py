@@ -257,15 +257,15 @@ DP_CASES = [
 ]
 
 
-def same_for_every_budget(family, *args, **kwargs):
+def same_for_every_budget(family, *args):
     """The library and the direct construction give equal posets, or the
     same (exception type, message), for every budget from 1 to the size
     of the poset."""
     tree, direct = FAMILIES[family]
-    size = direct(*args, **kwargs).num_elements
+    size = direct(*args).num_elements
     for budget in range(1, size + 1):
-        expected = outcome(lambda: direct(*args, **kwargs, budget=budget))
-        assert outcome(lambda: tree(*args, **kwargs, budget=budget)) == expected, budget
+        expected = outcome(lambda: direct(*args, budget=budget))
+        assert outcome(lambda: tree(*args, budget=budget)) == expected, budget
 
 
 @pytest.mark.parametrize("n,system,copies", DP_CASES)
@@ -278,10 +278,16 @@ def test_dp_tree_matches_direct_construction(n, system, copies):
 
 
 def test_dp_tree_without_the_even_check():
-    assert dp_poset(4, [(1, 3)], 1, require_even=False) == oracles.dp_poset(
-        4, [(1, 3)], 1, require_even=False
-    )
-    same_for_every_budget("dp", 4, [(1, 3)], 1, require_even=False)
+    # a system that fails the even check is built as its primitive tree
+    text = "double(dni(chain(5),1,3,2))"
+
+    def direct(budget=None):
+        return oracles.dp_poset(4, [(1, 3)], 1, require_even=False, budget=budget)
+
+    assert build(text) == direct()
+    for budget in range(1, direct().num_elements + 1):
+        expected = outcome(lambda: direct(budget))
+        assert outcome(lambda: build_poset(parse_expression(text), budget=budget)) == expected
 
 
 @pytest.mark.parametrize("n,copies", [(7, 1), (7, 2), (9, 1), (9, 2)])
@@ -307,7 +313,7 @@ def test_lemma3_tree_matches_direct_construction(copies):
         ("dp", (4, [(1, 3)], 0), {}),
         ("dp", (4, [(0, 5)], -1), {}),
         ("dp", (6, [(1, 4), (2, 3), (1, 4), (4, 5)], 1), {}),
-        ("dp", (4, [(1, 3), (2, 5)], 1), {"require_even": False}),
+        ("dp", (4, [(1, 3), (2, 5)], 1), {}),
         ("lemma2", (6, 0), {}),
         ("lemma2", (5, 2), {}),
         ("lemma2", (7, 0), {}),
