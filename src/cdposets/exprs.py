@@ -439,7 +439,7 @@ def _sized_flag_vector(node: Node, budget: int | None) -> tuple[list[int], FlagV
     n = len(plan.sizes) - 2
     check_flag_ranks(n)
     dtype = np.int64 if plan.chains < _INT64_SAFE else object
-    return plan.sizes, FlagVector(n, plan.table(dtype).tolist())
+    return plan.sizes, FlagVector._from_array(n, plan.table(dtype))
 
 
 def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
@@ -503,7 +503,7 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
         return _Plan(
             layout.sizes,
             poset.count_maximal_chains(),
-            lambda dtype: np.array(flag_vector(poset).values, dtype),
+            lambda dtype: flag_vector(poset).array.astype(dtype),
             lambda: poset,
         )
     raise ValueError(f"unknown node kind {kind!r}")

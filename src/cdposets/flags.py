@@ -40,12 +40,14 @@ h and L transforms are butterflies over the n bits of the mask; a stage
 maps (a, b) to (a, b - a), (a, b + a) or, for L, (b, 2a - b), so it grows
 the largest absolute value by at most a factor 2, 2 or 3.  They run in
 int64 when 2^n, respectively 3^n, times the largest input stays below
-2^63, and in Python integers otherwise.
+2^63, and in Python integers otherwise.  Each result is held as it comes
+out, an int64 array when every entry fits (see :class:`FlagVector`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -70,23 +72,77 @@ MAX_FLAG_RANKS = 20
 _TABLE_ENTRIES = 1 << 22
 
 
-class FlagVector:
+class _IntTable:
+    """2^n exact integers indexed by the masks of the proper ranks, held
+    as one read-only ndarray, :attr:`array`: int64 when every entry fits
+    and otherwise an object array of Python ints, never a dtype numpy
+    infers.  The subclass gives the entries as a tuple of Python ints too,
+    a ``cached_property`` built on first read: later reads find it in the
+    instance dict with no call, which matters to the inequality sweep,
+    one read per (T, V) pair.  A ``property`` would call a function on
+    every read, and a ``__getattr__`` slows the reads of every attribute."""
+
+    __slots__ = ("n", "array", "__dict__")
+
+    @classmethod
+    def _from_array(cls, n: int, array: np.ndarray):
+        """The table holding ``array``, an int64 array or an object array
+        of Python ints that no one else writes to; it is not copied."""
+        table = cls.__new__(cls)
+        table._fill(n, array)
+        return table
+
+    def _fill(self, n: int, array: np.ndarray) -> None:
+        if array.dtype == object:
+            try:
+                array = array.astype(np.int64)
+            except OverflowError:
+                pass
+        array.setflags(write=False)
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "array", array)
+        if len(array) != 1 << self.n:
+            raise ValueError(f"expected {1 << self.n} entries, got {len(array)}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self.array.tolist())))
+
+
+def _exact_array(entries: Iterable[int]) -> np.ndarray:
+    """``int(e)`` for each entry, as an int64 array when all of them fit
+    and as an object array otherwise."""
+    ints = list(map(int, entries))
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
+class FlagVector(_IntTable):
     """Dense table over all 2^n subsets of the proper ranks.
 
     Also used as the container for the signed h table, which shares the
-    indexing.  Entries are exact Python integers.
+    indexing.  Entries are exact: :attr:`array` holds them (see
+    :class:`_IntTable`), and ``values``, indexing and :meth:`items` give
+    them as Python ints.
     """
 
-    __slots__ = ("n", "values")
+    __slots__ = ()
 
     def __init__(self, n: int, values: Iterable[int]):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "values", tuple(map(int, values)))
-        if len(self.values) != 1 << self.n:
-            raise ValueError(f"expected {1 << self.n} entries, got {len(self.values)}")
+        self._fill(n, _exact_array(values))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FlagVector is immutable")
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     def __getitem__(self, key: int | Iterable[int]) -> int:
         return self.values[as_mask(key)]
@@ -94,16 +150,8 @@ class FlagVector:
     def items(self):
         return enumerate(self.values)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FlagVector):
-            return NotImplemented
-        return self.n == other.n and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.values))
-
     def __repr__(self) -> str:
-        return f"FlagVector(n={self.n}, {len(self.values)} entries)"
+        return f"FlagVector(n={self.n}, {len(self.array)} entries)"
 
     def to_dict(self) -> dict[str, str]:
         """Subset label -> decimal string, all 2^n entries."""
@@ -117,16 +165,17 @@ class FlagVector:
         return cls(n, values)
 
 
-class LVector:
+class LVector(_IntTable):
     """Rational table over all 2^n subsets whose denominators divide 2^n.
 
-    Stored as the integer ``numerators`` 2^n * L_Q; ``values``, indexing,
-    :meth:`items` and :meth:`nonzero` give exact
+    Stored as the integer numerators 2^n * L_Q in :attr:`array` (see
+    :class:`_IntTable`), and as Python ints in ``numerators``; ``values``,
+    indexing, :meth:`items` and :meth:`nonzero` give exact
     :class:`~fractions.Fraction` values, and :meth:`to_dict` their strings,
     written from the numerators.
     """
 
-    __slots__ = ("n", "numerators")
+    __slots__ = ()
 
     def __init__(self, n: int, values: Iterable[Fraction]):
         scale = 1 << int(n)
@@ -139,25 +188,16 @@ class LVector:
                     f"not dividing 2^{n}"
                 )
             numerators.append(value.numerator * (scale // value.denominator))
-        self._set(n, numerators)
+        self._fill(n, _exact_array(numerators))
 
     @classmethod
     def from_numerators(cls, n: int, numerators: Iterable[int]) -> "LVector":
         """The table with entries numerators[Q] / 2^n."""
-        table = cls.__new__(cls)
-        table._set(n, numerators)
-        return table
+        return cls._from_array(n, _exact_array(numerators))
 
-    def _set(self, n: int, numerators: Iterable[int]) -> None:
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "numerators", tuple(map(int, numerators)))
-        if len(self.numerators) != 1 << self.n:
-            raise ValueError(
-                f"expected {1 << self.n} entries, got {len(self.numerators)}"
-            )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LVector is immutable")
+    @cached_property
+    def numerators(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -170,28 +210,24 @@ class LVector:
     def items(self):
         return enumerate(self.values)
 
+    def _nonzero_numerators(self):
+        """(mask, numerator) of the nonzero entries, masks increasing."""
+        masks = np.flatnonzero(self.array)
+        return zip(masks.tolist(), self.array[masks].tolist())
+
     def nonzero(self):
         scale = 1 << self.n
-        return [(m, Fraction(v, scale)) for m, v in enumerate(self.numerators) if v]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LVector):
-            return NotImplemented
-        return self.n == other.n and self.numerators == other.numerators
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.numerators))
+        return [(m, Fraction(v, scale)) for m, v in self._nonzero_numerators()]
 
     def __repr__(self) -> str:
-        nonzero = sum(1 for v in self.numerators if v)
-        return f"LVector(n={self.n}, {nonzero} nonzero)"
+        return f"LVector(n={self.n}, {np.count_nonzero(self.array)} nonzero)"
 
     def to_dict(self) -> dict:
         """n plus the nonzero entries as exact rational strings."""
         n = self.n
-        entries = [(m, v) for m, v in enumerate(self.numerators) if v]
+        entries = list(self._nonzero_numerators())
         # an entry of subset_labels costs about an eighth of a subset_label call
-        if 8 * len(entries) > len(self.numerators):
+        if 8 * len(entries) > len(self.array):
             label = subset_labels(n).__getitem__
         else:
             label = subset_label
@@ -258,7 +294,8 @@ def _computed_flag_vector(poset: RankedPoset) -> FlagVector:
         values[mask :: 1 << split] = _batched_counts(poset, comparability, at, vec, split)
         for s in range(at + 1, split + 1):
             stack.append((s, vec @ comparability(at, s), mask | 1 << (s - 1)))
-    return FlagVector(n, values.tolist())
+    # a float table is exact below 2^53, so its int64 copy is too
+    return FlagVector._from_array(n, values if dtype is object else values.astype(np.int64))
 
 
 def reversed_table(table: np.ndarray) -> np.ndarray:
@@ -298,17 +335,15 @@ def _batched_counts(
 
 
 def _butterfly_table(flags: FlagVector, growth: int) -> np.ndarray:
-    """The entries as an int64 array when n butterfly stages, each growing
-    the largest absolute value by at most ``growth``, stay below 2^63, and
-    as a Python-integer array otherwise."""
-    try:
-        table = np.array(flags.values, dtype=np.int64)
-    except OverflowError:
-        return np.array(flags.values, dtype=object)
-    largest = max(int(table.max()), -int(table.min()))
-    if growth**flags.n * largest < 2**63:
-        return table
-    return table.astype(object)
+    """A copy of the entries to transform in place: int64 when n butterfly
+    stages, each growing the largest absolute value by at most ``growth``,
+    stay below 2^63, and a Python-integer array otherwise."""
+    table = flags.array
+    if table.dtype == np.int64:
+        largest = max(int(table.max()), -int(table.min()))
+        if growth**flags.n * largest >= 2**63:
+            return table.astype(object)
+    return table.copy()
 
 
 def _stages(table: np.ndarray, n: int):
@@ -324,7 +359,7 @@ def flag_h(flags: FlagVector) -> FlagVector:
     table = _butterfly_table(flags, 2)
     for low, high in _stages(table, flags.n):
         high -= low
-    return FlagVector(flags.n, table.tolist())
+    return FlagVector._from_array(flags.n, table)
 
 
 def flag_from_h(h: FlagVector) -> FlagVector:
@@ -332,7 +367,7 @@ def flag_from_h(h: FlagVector) -> FlagVector:
     table = _butterfly_table(h, 2)
     for low, high in _stages(table, h.n):
         high += low
-    return FlagVector(h.n, table.tolist())
+    return FlagVector._from_array(h.n, table)
 
 
 def l_vector(flags: FlagVector) -> LVector:
@@ -345,7 +380,7 @@ def l_vector(flags: FlagVector) -> LVector:
     table = _butterfly_table(flags, 3)
     for low, high in _stages(table, flags.n):
         low[...], high[...] = high, 2 * low - high
-    return LVector.from_numerators(flags.n, table.tolist())
+    return LVector._from_array(flags.n, table)
 
 
 # -- cd words and polynomials ------------------------------------------
@@ -610,9 +645,7 @@ def cd_from_l(table: LVector) -> CdPolynomial:
     for _ in range(n // 2):
         runs.append([(p + w, pc * c) for p, pc in (("cc", 1), ("d", -2)) for w, c in runs[-1]])
     sums: dict[str, int] = {}
-    for mask, a in enumerate(table.numerators):
-        if not a:
-            continue
+    for mask, a in table._nonzero_numerators():
         # one scan both proves Q even and gives the runs to expand
         mask_runs = maximal_runs(mask)
         if any((high - low + 1) % 2 for low, high in mask_runs):

@@ -40,8 +40,9 @@ operands of every product, the flag vector's included;
 call, and public results are exact integers.
 
 Each poset also caches its flag table once :func:`~cdposets.flags.flag_vector`
-has computed it: one :class:`~cdposets.flags.FlagVector` of 2^n Python
-ints, n = rank - 1, held for as long as the poset lives.
+has computed it: one :class:`~cdposets.flags.FlagVector`, whose 2^n
+entries, n = rank - 1, are one read-only int64 array (Python ints from
+2^63 on), held for as long as the poset lives.
 :meth:`RankedPoset.dual` hands the dual the bit reversal of a held table,
 since f_S(P*) = f_(n+1-S)(P), so the dual's table takes no matrix
 products.  Equality and hashing do not read the cache.
@@ -349,8 +350,8 @@ class RankedPoset:
         if self._flags is not None:
             from .flags import FlagVector, reversed_table  # flags imports this module
 
-            table = reversed_table(np.array(self._flags.values, dtype=object))
-            object.__setattr__(dual, "_flags", FlagVector(self.n, table.tolist()))
+            table = reversed_table(self._flags.array)
+            object.__setattr__(dual, "_flags", FlagVector._from_array(self.n, table))
         return dual
 
     def comparability(self, r1: int, r2: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 Exit-code contract: 0 success, 1 failed mathematical check, 2 usage error.
 """
 
+import itertools
 import json
 import os
 import shutil
@@ -763,6 +764,30 @@ def test_budget_trip_above_a_large_lattice_is_quick(run):
     assert err == (
         "error: replicate_interval would have 1004779 elements, budget is 1000000\n"
     )
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_cd_index_and_l_vector_at_the_flag_rank_limit(run, copies):
+    # dp(20, {[1,2], ..., [19,20]}, N) has 20 proper ranks, the most the
+    # flag budget accepts: each pair contributes cc + 2N d, and L_Q is
+    # (-N)^|K| (N+1)^(10-|K|) on the union Q of any set K of pairs, 0
+    # elsewhere.  N = 3 takes the Python-integer L transform.
+    pairs = [[2 * i + 1, 2 * i + 2] for i in range(10)]
+    text = f"dp(20,{json.dumps(pairs, separators=(',', ':'))},{copies})"
+    terms, entries = {}, {}
+    for chosen in itertools.product([False, True], repeat=10):
+        k = sum(chosen)
+        terms["".join("d" if c else "cc" for c in chosen)] = (2 * copies) ** k
+        label = json.dumps([r for c, p in zip(chosen, pairs) if c for r in p], separators=(",", ":"))
+        entries[label] = str((-copies) ** k * (copies + 1) ** (10 - k))
+    start = time.perf_counter()
+    code, out, err = run("cd-index", text)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 20, "terms": terms}
+    code, out, err = run("l-vector", text)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 20, "entries": entries}
+    assert time.perf_counter() - start < 20
 
 
 def _wide_word_json():

@@ -306,29 +306,35 @@ def test_lemma3_tree_matches_direct_construction(copies):
     same_for_every_budget("lemma3", copies)
 
 
+_FAMILY_ARGUMENT_ERRORS = [
+    ("dp", (4, [(1, 3)], 1)),
+    ("dp", (4, [(1, 3)], 0)),
+    ("dp", (4, [(0, 5)], -1)),
+    ("dp", (6, [(1, 4), (2, 3), (1, 4), (4, 5)], 1)),
+    ("dp", (4, [(1, 3), (2, 5)], 1)),
+    ("lemma2", (6, 0)),
+    ("lemma2", (5, 2)),
+    ("lemma2", (7, 0)),
+    ("lemma2", (9, -3)),
+    ("lemma3", (0,)),
+    ("lemma3", (-2,)),
+]
+
+
+# the ids the cases have always had: pytest generated them from a third
+# column of keyword arguments, since removed
 @pytest.mark.parametrize(
-    "family,args,kwargs",
-    [
-        ("dp", (4, [(1, 3)], 1), {}),
-        ("dp", (4, [(1, 3)], 0), {}),
-        ("dp", (4, [(0, 5)], -1), {}),
-        ("dp", (6, [(1, 4), (2, 3), (1, 4), (4, 5)], 1), {}),
-        ("dp", (4, [(1, 3), (2, 5)], 1), {}),
-        ("lemma2", (6, 0), {}),
-        ("lemma2", (5, 2), {}),
-        ("lemma2", (7, 0), {}),
-        ("lemma2", (9, -3), {}),
-        ("lemma3", (0,), {}),
-        ("lemma3", (-2,), {}),
-    ],
+    "family,args",
+    _FAMILY_ARGUMENT_ERRORS,
+    ids=[f"{family}-args{k}-kwargs{k}" for k, (family, _) in enumerate(_FAMILY_ARGUMENT_ERRORS)],
 )
-def test_family_argument_errors_match_direct_construction(family, args, kwargs):
+def test_family_argument_errors_match_direct_construction(family, args):
     tree, direct = FAMILIES[family]
     # the arguments are checked before any budget
     for budget in (None, 1):
-        expected = outcome(lambda: direct(*args, **kwargs, budget=budget))
+        expected = outcome(lambda: direct(*args, budget=budget))
         assert expected[0] is ValueError
-        assert outcome(lambda: tree(*args, **kwargs, budget=budget)) == expected
+        assert outcome(lambda: tree(*args, budget=budget)) == expected
 
 
 @pytest.mark.parametrize("text", ["lemma2(7, 2)", "lemma3(3)", "join(boolean(2), lemma3(2))"])

@@ -32,9 +32,12 @@ from cdposets import (
     flag_h,
     flag_vector,
     horizontal_double,
+    inequality_f_form,
+    inequality_l_form,
+    inequality_pairs,
     l_vector,
 )
-from cdposets.exprs import build_poset, parse_expression
+from cdposets.exprs import build_poset, flag_vector_of, parse_expression
 from cdposets.subsets import as_mask, is_even_set, ranks_from_mask, subset_label
 
 import oracles
@@ -225,7 +228,8 @@ def test_equality_and_hash_ignore_the_cached_table():
 
 def _assert_handed_dual_table_is_the_dual_table(p: RankedPoset, monkeypatch) -> None:
     """p's dual, taken once p holds its table, computes none of its own and
-    holds the table that a rebuilt dual computes by matrix products."""
+    holds the table that a rebuilt dual computes by matrix products, in
+    the dtype of p's table."""
     flag_vector(p)
     with monkeypatch.context() as patch:
         computed = _count_computed(patch)
@@ -236,12 +240,18 @@ def _assert_handed_dual_table_is_the_dual_table(p: RankedPoset, monkeypatch) -> 
         assert rebuilt._flags is None
         assert flag_vector(handed) == flag_vector(rebuilt)
         assert computed == [rebuilt]
+    held = [p._flags.array, handed._flags.array, rebuilt._flags.array]
+    assert {a.dtype for a in held} == {p._flags.array.dtype}
+    assert not any(a.flags.writeable for a in held)
+    assert handed._flags.values == rebuilt._flags.values
 
 
 def test_handed_dual_tables_on_the_corpus(monkeypatch, corpus):
     assert len(corpus) == 176
     for _, p in corpus:
-        _assert_handed_dual_table_is_the_dual_table(_fresh(p), monkeypatch)
+        p = _fresh(p)
+        _assert_handed_dual_table_is_the_dual_table(p, monkeypatch)
+        assert p._flags.array.dtype == np.int64
 
 
 @pytest.mark.parametrize("doubles, rank", [(4, 15), (5, 14)])
@@ -254,6 +264,8 @@ def test_handed_dual_table_past_2_to_53_chains(monkeypatch, doubles, rank):
     assert p.count_maximal_chains() == chains >= flags_mod._FLOAT64_EXACT
     _assert_handed_dual_table_is_the_dual_table(p, monkeypatch)
     assert max(flag_vector(p.dual()).values) == chains
+    # 2^56 fits in int64, 2^65 does not
+    assert p._flags.array.dtype == (np.int64 if chains < 2**63 else object)
 
 
 def test_split_rank_is_least_that_fits():
@@ -351,6 +363,80 @@ def test_l_vector_numerators_hash_and_denominators():
             LVector(2, [0, 0, bad, 0])
     with pytest.raises(ValueError):
         LVector.from_numerators(2, [1, 2, 3])
+
+
+# -- exact entries of the held arrays -------------------------------------
+
+# the ends of int64 and the integers just past them
+_INT64_EDGES = [2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1]
+
+
+@pytest.mark.parametrize("edge", _INT64_EDGES)
+def test_entries_at_the_ends_of_int64_round_trip_exactly(edge):
+    values = [edge, 0, -1, edge]
+    dtype = np.int64 if -(2**63) <= edge < 2**63 else object
+    f = FlagVector(2, values)
+    assert f.values == tuple(values) and f.array.dtype == dtype
+    assert hash(f) == hash((2, tuple(values)))
+    parsed = FlagVector.from_dict(2, f.to_dict())
+    assert parsed == f and parsed.values == tuple(values) and parsed.array.dtype == dtype
+    table = LVector.from_numerators(2, values)
+    assert table.numerators == tuple(values) and table.array.dtype == dtype
+    assert hash(table) == hash((2, tuple(values)))
+    # l_vector is the identity at n = 0 and maps (a, b) to (b, 2a - b) at
+    # n = 1, where 3 times the largest entry passes 2^63, so it runs on
+    # Python ints; results that fit come back as int64 arrays
+    for flags in FlagVector(0, [edge]), FlagVector(1, [edge, edge]):
+        table = l_vector(flags)
+        assert table.numerators == flags.values and table.array.dtype == dtype
+        assert all(type(v) is int for v in table.numerators)
+
+
+@pytest.fixture(scope="module")
+def tables_by_route():
+    """(flag table, its dtype, whether the poset is Eulerian), the table made
+    each way: from an expression tree in int64 and in Python ints, from the
+    float matrix products, and from the Python-integer products."""
+    text = "dp(6,[[1,2],[3,6]],2)"
+    # 2^8 * 20001^4 and 2^65 maximal chains, past 2^63
+    huge = "dp(8,[[1,2],[3,4],[5,6],[7,8]],20000)"
+    doubles = build_poset(parse_expression("double(" * 5 + "chain(14)" + ")" * 5))
+    return [
+        (flag_vector_of(parse_expression(text)), np.int64, True),
+        (flag_vector(build_poset(parse_expression(text))), np.int64, True),
+        (flag_vector_of(parse_expression(huge)), object, True),
+        (flag_vector(doubles), object, False),
+    ]
+
+
+def test_every_accessor_gives_python_ints(tables_by_route):
+    for f, dtype, eulerian in tables_by_route:
+        assert f.array.dtype == dtype
+        table = l_vector(f)
+        ints = [*f.values, *flag_h(f).values, *table.numerators, f[0], f[f.n]]
+        ints += [v for _, v in f.items()]
+        fractions = [*table.values, table[0], *(v for _, v in table.items())]
+        fractions += [v for _, v in table.nonzero()]
+        pairs = list(inequality_pairs(f.n))[::97]
+        ints += [inequality_f_form(f, t, v) for t, v in pairs]
+        fractions += [inequality_l_form(table, t, v) for t, v in pairs]
+        if eulerian:
+            ints += list(cd_from_l(table).terms.values())
+        ints += [q.numerator for q in fractions] + [q.denominator for q in fractions]
+        assert {type(v) for v in ints} == {int}
+        assert f.values is f.values and table.numerators is table.numerators
+
+
+def test_held_arrays_are_read_only_and_transforms_leave_their_input(tables_by_route):
+    for f, _, _ in tables_by_route:
+        before = f.array.copy()
+        made = [f, flag_h(f), flag_from_h(f), l_vector(f), FlagVector(f.n, f.values)]
+        made.append(LVector.from_numerators(f.n, f.values))
+        for table in made:
+            assert not table.array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f.array[0] = 0
+        assert f.array.dtype == before.dtype and np.array_equal(f.array, before)
 
 
 def test_l_vector_boolean3_values():
