@@ -14,16 +14,21 @@ Output is deterministic: JSON with sorted keys, or fixed-width tables,
 rendered only when ``--format table`` asks for them.
 
 The JSON is exactly ``json.dumps(obj, sort_keys=True, indent=2)``, but
-:func:`_json_text` writes it without that call wherever a dict's keys are
-all plain (ASCII, printable, above '"', no backslash), as subset labels
-and cd words are: json indents only in its Python encoder and sorts
-(key, value) pairs, which cost more than computing a 2^n table.  The
-values of such a table are rendered by one call of json's C encoder, in
-table order, each entry becomes one line, and the lines are sorted as
-strings, which orders plain keys as sorting the keys does.  A list of
-scalars, or of lists of scalars as the cover pairs of ``build`` are, is
-one call of the C encoder too.  Any other object is json's own output.
-A table form is printed as one string.
+:func:`_json_text` writes it without that call wherever it can: json
+indents only in its Python encoder and sorts (key, value) pairs, which
+cost more than computing a 2^n table.  ``flags`` and ``l-vector`` return
+the table itself.  A 2^n flag table lists the same labels in the same
+order for every table of n ranks, so its JSON is one ``%`` of a template
+cached per n (:func:`_flag_template`) with its entries in label order, and
+an L table takes its nonzero entries in that order too, or sorts the lines
+of a few.  Any other dict whose keys are all plain (ASCII, printable,
+above '"', no backslash), as subset labels and cd words are, has its
+scalar values rendered by one call of json's C encoder, in table order;
+each entry becomes one line, and the lines are sorted as strings, which
+orders plain keys as sorting the keys does.  A list of scalars, or of
+lists of scalars as the cover pairs of ``build`` are, is one call of the
+C encoder too.  Any other object is json's own output.  A table form is
+printed as one string.
 
 Exit codes: 0 on success, 1 when a mathematical check fails (a poset is
 not Eulerian, an inequality is violated, a verification suite mismatches),
@@ -39,6 +44,8 @@ import os
 import sys
 from itertools import islice
 from typing import Callable
+
+import numpy as np
 
 from .analysis import (
     classify_word,
@@ -56,6 +63,7 @@ from .exprs import ExpressionError, build_poset, flag_vector_of, parse_expressio
 from .flags import (
     CdPolynomial,
     FlagVector,
+    LVector,
     _dyadic_str,
     cd_from_l,
     cd_index,
@@ -64,7 +72,7 @@ from .flags import (
     l_vector,
 )
 from .poset import RankedPoset, _check_budget, boolean
-from .subsets import parse_subset, reverse_mask, subset_label
+from .subsets import parse_subset, reverse_mask, subset_label, subset_labels
 
 
 def _load_poset_file(path: str, budget: int | None) -> RankedPoset:
@@ -120,9 +128,67 @@ def _has_plain_keys(obj) -> bool:
     return keys.isascii() and not keys.encode().translate(None, _PLAIN)
 
 
+# n -> (template, order) of the JSON of a 2^n flag table (see _flag_template)
+_FLAG_TEMPLATES: dict[int, tuple[str, np.ndarray]] = {}
+
+
+def _flag_template(n: int) -> tuple[str, np.ndarray]:
+    """The JSON of a 2^n flag table with ``"%d"`` for each entry, and the
+    masks in the order of their lines, as one read-only intp array.
+
+    ``json.dumps(table.to_dict(), sort_keys=True, indent=2)`` writes the
+    same labels in the same order for every table of n ranks, so both are
+    built on the first table of n ranks and kept; n is at most
+    ``MAX_FLAG_RANKS``.  No label is kept on its own: 2^n ``str`` objects
+    take several times the bytes of the one template.
+    """
+    if n not in _FLAG_TEMPLATES:
+        labels = subset_labels(n)
+        order = sorted(range(1 << n), key=labels.__getitem__)
+        template = '{\n  "' + '": "%d",\n  "'.join([labels[m] for m in order]) + '": "%d"\n}'
+        masks = np.array(order, dtype=np.intp)
+        masks.setflags(write=False)
+        _FLAG_TEMPLATES[n] = template, masks
+    return _FLAG_TEMPLATES[n]
+
+
+def _flag_table_json(table: FlagVector) -> str:
+    """``json.dumps(table.to_dict(), sort_keys=True, indent=2)``: the entries
+    in label order, as Python ints, fill the template of n ranks."""
+    template, order = _flag_template(table.n)
+    return template % tuple(table.array[order].tolist())
+
+
+def _l_table_json(table: LVector) -> str:
+    """``json.dumps(table.to_dict(), sort_keys=True, indent=2)``.
+
+    Past 2^n / 8 nonzero entries, where ``LVector.to_dict`` reads its
+    labels from ``subset_labels(n)``, the entries are taken in label order
+    from the flag template's mask order, so their lines need no sort.
+    Fewer entries go through ``to_dict``, whose lines are sorted.
+    """
+    n, array = table.n, table.array
+    if 8 * np.count_nonzero(array) <= len(array):
+        return _json_text(table.to_dict())
+    order = _flag_template(n)[1]
+    masks = order[array[order] != 0]
+    labels = subset_labels(n)
+    lines = [
+        f'"{labels[mask]}": "{_dyadic_str(value, n)}"'
+        for mask, value in zip(masks.tolist(), array[masks].tolist())
+    ]
+    return '{\n  "entries": {\n    ' + ",\n    ".join(lines) + '\n  },\n  "n": %d\n}' % n
+
+
 def _json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, with each table
-    rendered by json's C encoder (see :func:`_json_pieces`)."""
+    """``json.dumps(obj, sort_keys=True, indent=2)``: a flag or L table
+    through :func:`_flag_table_json` or :func:`_l_table_json`, which give
+    the JSON of its ``to_dict()``, and anything else with each dict of
+    scalars rendered by json's C encoder (see :func:`_json_pieces`)."""
+    if isinstance(obj, FlagVector):
+        return _flag_table_json(obj)
+    if isinstance(obj, LVector):
+        return _l_table_json(obj)
     pieces = []
     try:
         _json_pieces(obj, "\n", pieces)
@@ -226,9 +292,9 @@ def _cmd_build(args):
 
 
 def _cmd_flags(args):
-    data = _load_flags(args.poset, args.max_elements).to_dict()
-    return 0, data, lambda: _emit_table(
-        [{"S": label, "f_S": value} for label, value in data.items()], ["S", "f_S"]
+    table = _load_flags(args.poset, args.max_elements)
+    return 0, table, lambda: _emit_table(
+        [{"S": label, "f_S": value} for label, value in table.to_dict().items()], ["S", "f_S"]
     )
 
 
@@ -241,9 +307,10 @@ def _cmd_cd_index(args):
 
 
 def _cmd_l_vector(args):
-    data = l_vector(_load_flags(args.poset, args.max_elements)).to_dict()
-    return 0, data, lambda: _emit_table(
-        [{"Q": label, "L_Q": value} for label, value in data["entries"].items()], ["Q", "L_Q"]
+    table = l_vector(_load_flags(args.poset, args.max_elements))
+    return 0, table, lambda: _emit_table(
+        [{"Q": label, "L_Q": value} for label, value in table.to_dict()["entries"].items()],
+        ["Q", "L_Q"],
     )
 
 

@@ -40,8 +40,10 @@ h and L transforms are butterflies over the n bits of the mask; a stage
 maps (a, b) to (a, b - a), (a, b + a) or, for L, (b, 2a - b), so it grows
 the largest absolute value by at most a factor 2, 2 or 3.  They run in
 int64 when 2^n, respectively 3^n, times the largest input stays below
-2^63, and in Python integers otherwise.  Each result is held as it comes
-out, an int64 array when every entry fits (see :class:`FlagVector`).
+2^63.  Otherwise each stage checks its own growth first, and the table
+turns to Python integers only at the first stage that could reach 2^63,
+if any.  Each result is held as it comes out, an int64 array when every
+entry fits (see :class:`FlagVector`).
 """
 
 from __future__ import annotations
@@ -334,40 +336,52 @@ def _batched_counts(
     return tables[-1][:, 0]
 
 
-def _butterfly_table(flags: FlagVector, growth: int) -> np.ndarray:
-    """A copy of the entries to transform in place: int64 when n butterfly
-    stages, each growing the largest absolute value by at most ``growth``,
-    stay below 2^63, and a Python-integer array otherwise."""
-    table = flags.array
-    if table.dtype == np.int64:
-        largest = max(int(table.max()), -int(table.min()))
-        if growth**flags.n * largest >= 2**63:
-            return table.astype(object)
-    return table.copy()
+def _largest(table: np.ndarray) -> int:
+    """The largest absolute value in ``table``, as a Python int."""
+    return max(int(table.max()), -int(table.min()))
 
 
-def _stages(table: np.ndarray, n: int):
-    """The (low, high) halves of ``table`` for each of the n mask bits:
-    views pairing every mask without the bit with the mask that adds it."""
-    for bit in range(n):
+def _butterflies(flags: FlagVector, growth: int, stage) -> np.ndarray:
+    """A copy of the entries of ``flags`` with ``stage(low, high)`` applied
+    in place for each of the n mask bits, to the views pairing every mask without the
+    bit with the mask that adds it; each stage grows the largest absolute
+    value by at most ``growth``.
+
+    An int64 table stays int64 when ``growth^n`` times its largest entry is
+    below 2^63, and then nothing is checked between stages.  Otherwise the
+    largest entry is checked before each stage, and the table becomes an
+    object array of Python ints at the first stage that could reach 2^63.
+    """
+    table = flags.array.copy()
+    checked = table.dtype == np.int64 and growth**flags.n * _largest(table) >= 2**63
+    for bit in range(flags.n):
+        if checked and table.dtype == np.int64 and growth * _largest(table) >= 2**63:
+            table = table.astype(object)
         halves = table.reshape(-1, 2, 1 << bit)
-        yield halves[:, 0], halves[:, 1]
+        stage(halves[:, 0], halves[:, 1])
+    return table
+
+
+def _h_stage(low: np.ndarray, high: np.ndarray) -> None:
+    high -= low
+
+
+def _f_stage(low: np.ndarray, high: np.ndarray) -> None:
+    high += low
+
+
+def _l_stage(low: np.ndarray, high: np.ndarray) -> None:
+    low[...], high[...] = high, 2 * low - high
 
 
 def flag_h(flags: FlagVector) -> FlagVector:
     """Signed transform h_S = sum over T in S of (-1)^|S - T| f_T."""
-    table = _butterfly_table(flags, 2)
-    for low, high in _stages(table, flags.n):
-        high -= low
-    return FlagVector._from_array(flags.n, table)
+    return FlagVector._from_array(flags.n, _butterflies(flags, 2, _h_stage))
 
 
 def flag_from_h(h: FlagVector) -> FlagVector:
     """Inverse of :func:`flag_h`: f_S = sum over T in S of h_T."""
-    table = _butterfly_table(h, 2)
-    for low, high in _stages(table, h.n):
-        high += low
-    return FlagVector._from_array(h.n, table)
+    return FlagVector._from_array(h.n, _butterflies(h, 2, _f_stage))
 
 
 def l_vector(flags: FlagVector) -> LVector:
@@ -377,10 +391,7 @@ def l_vector(flags: FlagVector) -> LVector:
     character step (x, y) -> (x + y, x - y) is (a, b) -> (b, 2a - b), and
     n such stages give the numerators 2^n * L directly.
     """
-    table = _butterfly_table(flags, 3)
-    for low, high in _stages(table, flags.n):
-        low[...], high[...] = high, 2 * low - high
-    return LVector._from_array(flags.n, table)
+    return LVector._from_array(flags.n, _butterflies(flags, 3, _l_stage))
 
 
 # -- cd words and polynomials ------------------------------------------

@@ -12,13 +12,24 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdposets import cd_from_l, exprs, inequality_pairs, l_vector
-from cdposets.cli import _json_text, main
+from cdposets import (
+    FlagVector,
+    LVector,
+    cd_from_l,
+    cli,
+    exprs,
+    flag_vector,
+    inequality_pairs,
+    l_vector,
+)
+from cdposets.cli import _json_text, _load_poset_file, main
 from cdposets.exprs import build_poset, flag_vector_of, parse_expression
+from cdposets.subsets import subset_labels
 
 
 @pytest.fixture
@@ -771,7 +782,8 @@ def test_cd_index_and_l_vector_at_the_flag_rank_limit(run, copies):
     # dp(20, {[1,2], ..., [19,20]}, N) has 20 proper ranks, the most the
     # flag budget accepts: each pair contributes cc + 2N d, and L_Q is
     # (-N)^|K| (N+1)^(10-|K|) on the union Q of any set K of pairs, 0
-    # elsewhere.  N = 3 takes the Python-integer L transform.
+    # elsewhere.  At N = 3, 3^20 times the largest flag entry passes 2^63,
+    # but the L transform checks each stage and stays in int64.
     pairs = [[2 * i + 1, 2 * i + 2] for i in range(10)]
     text = f"dp(20,{json.dumps(pairs, separators=(',', ':'))},{copies})"
     terms, entries = {}, {}
@@ -1080,6 +1092,109 @@ def test_table_commands_print_json_dumps_of_the_library_dicts(run, expr):
     }
     for command, data in expected.items():
         assert run(command, expr) == (0, _dumps(data) + "\n", ""), command
+
+
+# entries at and past the ends of int64, and signs
+_TABLE_EDGES = [0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**64, -(2**64) - 1, 3**50]
+
+
+@pytest.mark.parametrize("n", range(17))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_flag_and_l_tables_print_json_dumps_of_their_dicts(n, data):
+    # a seeded base table, zero, small or anywhere in int64, with a few
+    # entries overwritten: L tables with few nonzero entries sort their
+    # lines, the others take the flag template's order
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    high = data.draw(st.sampled_from([0, 3, 2**62]), label="high")
+    values = rng.integers(-high, high + 1, size=1 << n).tolist()
+    for _ in range(data.draw(st.integers(0, 4), label="overwrites")):
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        values[mask] = data.draw(st.one_of(st.sampled_from(_TABLE_EDGES), st.integers()))
+    for table in FlagVector(n, values), LVector.from_numerators(n, values):
+        assert _json_text(table) == _dumps(table.to_dict())
+
+
+# n = 0 to 16 proper ranks: doubled chains, dp posets and their duals,
+# joins, and the doubled chain with 2^65 maximal chains (object arrays)
+_TABLE_EXPRESSIONS = [
+    "chain(1)",
+    "chain(2)",
+    "dp(2,[[1,2]],3)",
+    "double(chain(4))",
+    "dual(dp(4,[[1,2],[3,4]],2))",
+    "join(dp(2,[[1,2]],1),chain(4))",
+    "dp(6,[[1,4],[3,6]],2)",
+    "double(chain(8))",
+    "dual(dp(8,[[2,5],[4,7]],5))",
+    "join(dp(4,[[1,4]],2),double(chain(6)))",
+    "dp(10,[[1,2],[3,10]],1)",
+    "double(double(chain(12)))",
+    "dp(12,[[5,12]],2)",
+    "double(double(double(double(double(chain(14))))))",
+    "dual(dp(14,[[1,6],[5,10]],3))",
+    "join(dp(8,[[1,2]],2),double(chain(8)))",
+    "dp(16,[[10,15]],2)",
+]
+
+
+@pytest.mark.parametrize("expr", _TABLE_EXPRESSIONS)
+def test_flags_and_l_vector_print_json_dumps_at_every_n(run, expr):
+    flags = flag_vector_of(parse_expression(expr))
+    assert flags.n == _TABLE_EXPRESSIONS.index(expr)
+    assert run("flags", expr) == (0, _dumps(flags.to_dict()) + "\n", "")
+    assert run("l-vector", expr) == (0, _dumps(l_vector(flags).to_dict()) + "\n", "")
+
+
+def test_flags_and_l_vector_of_a_build_file_print_json_dumps(run, tmp_path):
+    target = tmp_path / "poset.json"
+    for expr in "dual(dp(8,[[2,5],[4,7]],5))", "double(" * 5 + "chain(14)" + ")" * 5:
+        assert run("build", expr, "-o", str(target))[0] == 0
+        flags = flag_vector(_load_poset_file(str(target), None))
+        assert flags == flag_vector_of(parse_expression(expr))
+        assert run("flags", str(target)) == (0, _dumps(flags.to_dict()) + "\n", "")
+        expected = _dumps(l_vector(flags).to_dict()) + "\n"
+        assert run("l-vector", str(target)) == (0, expected, "")
+
+
+def _table_text(rows, columns):
+    # the fixed-width table of --format table, padded to each column's widest entry
+    texts = [columns] + [[str(row[col]) for col in columns] for row in rows]
+    widths = [max(len(text[i]) for text in texts) for i in range(len(columns))]
+    lines = [texts[0], ["-" * w for w in widths], *texts[1:]]
+    return "".join("  ".join(t.ljust(w) for t, w in zip(line, widths)) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("expr", ["dual(dp(8,[[2,5],[4,7]],5))", "double(double(chain(6)))"])
+def test_flags_and_l_vector_tables_list_the_dict_entries(run, expr):
+    flags = flag_vector_of(parse_expression(expr))
+    rows = [{"S": label, "f_S": value} for label, value in flags.to_dict().items()]
+    assert run("flags", expr, "--format", "table") == (0, _table_text(rows, ["S", "f_S"]), "")
+    entries = l_vector(flags).to_dict()["entries"]
+    rows = [{"Q": label, "L_Q": value} for label, value in entries.items()]
+    assert run("l-vector", expr, "--format", "table") == (0, _table_text(rows, ["Q", "L_Q"]), "")
+
+
+def test_flag_templates_are_built_on_use_and_hold_one_str_and_one_array(run):
+    script = "import cdposets.cli as cli; print(cli._FLAG_TEMPLATES == {})"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (0, "True\n")
+    # a dense L table (2^65 chains) reads the order of the flag template
+    cli._FLAG_TEMPLATES.clear()
+    assert run("flags", "dp(6,[[1,4],[3,6]],2)")[0] == 0
+    assert run("l-vector", "double(" * 5 + "chain(14)" + ")" * 5)[0] == 0
+    assert run("cd-index", "dp(10,[[1,2],[3,10]],1)")[0] == 0
+    assert sorted(cli._FLAG_TEMPLATES) == [6, 13]
+    for n, entry in cli._FLAG_TEMPLATES.items():
+        template, order = entry
+        assert (type(entry), len(entry), type(template), type(order)) == (
+            tuple, 2, str, np.ndarray
+        )
+        assert order.dtype == np.intp and not order.flags.writeable
+        labels = subset_labels(n)
+        assert order.tolist() == sorted(range(1 << n), key=labels.__getitem__)
+        assert template == _dumps(dict.fromkeys(labels, "%d"))
 
 
 def test_build_prints_json_dumps_of_the_poset_dict(run, tmp_path):

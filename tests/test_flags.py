@@ -350,6 +350,74 @@ def test_butterflies_match_oracles_on_int64_and_object_values():
         assert flag_h(flag_from_h(f)) == f
 
 
+# each transform's stage on one (low, high) pair, as the formulas state it
+_REFERENCE_STAGES = {
+    flag_h: ("_h_stage", 2, lambda a, b: (a, b - a)),
+    flag_from_h: ("_f_stage", 2, lambda a, b: (a, b + a)),
+    l_vector: ("_l_stage", 3, lambda a, b: (b, 2 * a - b)),
+}
+
+
+def _object_transform(transform, f):
+    """The transform of ``f`` on an object array of Python ints, and the
+    largest absolute entry before each stage."""
+    table, largest = f.array.astype(object), []
+    for bit in range(f.n):
+        largest.append(max(map(abs, table.tolist())))
+        halves = table.reshape(-1, 2, 1 << bit)
+        halves[:, 0], halves[:, 1] = _REFERENCE_STAGES[transform][2](halves[:, 0], halves[:, 1])
+    return table, largest
+
+
+def _stage_dtypes(monkeypatch, transform):
+    """The dtype each stage of ``transform`` runs on, recorded as it runs."""
+    name = _REFERENCE_STAGES[transform][0]
+    stage, dtypes = getattr(flags_mod, name), []
+
+    def recording(low, high):
+        dtypes.append(low.dtype)
+        stage(low, high)
+
+    monkeypatch.setattr(flags_mod, name, recording)
+    return dtypes
+
+
+def test_l_transform_of_twenty_ranks_stays_int64(monkeypatch):
+    # 3^20 times the largest flag entry, 2^40, passes 2^63, but before
+    # every stage 3 times the largest entry stays below 2^63
+    pairs = ",".join(f"[{2 * i + 1},{2 * i + 2}]" for i in range(10))
+    f = flag_vector_of(parse_expression(f"dp(20,[{pairs}],3)"))
+    assert f.array.dtype == np.int64 and 3**20 * int(f.array.max()) >= 2**63
+    dtypes = _stage_dtypes(monkeypatch, l_vector)
+    table = l_vector(f)
+    assert dtypes == [np.int64] * 20
+    want, _ = _object_transform(l_vector, f)
+    assert table.array.dtype == np.int64 and table.array.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "transform,signed,m",
+    [(flag_h, True, 2**58), (flag_from_h, False, 2**58), (l_vector, True, 2**55)],
+    ids=["h", "from-h", "l"],
+)
+def test_butterflies_turn_to_python_ints_at_the_first_stage_that_could_overflow(
+    monkeypatch, transform, signed, m
+):
+    # m * (-1)^|S| (m for flag_from_h) grows by the full factor each stage,
+    # so growth^8 * m passes 2^63 and the stages cross it partway
+    f = FlagVector(8, [m * (-1) ** (signed * bin(s).count("1")) for s in range(256)])
+    growth = _REFERENCE_STAGES[transform][1]
+    want, largest = _object_transform(transform, f)
+    assert growth**8 * largest[0] >= 2**63
+    first = next(k for k, big in enumerate(largest) if growth * big >= 2**63)
+    assert 0 < first < 8
+    dtypes = _stage_dtypes(monkeypatch, transform)
+    table = transform(f)
+    assert dtypes == [np.int64] * first + [object] * (8 - first)
+    assert table.array.dtype == object and table.array.tolist() == want.tolist()
+    assert max(map(abs, want.tolist())) >= 2**63
+
+
 def test_l_vector_numerators_hash_and_denominators():
     table = l_vector(flag_vector(boolean(3)))
     assert table.numerators == (6, 0, 0, -2)
