@@ -13,26 +13,26 @@ chooses the format and writes to stdout or to the ``build -o`` file.
 Output is deterministic: JSON with sorted keys, or fixed-width tables,
 rendered only when ``--format table`` asks for them.
 
-The JSON is exactly ``json.dumps(obj, sort_keys=True, indent=2)``, but
-:func:`_json_text` writes it without that call wherever it can: json
-indents only in its Python encoder and sorts (key, value) pairs, which
-cost more than computing a 2^n table.  ``flags`` and ``l-vector`` return
-the table itself.  A 2^n flag table lists the same labels in the same
-order for every table of n ranks, so its JSON is one ``%`` of a template
-cached per n (:func:`_flag_template`) with its entries in label order, and
-an L table takes its nonzero entries in that order too, or sorts the lines
-of a few.  Any other dict whose keys are all plain (ASCII, printable,
-above '"', no backslash), as subset labels and cd words are, has its
-scalar values rendered by one call of json's C encoder, in table order;
-each entry becomes one line, and the lines are sorted as strings, which
-orders plain keys as sorting the keys does.  A list of scalars, or of
-lists of scalars as the cover pairs of ``build`` are, is one call of the
-C encoder too.  Any other object is json's own output.  A table form is
-printed as one string.
+The JSON is exactly ``json.dumps(obj, sort_keys=True, indent=2)``.  The
+large tables are written by :func:`_json_text` from the objects that hold
+them, in the bytes of that call on their ``to_dict()``: json indents only
+in its Python encoder, which costs more than computing a 2^n table.  A
+flag table (``flags``) is one ``%`` of a label template cached per n
+(:func:`_flag_template`) with its entries in label order; an L table
+(``l-vector``) takes its nonzero entries in that order, or sorts a few; a
+cd-index (``cd-index``) and a ``limit-l`` table write their entries as
+sorted ``"key": value`` lines; a poset (``build``) writes each cover level
+as one ``%`` of a pattern of its pairs.  Their keys are subset
+labels, cd words and fixed field names, each its own JSON between quotes.
+Every other object is written by ``json.dumps``.  A table form is printed
+as one string.
 
 Exit codes: 0 on success, 1 when a mathematical check fails (a poset is
 not Eulerian, an inequality is violated, a verification suite mismatches),
-2 on usage errors (bad syntax, bad ranges, malformed input, budgets).
+2 on usage errors (bad syntax, bad ranges, malformed input, budgets) and
+when memory runs out.  Output cut short by a closed stdout (``| head``) is
+not an error: the command's own exit code stands and nothing is printed
+on stderr.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ import functools
 import json
 import os
 import sys
-from itertools import islice
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,7 +58,7 @@ from .analysis import (
 from .constructions import join as join_posets
 from .corpus import eulerian_corpus, join_pairs
 from .errors import BudgetError, NotCdExpressibleError
-from .exprs import ExpressionError, build_poset, flag_vector_of, parse_expression
+from .exprs import build_poset, flag_vector_of, parse_expression
 from .flags import (
     CdPolynomial,
     FlagVector,
@@ -113,21 +112,6 @@ def _emit_json(obj, path: str | None = None) -> None:
         print(text)
 
 
-# the scalars, which json's C encoder writes as its Python encoder does
-_SCALARS = {str, int, float, bool, type(None)}
-# the characters of a plain key: ASCII, printable, above '"' and not '\\'
-_PLAIN = bytes(range(ord('"') + 1, 0x7F)).replace(b"\\", b"")
-
-
-def _has_plain_keys(obj) -> bool:
-    """True when ``obj`` is a nonempty dict whose keys are all plain strings."""
-    if type(obj) is not dict or not obj or set(map(type, obj)) != {str}:
-        return False
-    # '#' is plain, so the joined keys are plain when each key is
-    keys = "#".join(obj)
-    return keys.isascii() and not keys.encode().translate(None, _PLAIN)
-
-
 # n -> (template, order) of the JSON of a 2^n flag table (see _flag_template)
 _FLAG_TEMPLATES: dict[int, tuple[str, np.ndarray]] = {}
 
@@ -159,106 +143,94 @@ def _flag_table_json(table: FlagVector) -> str:
     return template % tuple(table.array[order].tolist())
 
 
+def _n_table_json(n: int, name: str, lines: list[str]) -> str:
+    """``json.dumps({"n": n, name: table}, sort_keys=True, indent=2)``, given
+    the table's ``"key": value`` lines in key order.  The keys are subset
+    labels or cd words of one degree, which are their own JSON between
+    quotes, and no key is a prefix of another, so sorted lines are in key
+    order.  The text is one join, so a table of one wide line is copied
+    once."""
+    table = ("{\n    ", ",\n    ".join(lines), "\n  }") if lines else ("{}",)
+    n_field, name_field = ('"n": ', str(n)), (f'"{name}": ', *table)
+    first, second = sorted([n_field, name_field])
+    return "".join(["{\n  ", *first, ",\n  ", *second, "\n}"])
+
+
 def _l_table_json(table: LVector) -> str:
     """``json.dumps(table.to_dict(), sort_keys=True, indent=2)``.
 
     Past 2^n / 8 nonzero entries, where ``LVector.to_dict`` reads its
     labels from ``subset_labels(n)``, the entries are taken in label order
-    from the flag template's mask order, so their lines need no sort.
-    Fewer entries go through ``to_dict``, whose lines are sorted.
+    from the flag template's mask order, with no sort.  Fewer entries are
+    those of ``to_dict``, sorted.
     """
     n, array = table.n, table.array
     if 8 * np.count_nonzero(array) <= len(array):
-        return _json_text(table.to_dict())
-    order = _flag_template(n)[1]
-    masks = order[array[order] != 0]
-    labels = subset_labels(n)
-    lines = [
-        f'"{labels[mask]}": "{_dyadic_str(value, n)}"'
-        for mask, value in zip(masks.tolist(), array[masks].tolist())
+        entries = table.to_dict()["entries"].items()
+        lines = sorted([f'"{label}": "{value}"' for label, value in entries])
+    else:
+        order = _flag_template(n)[1]
+        masks = order[array[order] != 0]
+        labels = subset_labels(n)
+        lines = [
+            f'"{labels[mask]}": "{_dyadic_str(value, n)}"'
+            for mask, value in zip(masks.tolist(), array[masks].tolist())
+        ]
+    return _n_table_json(n, "entries", lines)
+
+
+class _LimitTable(NamedTuple):
+    """A ``limit-l`` table: mask -> integer entry; its JSON lists them by
+    subset label."""
+
+    n: int
+    entries: dict[int, int]
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """The indented JSON list of the rendered ``items``, for a list whose
+    first line is indented by ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+# one cover pair of build's JSON, at the depth of its level's list
+_COVER_PAIR = "[\n        %d,\n        %d\n      ]"
+
+
+def _poset_json(poset: RankedPoset) -> str:
+    """``json.dumps(poset.to_dict(), sort_keys=True, indent=2)``: each cover
+    level is one ``%`` of a pattern of its pairs over its cover array."""
+    levels = [
+        _json_list([_COVER_PAIR] * len(pairs), "    ") % tuple(pairs.ravel().tolist())
+        for pairs in poset.cover_arrays
     ]
-    return '{\n  "entries": {\n    ' + ",\n    ".join(lines) + '\n  },\n  "n": %d\n}' % n
+    sizes = _json_list([str(size) for size in poset.level_sizes], "  ")
+    return '{\n  "covers": %s,\n  "level_sizes": %s,\n  "rank": %d\n}' % (
+        _json_list(levels, "  "), sizes, poset.rank
+    )
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``: a flag or L table
-    through :func:`_flag_table_json` or :func:`_l_table_json`, which give
-    the JSON of its ``to_dict()``, and anything else with each dict of
-    scalars rendered by json's C encoder (see :func:`_json_pieces`)."""
+    """``json.dumps(obj, sort_keys=True, indent=2)``: the tables the
+    commands build are written from the objects that hold them, in the
+    bytes of their ``to_dict()``'s JSON, and anything else by that call."""
     if isinstance(obj, FlagVector):
         return _flag_table_json(obj)
     if isinstance(obj, LVector):
         return _l_table_json(obj)
-    pieces = []
-    try:
-        _json_pieces(obj, "\n", pieces)
-    except (TypeError, ValueError, RecursionError):
-        # json words every failure itself; a cycle, say, is its ValueError
-        # but endless recursion in _json_pieces
-        return json.dumps(obj, sort_keys=True, indent=2)
-    return "".join(pieces)
-
-
-def _json_pieces(obj, newline: str, pieces: list[str]) -> None:
-    """Append the indented JSON of ``obj``, whose lines start with ``newline``.
-
-    A dict whose keys are all plain (see ``_PLAIN``) is written here.  A
-    plain key is its own JSON text between quotes.  If the values are
-    scalars, one call of the C encoder renders them in table order, each
-    entry becomes one line, and the lines are sorted as strings: a plain
-    key sorts as its line does, since the '"' that ends a key is below
-    every plain character.  Other values are written one by one, in key
-    order.  Lists are written here too (see :func:`_list_pieces`).
-    Everything else is json's own indented output, shifted right: encoded
-    JSON holds no newline but between its lines.
-    """
-    if type(obj) is list:
-        _list_pieces(obj, newline, pieces)
-        return
-    if not _has_plain_keys(obj):
-        pieces.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
-        return
-    inner = newline + "  "
-    if set(map(type, obj.values())) <= _SCALARS:
-        values = json.dumps(list(obj.values()), separators=(",\n", ":"))[1:-1].split(",\n")
-        lines = sorted([f'"{key}": {value}' for key, value in zip(obj, values)])
-        pieces += ("{", inner, ("," + inner).join(lines), newline, "}")
-        return
-    sep = "{"
-    for key in sorted(obj):
-        pieces += (sep, inner, '"', key, '": ')
-        _json_pieces(obj[key], inner, pieces)
-        sep = ","
-    pieces += (newline, "}")
-
-
-def _list_pieces(items: list, newline: str, pieces: list[str]) -> None:
-    """Append the indented JSON of the list ``items``.  A list of scalars
-    is one call of the C encoder, whose separator starts each item's line;
-    a list of lists of scalars, such as cover pairs, is one call on all
-    their items, split into one rendered item per line.  Other items are
-    written one by one."""
-    inner = newline + "  "
-    if not items:
-        pieces.append("[]")
-    elif set(map(type, items)) <= _SCALARS:
-        pieces += ("[", inner, json.dumps(items, separators=("," + inner, ":"))[1:-1], newline, "]")
-    elif all(type(item) is list and set(map(type, item)) <= _SCALARS for item in items):
-        leaf = inner + "  "
-        flat = [value for item in items for value in item]
-        values = iter(json.dumps(flat, separators=(",\n", ":"))[1:-1].split(",\n"))
-        rows = [
-            f"[{leaf}{(',' + leaf).join(islice(values, len(item)))}{inner}]" if item else "[]"
-            for item in items
-        ]
-        pieces += ("[", inner, ("," + inner).join(rows), newline, "]")
-    else:
-        sep = "["
-        for item in items:
-            pieces += (sep, inner)
-            _json_pieces(item, inner, pieces)
-            sep = ","
-        pieces += (newline, "]")
+    if isinstance(obj, CdPolynomial):
+        terms = sorted([f'"{word}": {coeff}' for word, coeff in obj.terms.items()])
+        return _n_table_json(obj.n, "terms", terms)
+    if isinstance(obj, _LimitTable):
+        # each label lives only until its line is made
+        entries = sorted([f'"{subset_label(m)}": {value}' for m, value in obj.entries.items()])
+        return _n_table_json(obj.n, "entries", entries)
+    if isinstance(obj, RankedPoset):
+        return _poset_json(obj)
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def _emit_table(rows: list[dict], columns: list[str]) -> None:
@@ -288,7 +260,7 @@ def _add_format_arg(sub: argparse.ArgumentParser, default: str) -> None:
 
 
 def _cmd_build(args):
-    return 0, _load_poset(args.expr, args.max_elements).to_dict(), None
+    return 0, _load_poset(args.expr, args.max_elements), None
 
 
 def _cmd_flags(args):
@@ -300,7 +272,7 @@ def _cmd_flags(args):
 
 def _cmd_cd_index(args):
     poly = cd_from_l(l_vector(_load_flags(args.poset, args.max_elements)))
-    return 0, poly.to_dict(), lambda: _emit_table(
+    return 0, poly, lambda: _emit_table(
         [{"word": word, "coefficient": poly.terms[word]} for word in sorted(poly.terms)],
         ["word", "coefficient"],
     )
@@ -390,9 +362,9 @@ def _cmd_limit_l(args):
             f"limit-l labels would list {ranks} ranks, "
             f"limit is 2^{_LABEL_RANKS.bit_length() - 1}"
         )
-    entries = {subset_label(mask): value for mask, value in sorted(table.items())}
-    return 0, {"n": args.n, "entries": entries}, lambda: _emit_table(
-        [{"S": key, "L_S": value} for key, value in entries.items()], ["S", "L_S"]
+    return 0, _LimitTable(args.n, table), lambda: _emit_table(
+        [{"S": subset_label(mask), "L_S": value} for mask, value in sorted(table.items())],
+        ["S", "L_S"],
     )
 
 
@@ -666,18 +638,28 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, data, table = args.func(args)
-        if getattr(args, "format", "json") == "json":
-            _emit_json(data, getattr(args, "output", None))
-        elif callable(table):
-            table()
-        else:
-            print(table)
+        try:
+            if getattr(args, "format", "json") == "json":
+                _emit_json(data, getattr(args, "output", None))
+            elif callable(table):
+                table()
+            else:
+                print(table)
+        except BrokenPipeError:
+            # the reader closed stdout (`| head`): the rest of the output is
+            # dropped, and stdout goes to the null device so that the
+            # interpreter's flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except NotCdExpressibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ExpressionError, BudgetError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the allocation it refused; Python's own MemoryError is bare
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -3,9 +3,12 @@
 Exit-code contract: 0 success, 1 failed mathematical check, 2 usage error.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -18,18 +21,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdposets import (
+    CdPolynomial,
     FlagVector,
     LVector,
+    RankedPoset,
     cd_from_l,
     cli,
     exprs,
     flag_vector,
     inequality_pairs,
     l_vector,
+    limit_l_vector,
 )
 from cdposets.cli import _json_text, _load_poset_file, main
+from cdposets.corpus import eulerian_corpus
 from cdposets.exprs import build_poset, flag_vector_of, parse_expression
-from cdposets.subsets import subset_labels
+from cdposets.flags import cd_words
+from cdposets.subsets import subset_label, subset_labels
+
+import oracles
 
 
 @pytest.fixture
@@ -1214,20 +1224,161 @@ def test_json_text_writes_lists_of_scalar_lists_as_json_does(obj):
     assert _outcome(_json_text, obj) == _outcome(_dumps, obj)
 
 
-def test_build_json_writes_its_lists_through_the_c_encoder(monkeypatch):
-    # one unindented call for the level sizes and one per cover level
-    data = build_poset(parse_expression("boolean(6)")).to_dict()
-    dumps, calls = json.dumps, []
+def test_build_json_is_written_from_the_poset_not_its_dict(run, monkeypatch):
+    expected = _dumps(build_poset(parse_expression("boolean(6)")).to_dict()) + "\n"
 
-    def recording(obj, **kwargs):
-        calls.append((type(obj), kwargs.get("indent")))
-        return dumps(obj, **kwargs)
+    def no_dict(self):
+        raise AssertionError("build wrote its JSON through to_dict")
 
-    monkeypatch.setattr(json, "dumps", recording)
-    text = _json_text(data)
-    monkeypatch.undo()
-    assert text == _dumps(data)
-    assert [call for call in calls if call[0] is list] == [(list, None)] * 7
+    monkeypatch.setattr(RankedPoset, "to_dict", no_dict)
+    assert run("build", "boolean(6)") == (0, expected, "")
+
+
+# every 7th corpus name, and the poset of rank 1
+_BUILD_NAMES = [name for name, _ in eulerian_corpus()[::7]] + ["chain(1)"]
+
+
+@pytest.mark.parametrize("name", _BUILD_NAMES)
+def test_build_of_corpus_names_prints_json_dumps(run, name):
+    data = build_poset(parse_expression(name)).to_dict()
+    assert run("build", name) == (0, _dumps(data) + "\n", "")
+
+
+def test_build_of_random_graded_poset_files_prints_json_dumps(run, tmp_path):
+    rng = np.random.default_rng(21)
+    target = tmp_path / "poset.json"
+    for _ in range(24):
+        sizes = [1, *rng.integers(1, 7, size=int(rng.integers(0, 7))).tolist(), 1]
+        data = oracles.random_graded(rng, sizes).to_dict()
+        target.write_text(json.dumps(data))
+        assert run("build", str(target)) == (0, _dumps(data) + "\n", "")
+
+
+_cd_words_of_degree = st.integers(0, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(cd_words(n)), max_size=8))
+)
+
+
+@given(_cd_words_of_degree, st.data())
+def test_cd_polynomials_print_json_dumps_of_their_dicts(degree_words, data):
+    # negative coefficients, zeros (dropped) and coefficients past 2^63
+    n, words = degree_words
+    coefficient = st.one_of(st.sampled_from(_TABLE_EDGES), st.integers())
+    poly = CdPolynomial(n, {word: data.draw(coefficient) for word in words})
+    assert _json_text(poly) == _dumps(poly.to_dict())
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        CdPolynomial(0, {}),
+        CdPolynomial(4, {}),
+        CdPolynomial(0, {"": 1}),
+        CdPolynomial(0, {"": -(2**64)}),
+        CdPolynomial(3, {"ccc": 2**63, "cd": -1, "dc": 3**50}),
+    ],
+    ids=["zero", "zero-degree-4", "empty-word", "empty-word-negative", "past-int64"],
+)
+def test_cd_polynomial_edges_print_json_dumps_of_their_dicts(poly):
+    assert _json_text(poly) == _dumps(poly.to_dict())
+
+
+@pytest.mark.parametrize(
+    "expr", ["chain(1)", "double(chain(4))", "boolean(5)", "lemma3(3)", "dp(12,[[5,12]],2)"]
+)
+def test_cd_index_prints_json_dumps_of_the_polynomial_dict(run, expr):
+    poly = cd_from_l(l_vector(flag_vector_of(parse_expression(expr))))
+    assert run("cd-index", expr) == (0, _dumps(poly.to_dict()) + "\n", "")
+
+
+_limit_systems = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(1, n), st.integers(1, n)).map(sorted), max_size=8
+        ),
+    )
+)
+
+
+def _main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(_limit_systems)
+def test_limit_l_prints_json_dumps_of_its_entries(system):
+    # run in-process without the capsys fixture, which hypothesis does not reset
+    n, intervals = system
+    table = limit_l_vector(n, intervals)
+    entries = {subset_label(mask): value for mask, value in table.items()}
+    text = _dumps({"n": n, "entries": entries})
+    assert _json_text(cli._LimitTable(n, table)) == text
+    argv = ["limit-l", "--n", str(n), "--intervals", json.dumps(intervals)]
+    assert _main_outcome(argv) == (0, text + "\n", "")
+
+
+def test_limit_l_of_no_intervals_prints_json_dumps(run):
+    assert run("limit-l", "--n", "3", "--intervals", "[]") == (0, _limit_json(3, {"[]": 1}), "")
+
+
+def _child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def test_closed_stdout_is_not_an_error():
+    # the n = 16 flag table is about 2 MB, past any pipe buffer, so writes
+    # fail once the reader has closed its end
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cdposets", "flags", "dp(16,[[1,12]],2)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (0, b"")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv,gib",
+    [
+        (["build", "double(dp(64,[[2,25]],2147483648))", "--max-elements", str(10**20)], "400."),
+        (["check-eulerian", "dp(8,[[1,8]],60000)"], "53.6"),
+    ],
+    ids=["build-400-GiB", "check-eulerian-53-GiB"],
+)
+def test_out_of_memory_is_a_usage_error(argv, gib):
+    # an Eulerian poset's check that cannot get its memory is not "not
+    # Eulerian" (exit 1); the limit applies to the child only
+    result = subprocess.run(
+        [sys.executable, "-m", "cdposets", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: Unable to allocate {gib} GiB")
+    assert result.stderr.count("\n") == 1 and result.stderr.count("error:") == 1
+
+
+def test_bare_memory_error_is_one_error_line(run, monkeypatch):
+    def exhausted(text, budget):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_load_poset", exhausted)
+    assert run("check-eulerian", "boolean(3)") == (2, "", "error: out of memory\n")
 
 
 def test_verify_duality_fails_when_the_dual_table_is_not_reversed(run, monkeypatch):
