@@ -4,7 +4,9 @@ Poset arguments accept either a path to a JSON file produced by ``build``
 or an inline construction expression (see :mod:`cdposets.exprs`).  The
 commands that need only flag data (``flags``, ``l-vector``, ``cd-index``,
 ``check-inequality``) compute it from an expression's tree without
-building the poset.
+building the poset, and ``check-eulerian`` tests an expression on its
+tree (:func:`~cdposets.exprs.eulerian_of`), building only its glues; a
+file is tested on its poset (:meth:`~cdposets.poset.RankedPoset.is_eulerian`).
 
 Commands return their results and :func:`main` writes them: each
 ``_cmd_*`` function returns its exit code, a JSON object and a table form
@@ -22,8 +24,10 @@ flag table (``flags``) is one ``%`` of a label template cached per n
 (``l-vector``) takes its nonzero entries in that order, or sorts a few; a
 cd-index (``cd-index``) and a ``limit-l`` table write their entries as
 sorted ``"key": value`` lines; a poset (``build``) writes each cover level
-as one ``%`` of a pattern of its pairs.  Their keys are subset
-labels, cd words and fixed field names, each its own JSON between quotes.
+as one ``%`` of a pattern of its pairs, and ``check-inequality --all``
+each violation as one ``%`` of a pattern of its four fields.  Their keys
+are subset labels, cd words and fixed field names, each its own JSON
+between quotes, and so are the violations' values.
 Every other object is written by ``json.dumps``.  A table form is printed
 as one string.
 
@@ -58,7 +62,7 @@ from .analysis import (
 from .constructions import join as join_posets
 from .corpus import eulerian_corpus, join_pairs
 from .errors import BudgetError, NotCdExpressibleError
-from .exprs import build_poset, flag_vector_of, parse_expression
+from .exprs import build_poset, eulerian_of, flag_vector_of, parse_expression
 from .flags import (
     CdPolynomial,
     FlagVector,
@@ -128,12 +132,37 @@ def _flag_template(n: int) -> tuple[str, np.ndarray]:
     """
     if n not in _FLAG_TEMPLATES:
         labels = subset_labels(n)
-        order = sorted(range(1 << n), key=labels.__getitem__)
-        template = '{\n  "' + '": "%d",\n  "'.join([labels[m] for m in order]) + '": "%d"\n}'
-        masks = np.array(order, dtype=np.intp)
+        masks = _label_order(n)
+        lines = [labels[m] for m in masks.tolist()]
+        template = '{\n  "' + '": "%d",\n  "'.join(lines) + '": "%d"\n}'
         masks.setflags(write=False)
         _FLAG_TEMPLATES[n] = template, masks
     return _FLAG_TEMPLATES[n]
+
+
+def _label_order(n: int) -> np.ndarray:
+    """The masks below 2^n in the order of their labels as strings, as
+    one intp array, generated in that order.
+
+    After its ``[``, a label is one token per rank, ``s,`` for each rank
+    but the last and ``s]`` for the last, or the token ``]`` alone.  Each
+    token is digits and then one character that is not a digit, so no
+    token is a prefix of another, and labels compare as their sequences of
+    tokens.  So the labels that go on after rank p are in the order of
+    their next token, and those whose next token is ``s,`` in the order of
+    what follows it: the labels that go on after rank s."""
+    # tails[p]: the nonempty sets of ranks above p, in label order
+    tails = [np.zeros(0, np.intp) for _ in range(n + 1)]
+    for p in range(n - 1, -1, -1):
+        tokens = sorted((f"{s}{end}", s) for s in range(p + 1, n + 1) for end in ",]")
+        tails[p] = np.concatenate(
+            [
+                (1 << (s - 1)) | (tails[s] if token.endswith(",") else np.zeros(1, np.intp))
+                for token, s in tokens
+            ]
+        )
+    # the token "]" of the empty set comes after every digit
+    return np.concatenate([tails[0], np.zeros(1, np.intp)])
 
 
 def _flag_table_json(table: FlagVector) -> str:
@@ -230,6 +259,8 @@ def _json_text(obj) -> str:
         return _n_table_json(obj.n, "entries", entries)
     if isinstance(obj, RankedPoset):
         return _poset_json(obj)
+    if isinstance(obj, _InequalityTable):
+        return _inequality_json(obj)
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
@@ -287,7 +318,11 @@ def _cmd_l_vector(args):
 
 
 def _cmd_check_eulerian(args):
-    result = _load_poset(args.poset, args.max_elements).is_eulerian()
+    # a file is tested on its poset, an expression on its tree
+    if os.path.exists(args.poset):
+        result = _load_poset_file(args.poset, args.max_elements).is_eulerian()
+    else:
+        result = eulerian_of(parse_expression(args.poset), budget=args.max_elements)
     if result.eulerian:
         return 0, {"eulerian": True}, "eulerian: yes"
     v = result.violation
@@ -307,15 +342,47 @@ def _cmd_check_eulerian(args):
     )
 
 
-def _inequality_row(n: int, t_mask: int, v_mask: int, f_val: int) -> dict:
+_INEQUALITY_FIELDS = ["T", "V", "f_form", "l_form"]
+
+
+def _inequality_fields(n: int, t_mask: int, v_mask: int, f_val: int) -> tuple[str, ...]:
+    """The values of the ``_INEQUALITY_FIELDS`` of one (T, V) pair."""
     # the L form is the f form over 2^(|S| + |T|) for every table (see
     # cdposets.analysis)
-    return {
-        "T": subset_label(t_mask),
-        "V": subset_label(v_mask),
-        "f_form": str(f_val),
-        "l_form": _dyadic_str(f_val, n - v_mask.bit_count() + t_mask.bit_count()),
-    }
+    return (
+        subset_label(t_mask),
+        subset_label(v_mask),
+        str(f_val),
+        _dyadic_str(f_val, n - v_mask.bit_count() + t_mask.bit_count()),
+    )
+
+
+def _inequality_row(n: int, t_mask: int, v_mask: int, f_val: int) -> dict:
+    return dict(zip(_INEQUALITY_FIELDS, _inequality_fields(n, t_mask, v_mask, f_val)))
+
+
+class _InequalityTable(NamedTuple):
+    """A ``check-inequality --all`` result: the number of (T, V) pairs and
+    the violated ones as (T mask, V mask, f form); its JSON lists each
+    violation as an :func:`_inequality_row`."""
+
+    n: int
+    pairs: int
+    violations: list[tuple[int, int, int]]
+
+
+# one violation of check-inequality --all, at the depth of its list
+_VIOLATION = (
+    '{\n      "T": "%s",\n      "V": "%s",\n      "f_form": "%s",\n      "l_form": "%s"\n    }'
+)
+
+
+def _inequality_json(table: _InequalityTable) -> str:
+    """``json.dumps({"pairs": ..., "violations": [rows]}, sort_keys=True,
+    indent=2)``: the fields are labels and integers, JSON between quotes as
+    they are, and each row is written when the text is."""
+    rows = [_VIOLATION % _inequality_fields(table.n, *v) for v in table.violations]
+    return '{\n  "pairs": %d,\n  "violations": %s\n}' % (table.pairs, _json_list(rows, "  "))
 
 
 def _cmd_check_inequality(args):
@@ -330,14 +397,15 @@ def _cmd_check_inequality(args):
             pairs += 1
             f_val = inequality_f_form(flags, t_mask, v_mask)
             if f_val < 0:
-                violations.append(_inequality_row(flags.n, t_mask, v_mask, f_val))
+                violations.append((t_mask, v_mask, f_val))
 
         def table():
             print(f"checked {pairs} (T, V) pairs, {len(violations)} violations")
             if violations:
-                _emit_table(violations, ["T", "V", "f_form", "l_form"])
+                rows = [_inequality_row(flags.n, *v) for v in violations]
+                _emit_table(rows, _INEQUALITY_FIELDS)
 
-        return 1 if violations else 0, {"pairs": pairs, "violations": violations}, table
+        return 1 if violations else 0, _InequalityTable(flags.n, pairs, violations), table
     t_mask, v_mask = parse_subset(args.T), parse_subset(args.V)
     f_val = inequality_f_form(flags, t_mask, v_mask)
     detail = _inequality_row(flags.n, t_mask, v_mask, f_val)

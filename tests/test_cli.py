@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from cdposets import (
     cli,
     exprs,
     flag_vector,
+    inequality_f_form,
     inequality_pairs,
     l_vector,
     limit_l_vector,
@@ -396,6 +398,17 @@ def test_bad_interval_system_is_usage_error(run):
     code, _, err = run("build", "dp(4,[[1,3]],1)")
     assert code == 2
     assert "error:" in err
+
+
+def test_check_eulerian_tests_an_expression_on_its_tree(run, monkeypatch):
+    # 960,002 elements, inside the default budget: its replicated levels
+    # would take a 53.6 GiB comparability matrix, and the tree has no glue
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a poset")
+
+    for name in ("chain", "replicate_interval", "horizontal_double"):
+        monkeypatch.setattr(exprs, name, refuse)
+    assert run("check-eulerian", "dp(8,[[1,8]],60000)") == (0, '{\n  "eulerian": true\n}\n', "")
 
 
 def test_budget_exhaustion_is_usage_error(run):
@@ -1071,16 +1084,6 @@ def test_json_text_is_json_dumps(obj):
     assert _outcome(_json_text, obj) == _outcome(_dumps, obj)
 
 
-# plain keys, and plain keys mixed with one character just outside the
-# plain range: space, '!', '"', '\\', a control character, DEL, non-ASCII
-@pytest.mark.parametrize("extra", ["", " ", "!", '"', "\\", "\x1f", "\x7f", "é"])
-@given(data=st.data())
-def test_json_text_sorts_tables_as_json_does(extra, data):
-    keys = st.text(alphabet="[]1,20cd#~" + extra, max_size=6)
-    table = data.draw(st.dictionaries(keys, _scalars, min_size=2, max_size=12))
-    assert _json_text({"n": 3, "entries": table}) == _dumps({"n": 3, "entries": table})
-
-
 def test_json_text_defers_cycles_to_json():
     cycle = {"a": 1}
     cycle["b"] = {"c": cycle}
@@ -1088,6 +1091,43 @@ def test_json_text_defers_cycles_to_json():
     cycle = [1, []]
     cycle[1].append(cycle)
     assert _outcome(_json_text, cycle) == (ValueError, "Circular reference detected")
+
+
+# lists of scalar lists, empty ones included, alone and as dict values
+_scalar_lists = st.lists(st.lists(_scalars, max_size=4), max_size=6)
+
+
+@given(st.one_of(_scalar_lists, st.lists(_scalar_lists, max_size=3), _dicts(_scalar_lists)))
+def test_json_text_writes_lists_of_scalar_lists_as_json_does(obj):
+    assert _outcome(_json_text, obj) == _outcome(_dumps, obj)
+
+
+# a key of one character at or just outside the plain range, then "a":
+# its JSON, and whether json's key sort puts it before "b"
+_ESCAPED_KEYS = {
+    "": ('"a"', True),
+    " ": ('" a"', True),
+    "!": ('"!a"', True),
+    '"': ('"\\"a"', True),
+    "\\": ('"\\\\a"', True),
+    "\x1f": ('"\\u001fa"', True),
+    "\x7f": ('"\\u007fa"', False),
+    "é": ('"\\u00e9a"', False),
+}
+
+
+@pytest.mark.parametrize("extra", ["", " ", "!", '"', "\\", "\x1f", "\x7f", "é"])
+def test_json_text_sorts_tables_as_json_does(extra):
+    # the objects the commands do not hold as tables fall through to
+    # json.dumps: a nested dict, sorted and escaped, and a leaf json refuses
+    key, first = _ESCAPED_KEYS[extra]
+    entries = [key + ": [\n      1,\n      null\n    ]", '"b": {\n      "c": 0.5\n    }']
+    if not first:
+        entries.reverse()
+    expected = '{\n  "entries": {\n    ' + ",\n    ".join(entries) + '\n  },\n  "n": 3\n}'
+    assert _json_text({"n": 3, "entries": {"b": {"c": 0.5}, extra + "a": [1, None]}}) == expected
+    with pytest.raises(TypeError, match="^Object of type Fraction is not JSON serializable$"):
+        _json_text({"n": 3, "entries": {"a": [Fraction(1, 2)]}})
 
 
 @pytest.mark.parametrize(
@@ -1207,21 +1247,33 @@ def test_flag_templates_are_built_on_use_and_hold_one_str_and_one_array(run):
         assert template == _dumps(dict.fromkeys(labels, "%d"))
 
 
+@pytest.mark.parametrize("n", range(17))
+def test_label_order_is_the_sorted_order_of_the_labels(n):
+    labels = subset_labels(n)
+    order = cli._label_order(n)
+    assert order.dtype == np.intp
+    assert order.tolist() == sorted(range(1 << n), key=labels.__getitem__)
+
+
+@pytest.mark.parametrize("expr", ["chain(2)", "boolean(4)", "chain(6)", "dni(boolean(4),1,2,2)"])
+def test_check_inequality_all_prints_json_dumps_of_its_rows(run, expr):
+    flags = flag_vector_of(parse_expression(expr))
+    pairs = list(inequality_pairs(flags.n))
+    rows = [
+        cli._inequality_row(flags.n, t, v, f)
+        for t, v in pairs
+        if (f := inequality_f_form(flags, t, v)) < 0
+    ]
+    expected = _dumps({"pairs": len(pairs), "violations": rows}) + "\n"
+    assert run("check-inequality", expr, "--all") == (1 if rows else 0, expected, "")
+
+
 def test_build_prints_json_dumps_of_the_poset_dict(run, tmp_path):
     data = build_poset(parse_expression("boolean(6)")).to_dict()
     assert run("build", "boolean(6)") == (0, _dumps(data) + "\n", "")
     target = tmp_path / "boolean6.json"
     assert run("build", "boolean(6)", "-o", str(target)) == (0, "", "")
     assert target.read_text() == _dumps(data) + "\n"
-
-
-# lists of scalar lists, empty ones included, alone and as dict values
-_scalar_lists = st.lists(st.lists(_scalars, max_size=4), max_size=6)
-
-
-@given(st.one_of(_scalar_lists, st.lists(_scalar_lists, max_size=3), _dicts(_scalar_lists)))
-def test_json_text_writes_lists_of_scalar_lists_as_json_does(obj):
-    assert _outcome(_json_text, obj) == _outcome(_dumps, obj)
 
 
 def test_build_json_is_written_from_the_poset_not_its_dict(run, monkeypatch):
@@ -1353,9 +1405,17 @@ def _limit_address_space():
     "argv,gib",
     [
         (["build", "double(dp(64,[[2,25]],2147483648))", "--max-elements", str(10**20)], "400."),
-        (["check-eulerian", "dp(8,[[1,8]],60000)"], "53.6"),
+        # an expression's test builds its glues: this one's two 300,000-element
+        # levels take a 335 GiB comparability matrix
+        (
+            [
+                "check-eulerian",
+                "glue([dni(chain(4),1,3,150000), dni(chain(4),1,3,150000)], [[0,4],[0,4]])",
+            ],
+            "335.",
+        ),
     ],
-    ids=["build-400-GiB", "check-eulerian-53-GiB"],
+    ids=["build-400-GiB", "check-eulerian-335-GiB"],
 )
 def test_out_of_memory_is_a_usage_error(argv, gib):
     # an Eulerian poset's check that cannot get its memory is not "not
@@ -1374,10 +1434,10 @@ def test_out_of_memory_is_a_usage_error(argv, gib):
 
 
 def test_bare_memory_error_is_one_error_line(run, monkeypatch):
-    def exhausted(text, budget):
+    def exhausted(node, budget):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "_load_poset", exhausted)
+    monkeypatch.setattr(cli, "eulerian_of", exhausted)
     assert run("check-eulerian", "boolean(3)") == (2, "", "error: out of memory\n")
 
 

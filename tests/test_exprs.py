@@ -18,6 +18,7 @@ from cdposets import (
     build_poset,
     chain,
     dp_poset,
+    eulerian_of,
     even_interval_systems,
     flag_vector,
     flag_vector_of,
@@ -646,3 +647,76 @@ def test_nesting_limit_in_the_expanded_tree():
     # a dp one level below the limit in the source is too deep once expanded
     with pytest.raises(ValueError, match="once dp"):
         build(nested_duals(limit - 1).replace("chain(2)", "dp(2,[[1,2]],1)"))
+
+
+# -- the Eulerian test from the tree ------------------------------------------
+
+
+def _violation_tuple(result):
+    v = result.violation
+    if v is None:
+        return None
+    return (v.rank_low, v.index_low, v.rank_high, v.index_high, v.even_count, v.odd_count)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(trees().map(lambda tree: tree[0]), glue_trees()), st.sampled_from([None, 40, 300]))
+def test_eulerian_of_matches_the_built_test(text, budget):
+    # the verdict, the first violation's ranks and indices and its counts,
+    # or the same error; small posets against the oracle too
+    node = parse_expression(text)
+    got = outcome(lambda: eulerian_of(node, budget=budget))
+    try:
+        poset = build_poset(node, budget=budget)
+    except (ValueError, BudgetError) as exc:
+        assert got == (type(exc), str(exc))
+        return
+    assert got == poset.is_eulerian()
+    if poset.num_elements <= 40:
+        covers = [sorted(level) for level in poset.covers]
+        assert _violation_tuple(got) == oracles.first_violation(list(poset.level_sizes), covers)
+
+
+# the glue's first violation is at index 3 of rank 2, the chain part's
+# element there; the glue is replicated, dualized and joined
+_GLUE_WITH_A_CHAIN = "glue([boolean(3), chain(3)], [[0, 3], [0, 3]])"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"dni({_GLUE_WITH_A_CHAIN}, 1, 2, 3)",
+        f"dual(dni({_GLUE_WITH_A_CHAIN}, 1, 1, 2))",
+        f"join(dual({_GLUE_WITH_A_CHAIN}), double(chain(3)))",
+        f"join(boolean(3), dni({_GLUE_WITH_A_CHAIN}, 2, 2, 2))",
+        "dni(lemma2(7,2),2,5,2)",
+        "dual(dni(boolean(4),1,2,3))",
+    ],
+)
+def test_eulerian_of_reports_copy_0_of_the_first_violation(text):
+    # copy 0 of every replicated element keeps its index in the quotient
+    node = parse_expression(text)
+    result = build_poset(node).is_eulerian()
+    assert not result.eulerian
+    assert eulerian_of(node) == result
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"dni({_GLUE_WITH_A_CHAIN}, 1, 1, {{}})",
+        f"join(dni(lemma3(2), 2, 2, {{}}), {_GLUE_WITH_A_CHAIN})",
+        f"dual(join({_GLUE_WITH_A_CHAIN}, dni(boolean(3), 1, 2, {{}})))",
+    ],
+)
+def test_eulerian_of_counts_copies_past_int64(text):
+    # an interval's counts are affine in the copies N; from 2^62 elements
+    # at the root the sums are Python integers
+    def violation(copies):
+        return _violation_tuple(eulerian_of(parse_expression(text.format(copies)), budget=10**40))
+
+    small = [violation(2), violation(3)]
+    assert small == [_violation_tuple(build(text.format(copies)).is_eulerian()) for copies in (2, 3)]
+    for copies in 2**40, 2**61, 2**70:
+        counts = tuple(a + (copies - 2) * (b - a) for a, b in zip(small[0][4:], small[1][4:]))
+        assert violation(copies) == small[0][:4] + counts
