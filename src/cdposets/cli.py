@@ -7,6 +7,8 @@ commands that need only flag data (``flags``, ``l-vector``, ``cd-index``,
 building the poset, and ``check-eulerian`` tests an expression on its
 tree (:func:`~cdposets.exprs.eulerian_of`), building only its glues; a
 file is tested on its poset (:meth:`~cdposets.poset.RankedPoset.is_eulerian`).
+Both run the same loop over the rank pairs, on sums over closed intervals
+that the tree or the poset gives, so both report the same violation.
 
 Commands return their results and :func:`main` writes them: each
 ``_cmd_*`` function returns its exit code, a JSON object and a table form

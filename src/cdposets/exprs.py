@@ -95,28 +95,31 @@ count is below ``_INT64_SAFE`` = 2^62 all tables are int64, whose
 elementwise products and sums cannot overflow; otherwise they are Python
 integers (object arrays).
 
-The Eulerian test, :func:`eulerian_of`, also runs on the tree.  A node's
-*quotient* is its poset with one representative, copy 0, of each element
-that ``double`` and ``dni`` copy: the quotient of ``double(Q)`` or
-``dni(Q, ...)`` is that of Q, of ``dual(Q)`` its dual, of ``join(P, Q)``
-the join of theirs, and a glue is built and is its own quotient.  For
-levels r1 < r2 and integer weights c on the levels, the walk gives, for
-each pair u < v of the quotient at those ranks, the sum of c(rank z) over
-u < z < v in the root, each copy counted.  With c(r) = (-1)^(r - r1) it
-is the even minus the odd count of the root's interval [x, y] less its
-ends, which add 1 + (-1)^(r2 - r1).  Each node computes its sums from its
-children's, with the weights that the nodes above it have set:
+The Eulerian test, :func:`eulerian_of`, also runs on the tree: the
+loop of :meth:`~cdposets.poset.RankedPoset.is_eulerian`,
+:func:`~cdposets.poset._eulerian_test`, runs over sums that the walk
+gives.  A node's *quotient* is its poset with one representative, copy
+0, of each element that ``double`` and ``dni`` copy: the quotient of
+``double(Q)`` or ``dni(Q, ...)`` is that of Q, of ``dual(Q)`` its dual,
+of ``join(P, Q)`` the join of theirs, and a glue is built and is its own
+quotient.  For levels r1 < r2 and integer weights c on the levels, the
+walk gives, for each pair u, v of the quotient at those ranks, the sum
+of c(rank z) over the closed interval [u, v] of the root, each copy
+counted, and 0 where u and v do not compare.  With c(r) = (-1)^(r - r1)
+it is the even minus the odd count of the root's interval [x, y], and
+with c = 1 its size.  Each node computes its sums from its children's,
+with the weights that the nodes above it have set:
 
-* ``chain``: the sum of c(r) over r1 < r < r2, the same for every pair.
-* ``boolean(k)``: u ⊂ v, and [u, v] is a boolean lattice of rank
+* ``chain``: the sum of c(r) over r1 <= r <= r2, the same for every pair.
+* ``boolean(k)``: u ⊆ v, and [u, v] is a boolean lattice of rank
   l = r2 - r1 with C(l, t) elements of relative rank t, so the sum is
-  Σ_{0<t<l} C(l, t) c(r1 + t) for every comparable pair; no product is
+  Σ_{0<=t<=l} C(l, t) c(r1 + t) for every comparable pair; no product is
   needed.
-* ``double(Q)``: c becomes 2c.  Every cover of Q goes to all the copy
-  pairs of its levels, so copies x of u and y of v compare exactly when
-  u < v in Q, and [x, y] holds x, y and both copies of every z of (u, v),
-  whose ranks are proper.  For E(u, v) = Σ_{z∈[u,v]} (-1)^ρ(z) this is
-  E(x, y) = 2 E_Q(u, v) - (-1)^ρ(u) - (-1)^ρ(v).
+* ``double(Q)``: c becomes 2c strictly inside (r1, r2).  Every cover of
+  Q goes to all the copy pairs of its levels, so copies x of u and y of v
+  compare exactly when u < v in Q, and [x, y] holds x, y and both copies
+  of every z of (u, v), whose ranks are proper.  For E(u, v) =
+  Σ_{z∈[u,v]} (-1)^ρ(z) this is E(x, y) = 2 E_Q(u, v) - (-1)^ρ(u) - (-1)^ρ(v).
 * ``dni(Q, low, high, N)``, R the levels low..high: c becomes N c on R
   when neither r1 nor r2 is in R, and stays otherwise.  Covers inside R
   stay in their copy and covers into or out of R go to every copy, so
@@ -125,26 +128,42 @@ children's, with the weights that the nodes above it have set:
   every copy of each z of (u, v) in R lies in [x, y], since a chain of Q
   from u through z to v lifts through any copy of z.  If x is in R, the
   elements of R above x are in x's copy, and those below y in y's copy
-  if y is in R, so each such z counts once.
+  if y is in R, so each such z counts once, as x and y do.
 * ``dual(Q)``: the levels reverse: the sums for (r1, r2) and c are the
   transposed sums of Q for (n - r2, n - r1) and c reversed, n the rank.
 * ``join(P, Q)``, P of rank a: the levels below a are P's and level r
   from a on is level r - a + 1 of Q.  Pairs on one side are that side's.
-  Every u below a is below every v from a on, and (u, v) is (u, top) of
-  P and (bottom, v) of Q, so the sum splits at the join point into P's
-  sum to its top and Q's from its bottom.
+  Every u below a is below every v from a on, and [u, v] is [u, top] of
+  P and [bottom, v] of Q less that top and that bottom, which are not in
+  the join: P's sum to its top less c(a) plus Q's sum from its bottom
+  less c(a - 1).
 * ``glue``: the glue is built, as the walk builds its parts, and its sums
-  are Σ_r c(r) C(r1, r) C(r, r2) over its 0/1 comparability matrices:
-  entry (u, v) of a product counts the elements of level r in [u, v],
-  exactly in their float dtype.  These are the only matrix products, on
-  the glue's own levels.
+  are :meth:`~cdposets.poset.RankedPoset._interval_sums`: (c(r1) +
+  c(r2)) C(r1, r2) + Σ_r c(r) C(r1, r) C(r, r2) over its 0/1
+  comparability matrices, whose products count the elements of level r
+  in [u, v].  These are the only matrix products, on the glue's own
+  levels.
 
-The sum is one integer for all comparable pairs of a chain or a boolean
-lattice, and every rule keeps it so except a join with a glue on one
-side; so only glues and such joins hold matrices.  Every sum and partial
-sum counts elements of one interval of the root, so the matrices are
-int64 below ``_INT64_SAFE`` elements at the root, and Python integers
-from there on.
+The sum is one int for all comparable pairs of a chain or a boolean
+lattice, (0, 0) among them, and every rule keeps it so except a join
+with a glue on one side; so only glues and such joins hold matrices.
+In such a join numpy broadcasts the side that is one int, and the other
+side is a column (below, to P's one top) or a row (above, from Q's one
+bottom): the sum is a matrix of one row that stands for identical rows,
+or of one column for identical columns, and is never spread to the full
+shape, which would take the quotient's level sizes, not the node's.
+The first nonzero entry of the full matrix lies in its first row (or
+column), at the same place as in the one-row (one-column) matrix, and
+with the same counts.
+
+Every partial sum is at most the size of one interval of the root in
+absolute value: a side of a join less its end counts elements of [u,
+v], and the weight of that end counts copies at its level inside [u, v].
+So the sums run in :func:`~cdposets.poset.exact_float_dtype` of the
+root's number of elements below 2^53, and in Python ints from 2^53 on.
+The weights need not be exact in a glue's own dtype (float32 cannot hold
+2^40 + 1), so each product of a glue is put in the root's dtype before
+its weight multiplies it, into Python ints by way of int64.
 
 Why copy 0 is the first violation.  Copy a of element i of a level of L
 elements sits at a·L + i (:mod:`cdposets.constructions`), so copy 0 keeps
@@ -187,8 +206,8 @@ from .constructions import (
 from .flags import FlagVector, check_flag_ranks, flag_vector, reversed_table
 from .poset import (
     EulerianResult,
-    IntervalViolation,
     RankedPoset,
+    _eulerian_test,
     boolean,
     boolean_sizes,
     chain,
@@ -484,56 +503,20 @@ def lemma3_poset(copies: int, *, budget: int | None = None) -> RankedPoset:
 # -- the walk: flag vectors from the tree, and posets ----------------------
 
 
-class _Sums(NamedTuple):
-    """The weighted sums over the open intervals (u, v) between two levels
-    of a quotient, u on the lower level and v on the upper, for weights c
-    on the levels: for u < v, the sum of c(rank z) over u < z < v.
-
-    ``comparable`` is the boolean matrix of the pairs u < v and ``sums``
-    the matrix of their sums, 0 elsewhere; or ``comparable`` is None and
-    ``sums`` one integer, the sum of every comparable pair, of which the
-    pair of index 0 and index 0 is one."""
-
-    shape: tuple[int, int]
-    comparable: np.ndarray | None
-    sums: np.ndarray | int
-
-    def transposed(self) -> "_Sums":
-        if self.comparable is None:
-            return _Sums(self.shape[::-1], None, self.sums)
-        return _Sums(self.shape[::-1], self.comparable.T, self.sums.T)
-
-    def dense(self, dtype) -> np.ndarray:
-        """``sums`` as a matrix, for levels whose pairs all compare."""
-        if self.comparable is None:
-            return np.full(self.shape, self.sums, dtype)
-        return self.sums
-
-    def first(self, ends: int) -> tuple[int, int] | None:
-        """The first comparable pair (u, v) in (u, v) order whose sum plus
-        ``ends`` is not 0, or None."""
-        if self.comparable is None:
-            return (0, 0) if self.sums + ends else None
-        hits = np.flatnonzero(self.comparable & (self.sums != -ends))
-        return divmod(int(hits[0]), self.shape[1]) if len(hits) else None
-
-    def entry(self, u: int, v: int) -> int:
-        return int(self.sums if self.comparable is None else self.sums[u, v])
-
-
 class _Plan(NamedTuple):
     """A node as the walk sees it: level sizes and number of maximal
     chains, checked; ``table(dtype)`` computes the 2^n flag table in that
     dtype, n = len(sizes) - 2; ``poset()`` builds the node;
-    ``sums(r1, r2, c, dtype)`` gives the :class:`_Sums` of the node's
-    quotient between levels r1 < r2 for the weights c, a list of one int
-    per level, with its matrices in ``dtype`` (module docstring)."""
+    ``sums(r1, r2, c, dtype)`` gives the sums over the closed intervals
+    of the node's quotient between levels r1 < r2 that
+    :func:`~cdposets.poset._eulerian_test` takes, for the weights c, a
+    list of one int per level (module docstring)."""
 
     sizes: list[int]
     chains: int
     table: Callable[[type], np.ndarray]
     poset: Callable[[], RankedPoset]
-    sums: Callable[[int, int, list[int], type], _Sums]
+    sums: Callable[[int, int, list[int], type], np.ndarray | int]
 
 
 def flag_vector_of(node: Node, *, budget: int | None = None) -> FlagVector:
@@ -562,34 +545,11 @@ def _sized_flag_vector(node: Node, budget: int | None) -> tuple[list[int], FlagV
 def eulerian_of(node: Node, *, budget: int | None = None) -> EulerianResult:
     """``build_poset(node, budget=budget).is_eulerian()`` from the tree:
     the same verdict and the same first violation with the same counts,
-    from signed sums over the quotients of the nodes (module docstring).
-    Only the glues are built, and their parts.
-
-    The walk raises the errors of :func:`build_poset` in its order.  Then
-    for each pair of ranks r1 < r2 - 1 in order, the root's sums with
-    weights (-1)^(r - r1), plus 1 + (-1)^(r2 - r1) for the two ends, are
-    the even minus the odd count of each interval; the counts of the first
-    unbalanced one come from the sums with weights 1, its size less the
-    ends.
-    """
+    from the same test over the sums of the quotients of the nodes (module
+    docstring).  Only the glues are built, and their parts.  The walk
+    raises the errors of :func:`build_poset` in its order."""
     plan = _plan(node, budget)
-    rank = len(plan.sizes) - 1
-    dtype = np.int64 if sum(plan.sizes) < _INT64_SAFE else object
-    for r1 in range(rank - 1):
-        signs = [1 - 2 * ((r - r1) % 2) for r in range(rank + 1)]
-        for r2 in range(r1 + 2, rank + 1):
-            found = plan.sums(r1, r2, signs, dtype)
-            ends = 1 + signs[r2]
-            hit = found.first(ends)
-            if hit is not None:
-                x, y = hit
-                signed = found.entry(x, y) + ends
-                size = plan.sums(r1, r2, [1] * (rank + 1), dtype).entry(x, y) + 2
-                violation = IntervalViolation(
-                    r1, x, r2, y, (size + signed) // 2, (size - signed) // 2
-                )
-                return EulerianResult(False, violation)
-    return EulerianResult(True)
+    return _eulerian_test(plan.sizes, plan.sums)
 
 
 def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
@@ -606,7 +566,7 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
             1,
             lambda dtype: np.ones(1 << (rank - 1), dtype),
             lambda: chain(rank, budget=budget),
-            lambda r1, r2, c, dtype: _Sums((1, 1), None, sum(c[r1 + 1 : r2])),
+            lambda r1, r2, c, dtype: sum(c[r1 : r2 + 1]),
         )
     if kind == "boolean":
         k = args[0]
@@ -615,21 +575,24 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
             math.factorial(k),
             lambda dtype: _boolean_table(k, dtype),
             lambda: boolean(k, budget=budget),
-            lambda r1, r2, c, dtype: _Sums(
-                (math.comb(k, r1), math.comb(k, r2)),
-                None,
-                sum(math.comb(r2 - r1, r - r1) * c[r] for r in range(r1 + 1, r2)),
+            lambda r1, r2, c, dtype: sum(
+                math.comb(r2 - r1, r - r1) * c[r] for r in range(r1, r2 + 1)
             ),
         )
     if kind == "dual":
         inner = _plan(args[0], budget, depth + 1)
         n = len(inner.sizes) - 1
+
+        def sums(r1, r2, c, dtype):
+            found = inner.sums(n - r2, n - r1, c[::-1], dtype)
+            return found.T if isinstance(found, np.ndarray) else found
+
         return _Plan(
             inner.sizes[::-1],
             inner.chains,
             lambda dtype: reversed_table(inner.table(dtype)),
             lambda: inner.poset().dual(),
-            lambda r1, r2, c, dtype: inner.sums(n - r2, n - r1, c[::-1], dtype).transposed(),
+            sums,
         )
     if kind == "double":
         return _doubled(_plan(args[0], budget, depth + 1), budget)
@@ -665,7 +628,7 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
             poset.count_maximal_chains(),
             lambda dtype: flag_vector(poset).array.astype(dtype),
             glued,
-            _built_sums(glued),
+            poset._interval_sums,
         )
     raise ValueError(f"unknown node kind {kind!r}")
 
@@ -684,8 +647,10 @@ def _doubled(inner: _Plan, budget: int | None) -> _Plan:
         inner.chains << n,
         table,
         lambda: horizontal_double(inner.poset(), budget=budget),
-        # both copies of every inner element lie in the interval
-        lambda r1, r2, c, dtype: inner.sums(r1, r2, [2 * w for w in c], dtype),
+        # both copies of every element strictly inside lie in the interval
+        lambda r1, r2, c, dtype: inner.sums(
+            r1, r2, c[: r1 + 1] + [2 * w for w in c[r1 + 1 : r2]] + c[r2:], dtype
+        ),
     )
 
 
@@ -716,8 +681,9 @@ def _replicated(inner: _Plan, low: int, high: int, copies: int, budget: int | No
 def _joined_sums(left: _Plan, right: _Plan) -> Callable:
     """The sums of ``join(left, right)``: levels below a, the rank of
     ``left``, are its levels, and level r from a on is level r - a + 1 of
-    ``right``.  Every u below a is below every v from a on, and the open
-    interval (u, v) is (u, top) of ``left`` and (bottom, v) of ``right``."""
+    ``right``.  Every u below a is below every v from a on, and [u, v] is
+    [u, top] of ``left`` and [bottom, v] of ``right`` without that top and
+    that bottom.  A side that is one int broadcasts (module docstring)."""
     a = len(left.sizes) - 1
 
     def sums(r1, r2, c, dtype):
@@ -725,29 +691,11 @@ def _joined_sums(left: _Plan, right: _Plan) -> Callable:
             return left.sums(r1, r2, c[: a + 1], dtype)
         if r1 >= a:
             return right.sums(r1 - a + 1, r2 - a + 1, c[a - 1 :], dtype)
-        below = left.sums(r1, a, c[: a + 1], dtype)
-        above = right.sums(0, r2 - a + 1, c[a - 1 :], dtype)
-        shape = (below.shape[0], above.shape[1])
-        if below.comparable is None and above.comparable is None:
-            return _Sums(shape, None, below.sums + above.sums)
-        return _Sums(shape, np.ones(shape, bool), below.dense(dtype) + above.dense(dtype))
-
-    return sums
-
-
-def _built_sums(poset: Callable[[], RankedPoset]) -> Callable:
-    """The sums of a built poset: for each inner level r, the product of
-    the 0/1 comparability matrices of (r1, r) and (r, r2) counts the
-    elements of level r in each interval, exactly in their float dtype;
-    the counts are weighted in ``dtype``."""
-
-    def sums(r1, r2, c, dtype):
-        comp = poset()._float_comparability
-        comparable = comp(r1, r2) > 0
-        out = np.zeros(comparable.shape, dtype)
-        for r in range(r1 + 1, r2):
-            out += (comp(r1, r) @ comp(r, r2)).astype(np.int64).astype(dtype, copy=False) * c[r]
-        return _Sums(out.shape, comparable, out)
+        # each side less its end outside the join counts the elements of
+        # [u, v] on that side, so each partial sum counts elements too
+        below = left.sums(r1, a, c[: a + 1], dtype) - c[a]
+        above = right.sums(0, r2 - a + 1, c[a - 1 :], dtype) - c[a - 1]
+        return below + above
 
     return sums
 
@@ -790,7 +738,13 @@ def _glued_plan(plans: Sequence[_Plan], layout, glued: Callable[[], RankedPoset]
             earlier |= inside
         return out
 
-    return _Plan(layout.sizes, chains, table, glued, _built_sums(glued))
+    return _Plan(
+        layout.sizes,
+        chains,
+        table,
+        glued,
+        lambda r1, r2, c, dtype: glued()._interval_sums(r1, r2, c, dtype),
+    )
 
 
 def _boolean_table(k: int, dtype) -> np.ndarray:

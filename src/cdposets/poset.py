@@ -22,22 +22,28 @@ Comparability between two levels is computed as 0/1 matrices chained
 through the cover relations; this is sound because in a graded poset
 every relation x < y lies on a saturated chain.  The exhaustive Eulerian
 test checks every interval [x, y] for equal numbers of elements of even
-and odd rank.
+and odd rank, from sums of signed weights over the closed intervals
+between two levels (:meth:`RankedPoset._interval_sums`).  One loop,
+:func:`_eulerian_test`, runs it over those sums, and over the sums that
+:func:`~cdposets.exprs.eulerian_of` takes from an expression's tree.
 
 Both run their matrix products in floating point so that numpy hands them
 to BLAS, and both stay exact: every product entry counts elements of one
-level inside an interval, and every partial sum of the Eulerian test's
-signed accumulation counts elements of that interval, so each is an
-integer of absolute value at most ``num_elements``.  Binary floating
-point represents every integer up to 2^24 (float32) or 2^53 (float64)
-exactly, and sums of such integers that stay in range are computed
-without rounding; :func:`exact_float_dtype` picks float32 below 2^24
-elements and float64 otherwise.  The bound is checked on the poset
-itself, so it also covers posets loaded from files, which no element
-budget limits.  The 0/1 matrices are cached once, in that dtype, as the
-operands of every product, the flag vector's included;
-:meth:`RankedPoset.comparability` returns an int64 copy made on each
-call, and public results are exact integers.
+level inside an interval, so it is an integer of absolute value at most
+``num_elements``.  Binary floating point represents every integer up to
+2^24 (float32) or 2^53 (float64) exactly, and sums of such integers that
+stay in range are computed without rounding; :func:`exact_float_dtype`
+picks float32 below 2^24 elements and float64 otherwise.  The bound is
+checked on the poset itself, so it also covers posets loaded from files,
+which no element budget limits.  The 0/1 matrices are cached once, in
+that dtype, as the operands of every product, the flag vector's
+included; :meth:`RankedPoset.comparability` returns an int64 copy made
+on each call, and public results are exact integers.  The Eulerian
+test's weighted sums run in the :func:`exact_float_dtype` of the
+tested poset's number of elements below 2^53 and in Python ints from
+2^53 on: each partial sum is at most the size of one interval.  Each
+product is put in that dtype, into Python ints by way of int64, before
+its weight multiplies it.
 
 Each poset also caches its flag table once :func:`~cdposets.flags.flag_vector`
 has computed it: one :class:`~cdposets.flags.FlagVector`, whose 2^n
@@ -57,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -129,6 +135,50 @@ class EulerianResult:
 
     def __bool__(self) -> bool:
         return self.eulerian
+
+
+def _in_dtype(counts: np.ndarray, dtype) -> np.ndarray:
+    """Exact float counts in ``dtype``: a float dtype, or Python ints
+    (object) by way of int64."""
+    if dtype is object:
+        return counts.astype(np.int64).astype(object)
+    return counts.astype(dtype)
+
+
+def _eulerian_test(sizes: Sequence[int], sums: Callable) -> EulerianResult:
+    """The Eulerian test of a poset with level sizes ``sizes``, from its
+    closed interval sums: ``sums(r1, r2, c, dtype)`` gives, for each x of
+    level r1 and y of level r2, the sum of the weights c(rank z) over z in
+    [x, y], 0 where x and y do not compare.  It is a matrix in ``dtype``,
+    or one int, the sum of every comparable pair, (0, 0) among them.  A
+    matrix may have one row (or column) where all rows (or columns) are
+    equal.
+
+    With c(r) = (-1)^(r - r1) the sum is the even minus the odd count of
+    [x, y], so for each pair of ranks r1 < r2 - 1 in order the first
+    nonzero entry is the first violation; the sums with weights 1 give its
+    size.  Every partial sum is at most the size of one interval in
+    absolute value, so the sums are exact in :func:`exact_float_dtype`
+    below 2^53 elements, and in Python ints from there on."""
+    rank = len(sizes) - 1
+    elements = sum(sizes)
+    dtype = exact_float_dtype(elements) if elements < _FLOAT64_EXACT else object
+    ones = [1] * (rank + 1)
+    for r1 in range(rank - 1):
+        signs = [1 - 2 * ((r - r1) % 2) for r in range(rank + 1)]
+        for r2 in range(r1 + 2, rank + 1):
+            signed = sums(r1, r2, signs, dtype)
+            if not isinstance(signed, np.ndarray):
+                signed = np.atleast_2d(signed)  # the pair (0, 0)'s entry
+            if signed.any():
+                x, y = divmod(int(np.flatnonzero(signed)[0]), signed.shape[1])
+                even_odd = int(signed[x, y])
+                size = int(np.atleast_2d(sums(r1, r2, ones, dtype))[x, y])
+                violation = IntervalViolation(
+                    r1, x, r2, y, (size + even_odd) // 2, (size - even_odd) // 2
+                )
+                return EulerianResult(False, violation)
+    return EulerianResult(True)
 
 
 def _level_array(pairs: Iterable[CoverPair] | np.ndarray) -> np.ndarray:
@@ -417,44 +467,36 @@ class RankedPoset:
     def is_eulerian(self) -> EulerianResult:
         """Exhaustively test that every interval [x, y], x < y, balances
         elements of even and odd rank.  Reports the first violation in
-        (rank_low, rank_high, index_low, index_high) order.
-
-        For each pair of ranks r1 < r2 - 1 one signed matrix
-        sum over r of (-1)^(r - r1) comparability(r1, r) @ comparability(r, r2)
-        is accumulated in :func:`exact_float_dtype`, on the matrices of
-        :meth:`_float_comparability`: its (x, y) entry is the even minus the
-        odd count of [x, y].  Only inner ranks need products; the endpoints
-        add comparability(r1, r2) each with their own sign.  Every partial
-        sum counts elements of one interval, so it is exact.  The counts of
-        the reported interval are recounted on the same matrices.
-        """
+        (rank_low, rank_high, index_low, index_high) order, by
+        :func:`_eulerian_test` over :meth:`_interval_sums`."""
         self._require_valid()
-        comp = self._float_comparability
-        for r1 in range(self.rank - 1):
-            for r2 in range(r1 + 2, self.rank + 1):
-                # x counts with sign +1 and y with (-1)^(r2 - r1): 2 or 0 in all
-                diff = comp(r1, r2) * (1 + (-1) ** (r2 - r1))
-                for r in range(r1 + 1, r2):
-                    prod = comp(r1, r) @ comp(r, r2)
-                    if (r - r1) % 2:
-                        diff -= prod
-                    else:
-                        diff += prod
-                if diff.any():
-                    x, y = divmod(int(np.flatnonzero(diff)[0]), diff.shape[1])
-                    return EulerianResult(False, self._violation(r1, x, r2, y))
-        return EulerianResult(True)
+        return _eulerian_test(self.level_sizes, self._interval_sums)
 
-    def _violation(self, r1: int, x: int, r2: int, y: int) -> IntervalViolation:
-        """Exact even and odd rank counts of the interval [x, y]: each sum
-        counts elements of one level, so it is exact in the float dtype."""
+    def _interval_sums(self, r1: int, r2: int, c: Sequence[int], dtype) -> np.ndarray:
+        """For each x of level r1 and y of level r2, the sum of c(rank z)
+        over z in [x, y], 0 where x and y do not compare, in ``dtype``.
+
+        Entry (x, y) of the product of the 0/1 matrices of (r1, r) and
+        (r, r2) of :meth:`_float_comparability` counts the elements of
+        level r in [x, y], exactly in their float dtype; comparability(r1,
+        r2) counts the ends.  Each count is put in ``dtype`` before its
+        weight multiplies it, since the weight need not be exact in the
+        poset's own dtype."""
         comp = self._float_comparability
-        ends = int(comp(r1, r2)[x, y])  # x and y, if x <= y
-        counts = [ends, 0]
-        counts[(r2 - r1) % 2] += ends
+        ends = comp(r1, r2)
+        convert = ends.dtype.type is not dtype
+        out = (_in_dtype(ends, dtype) if convert else ends) * (c[r1] + c[r2])
         for r in range(r1 + 1, r2):
-            counts[(r - r1) % 2] += int(comp(r1, r)[x] @ comp(r, r2)[:, y])
-        return IntervalViolation(r1, x, r2, y, counts[0], counts[1])
+            prod = comp(r1, r) @ comp(r, r2)
+            if convert:
+                prod = _in_dtype(prod, dtype)
+            if c[r] == 1:
+                out += prod
+            elif c[r] == -1:
+                out -= prod
+            else:
+                out += prod * c[r]
+        return out
 
     # -- serialization ------------------------------------------------
 

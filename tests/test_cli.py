@@ -1036,52 +1036,39 @@ def _outcome(encode, obj):
         return type(exc), str(exc)
 
 
-# prefix pairs, characters at and around the plain range, and non-ASCII
-_TRICKY_KEYS = [
-    "", "c", "cd", "cdc", "d", "dc", "[]", "[1]", "[1,2]", "[10]", "[1,10]", "[2]",
-    "n", "entries", "terms", " ", "a b", "!", "!a", '"', 'a"', "\\", "a\\b", "#", "~",
-    "\x00", "\n", "\x1f", "\x7f", "a\x7f", "é", "☃", "\ud800", "[1]\x00",
-]
-_str_keys = st.one_of(
-    st.sampled_from(_TRICKY_KEYS),
-    st.text(alphabet="[]1,20cd", max_size=6),
-    st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x80), max_size=4),
-    st.text(max_size=3),
-)
-_other_keys = st.one_of(st.integers(), st.booleans(), st.none(), st.floats())
-_scalar_kinds = [
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(),
-    st.text(max_size=8),
-    st.sampled_from([",\n  ", ',\n  "a": 1', "\n", '"', "\\", "NaN"]),
-]
-_scalars = st.one_of(*_scalar_kinds)
+# entries at and past the ends of int64, and signs
+_TABLE_EDGES = [0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**64, -(2**64) - 1, 3**50]
+_int64_entries = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
 
 
-def _dicts(values):
-    return st.one_of(
-        st.dictionaries(_str_keys, values, max_size=8),
-        st.dictionaries(st.one_of(_str_keys, _other_keys), values, max_size=3),
-    )
+@st.composite
+def _held_tables(draw):
+    """A table that ``_json_text`` writes itself, and the dict whose
+    ``json.dumps`` the command prints for it: a flag or L table of int64 or
+    Python int entries (all zero, too), a cd-index (zero, too) or a
+    ``limit-l`` table."""
+    n = draw(st.integers(0, 6), label="n")
+    size = 1 << n
+    kind = draw(st.sampled_from(["flags", "l-vector", "cd-index", "limit-l"]), label="kind")
+    if kind == "cd-index":
+        terms = draw(st.dictionaries(st.sampled_from(cd_words(n)), _int64_entries))
+        poly = CdPolynomial(n, terms)
+        return poly, poly.to_dict()
+    if kind == "limit-l":
+        entries = draw(st.dictionaries(st.integers(0, size - 1), st.one_of(_int64_entries, st.integers())))
+        labelled = {subset_label(mask): value for mask, value in entries.items()}
+        return cli._LimitTable(n, entries), {"n": n, "entries": labelled}
+    values = draw(st.one_of(st.just([0] * size), st.lists(_int64_entries, min_size=size, max_size=size)))
+    if draw(st.booleans(), label="past int64"):
+        values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(_TABLE_EDGES[6:]))
+    table = FlagVector(n, values) if kind == "flags" else LVector.from_numerators(n, values)
+    return table, table.to_dict()
 
 
-# a Fraction is the leaf that json refuses
-_json_objects = st.recursive(
-    st.one_of(*_scalar_kinds, st.fractions()),
-    lambda children: st.one_of(
-        _dicts(children),
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-    ),
-    max_leaves=30,
-)
-
-
-@given(_json_objects)
-def test_json_text_is_json_dumps(obj):
-    assert _outcome(_json_text, obj) == _outcome(_dumps, obj)
+@given(_held_tables())
+def test_json_text_is_json_dumps(held):
+    table, data = held
+    assert _json_text(table) == _dumps(data)
 
 
 def test_json_text_defers_cycles_to_json():
@@ -1093,13 +1080,26 @@ def test_json_text_defers_cycles_to_json():
     assert _outcome(_json_text, cycle) == (ValueError, "Circular reference detected")
 
 
-# lists of scalar lists, empty ones included, alone and as dict values
-_scalar_lists = st.lists(st.lists(_scalars, max_size=4), max_size=6)
+@st.composite
+def _small_posets(draw):
+    """A small built poset, or one of up to 5 levels of up to 3 elements
+    with any cover pairs: its covers are lists of int pairs, some empty,
+    some past int64."""
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(["chain(1)", "boolean(3)", "dni(boolean(3),1,2,2)", "lemma3(1)"]))
+        return build_poset(parse_expression(text))
+    rank = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=rank + 1, max_size=rank + 1))
+    index = st.integers(0, 3)
+    if draw(st.booleans()):
+        index = st.one_of(index, st.integers(2**63, 2**70))
+    covers = [draw(st.lists(st.tuples(index, index), max_size=6)) for _ in range(rank)]
+    return RankedPoset(rank, sizes, covers)
 
 
-@given(st.one_of(_scalar_lists, st.lists(_scalar_lists, max_size=3), _dicts(_scalar_lists)))
-def test_json_text_writes_lists_of_scalar_lists_as_json_does(obj):
-    assert _outcome(_json_text, obj) == _outcome(_dumps, obj)
+@given(_small_posets())
+def test_json_text_writes_lists_of_scalar_lists_as_json_does(poset):
+    assert _json_text(poset) == _dumps(poset.to_dict())
 
 
 # a key of one character at or just outside the plain range, then "a":
@@ -1142,10 +1142,6 @@ def test_table_commands_print_json_dumps_of_the_library_dicts(run, expr):
     }
     for command, data in expected.items():
         assert run(command, expr) == (0, _dumps(data) + "\n", ""), command
-
-
-# entries at and past the ends of int64, and signs
-_TABLE_EDGES = [0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**64, -(2**64) - 1, 3**50]
 
 
 @pytest.mark.parametrize("n", range(17))

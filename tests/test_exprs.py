@@ -2,7 +2,11 @@
 computed from the expression tree."""
 
 import collections
+import contextlib
+import io
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from cdposets import (
     ranks_from_mask,
     replicate_interval,
 )
-from cdposets import exprs
+from cdposets import cli, exprs
 from cdposets.exprs import _lemma2_glue, _lemma3_glue
 
 
@@ -710,13 +714,41 @@ def test_eulerian_of_reports_copy_0_of_the_first_violation(text):
     ],
 )
 def test_eulerian_of_counts_copies_past_int64(text):
-    # an interval's counts are affine in the copies N; from 2^62 elements
-    # at the root the sums are Python integers
+    # an interval's counts are affine in the copies N; below 2^53 elements
+    # at the root the sums are float64, from there on Python integers.  A
+    # weight that is not a power of two (2^40 + 1, 3^30) is exact only once
+    # the glue's float32 count is in the root's dtype
     def violation(copies):
         return _violation_tuple(eulerian_of(parse_expression(text.format(copies)), budget=10**40))
 
     small = [violation(2), violation(3)]
     assert small == [_violation_tuple(build(text.format(copies)).is_eulerian()) for copies in (2, 3)]
-    for copies in 2**40, 2**61, 2**70:
+    for copies in 2**40, 2**40 + 1, 3**30, 2**61, 2**70:
         counts = tuple(a + (copies - 2) * (b - a) for a, b in zip(small[0][4:], small[1][4:]))
         assert violation(copies) == small[0][:4] + counts
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(trees().map(lambda tree: tree[0]), glue_trees()))
+def test_check_eulerian_keeps_the_exit_contract(text):
+    # exit 0, 1 or 2 with at most one error line; an expression that
+    # builds gives the output of its poset checked as a file
+    budget = ["--max-elements", "300"]
+    code, out, err = _cli("check-eulerian", text, *budget)
+    assert code in (0, 1, 2)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
+    try:
+        build_poset(parse_expression(text), budget=300)
+    except (ValueError, BudgetError):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "poset.json")
+        assert _cli("build", text, *budget, "-o", path) == (0, "", "")
+        assert _cli("check-eulerian", path, *budget)[:2] == (code, out)
