@@ -49,7 +49,7 @@ from typing import Sequence
 
 from .constructions import Interval
 from .errors import BudgetError
-from .exprs import _sized_flag_vector, build_poset, parse_expression
+from .exprs import _plan, build_poset, parse_expression
 from .flags import (
     FlagVector,
     LVector,
@@ -428,8 +428,8 @@ def negative_witness(
         expression = f"join(boolean({prefix_degree + 1}),{expression})"
     if suffix_degree:
         expression = f"join({expression},boolean({suffix_degree + 1}))"
-    sizes, flags = _sized_flag_vector(parse_expression(expression), budget)
-    coefficient = cd_from_l(l_vector(flags)).coefficient(word)
+    plan = _plan(parse_expression(expression), budget)
+    coefficient = cd_from_l(l_vector(plan.flags())).coefficient(word)
     return NegativeWitness(
-        word, witness, position, base, expression, tuple(sizes), coefficient, budget
+        word, witness, position, base, expression, tuple(plan.sizes), coefficient, budget
     )

@@ -1,14 +1,16 @@
 """Command line interface.
 
 Poset arguments accept either a path to a JSON file produced by ``build``
-or an inline construction expression (see :mod:`cdposets.exprs`).  The
-commands that need only flag data (``flags``, ``l-vector``, ``cd-index``,
-``check-inequality``) compute it from an expression's tree without
-building the poset, and ``check-eulerian`` tests an expression on its
-tree (:func:`~cdposets.exprs.eulerian_of`), building only its glues; a
-file is tested on its poset (:meth:`~cdposets.poset.RankedPoset.is_eulerian`).
-Both run the same loop over the rank pairs, on sums over closed intervals
-that the tree or the poset gives, so both report the same violation.
+or an inline construction expression (see :mod:`cdposets.exprs`).  One
+loader, :func:`_load_plan`, turns either into a plan of the expression
+walk: a file is validated and becomes a built leaf, as a glue whose
+chains can cross parts does inside the walk, and an expression is its
+tree.  Every command reads that plan: ``build`` its poset, the commands
+that need only flag data (``flags``, ``l-vector``, ``cd-index``,
+``check-inequality``) its flag table, and ``check-eulerian`` its Eulerian
+test.  So an expression's flag data and Eulerian test come from its tree,
+building only its glues, and a file's from its poset, by the same loop
+over closed interval sums, which reports the same violation.
 
 Commands return their results and :func:`main` writes them: each
 ``_cmd_*`` function returns its exit code, a JSON object and a table form
@@ -64,7 +66,7 @@ from .analysis import (
 from .constructions import join as join_posets
 from .corpus import eulerian_corpus, join_pairs
 from .errors import BudgetError, NotCdExpressibleError
-from .exprs import build_poset, eulerian_of, flag_vector_of, parse_expression
+from .exprs import _built_plan, _Plan, _plan, build_poset, parse_expression
 from .flags import (
     CdPolynomial,
     FlagVector,
@@ -95,17 +97,12 @@ def _load_poset_file(path: str, budget: int | None) -> RankedPoset:
     return poset
 
 
-def _load_poset(text: str, budget: int | None) -> RankedPoset:
+def _load_plan(text: str, budget: int | None) -> _Plan:
+    """The plan of a poset argument: a file's poset as a built leaf, or
+    an expression's walk, which builds nothing until asked."""
     if os.path.exists(text):
-        return _load_poset_file(text, budget)
-    return build_poset(parse_expression(text), budget=budget)
-
-
-def _load_flags(text: str, budget: int | None) -> FlagVector:
-    """Flag vector of a poset argument; an expression is not built."""
-    if os.path.exists(text):
-        return flag_vector(_load_poset_file(text, budget))
-    return flag_vector_of(parse_expression(text), budget=budget)
+        return _built_plan(_load_poset_file(text, budget))
+    return _plan(parse_expression(text), budget)
 
 
 def _emit_json(obj, path: str | None = None) -> None:
@@ -190,16 +187,13 @@ def _n_table_json(n: int, name: str, lines: list[str]) -> str:
 def _l_table_json(table: LVector) -> str:
     """``json.dumps(table.to_dict(), sort_keys=True, indent=2)``.
 
-    Past 2^n / 8 nonzero entries, where ``LVector.to_dict`` reads its
-    labels from ``subset_labels(n)``, the entries are taken in label order
-    from the flag template's mask order, with no sort.  Fewer entries are
-    those of ``to_dict``, sorted.
+    A dense table, whose ``LVector.to_dict`` reads its labels from
+    ``subset_labels(n)``, takes its entries in label order from the flag
+    template's mask order, with no sort.  A sparse one writes the entries
+    of ``to_dict``, sorted.
     """
     n, array = table.n, table.array
-    if 8 * np.count_nonzero(array) <= len(array):
-        entries = table.to_dict()["entries"].items()
-        lines = sorted([f'"{label}": "{value}"' for label, value in entries])
-    else:
+    if table._dense():
         order = _flag_template(n)[1]
         masks = order[array[order] != 0]
         labels = subset_labels(n)
@@ -207,6 +201,9 @@ def _l_table_json(table: LVector) -> str:
             f'"{labels[mask]}": "{_dyadic_str(value, n)}"'
             for mask, value in zip(masks.tolist(), array[masks].tolist())
         ]
+    else:
+        entries = table.to_dict()["entries"].items()
+        lines = sorted([f'"{label}": "{value}"' for label, value in entries])
     return _n_table_json(n, "entries", lines)
 
 
@@ -293,18 +290,18 @@ def _add_format_arg(sub: argparse.ArgumentParser, default: str) -> None:
 
 
 def _cmd_build(args):
-    return 0, _load_poset(args.expr, args.max_elements), None
+    return 0, _load_plan(args.expr, args.max_elements).poset(), None
 
 
 def _cmd_flags(args):
-    table = _load_flags(args.poset, args.max_elements)
+    table = _load_plan(args.poset, args.max_elements).flags()
     return 0, table, lambda: _emit_table(
         [{"S": label, "f_S": value} for label, value in table.to_dict().items()], ["S", "f_S"]
     )
 
 
 def _cmd_cd_index(args):
-    poly = cd_from_l(l_vector(_load_flags(args.poset, args.max_elements)))
+    poly = cd_from_l(l_vector(_load_plan(args.poset, args.max_elements).flags()))
     return 0, poly, lambda: _emit_table(
         [{"word": word, "coefficient": poly.terms[word]} for word in sorted(poly.terms)],
         ["word", "coefficient"],
@@ -312,7 +309,7 @@ def _cmd_cd_index(args):
 
 
 def _cmd_l_vector(args):
-    table = l_vector(_load_flags(args.poset, args.max_elements))
+    table = l_vector(_load_plan(args.poset, args.max_elements).flags())
     return 0, table, lambda: _emit_table(
         [{"Q": label, "L_Q": value} for label, value in table.to_dict()["entries"].items()],
         ["Q", "L_Q"],
@@ -320,11 +317,7 @@ def _cmd_l_vector(args):
 
 
 def _cmd_check_eulerian(args):
-    # a file is tested on its poset, an expression on its tree
-    if os.path.exists(args.poset):
-        result = _load_poset_file(args.poset, args.max_elements).is_eulerian()
-    else:
-        result = eulerian_of(parse_expression(args.poset), budget=args.max_elements)
+    result = _load_plan(args.poset, args.max_elements).eulerian()
     if result.eulerian:
         return 0, {"eulerian": True}, "eulerian: yes"
     v = result.violation
@@ -388,7 +381,7 @@ def _inequality_json(table: _InequalityTable) -> str:
 
 
 def _cmd_check_inequality(args):
-    flags = _load_flags(args.poset, args.max_elements)
+    flags = _load_plan(args.poset, args.max_elements).flags()
     # --all takes neither --T nor --V; without it both are needed
     if args.all != (args.T is None) or args.all != (args.V is None):
         raise ValueError("provide either --all or both --T and --V")

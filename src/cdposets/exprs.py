@@ -26,10 +26,13 @@ One walk, ``_plan``, is the only code that dispatches on the kinds.  For
 each node it checks arguments and budgets and carries level sizes, the
 number of maximal chains, how to compute the 2^n flag table, how to
 build the poset and how to sum over its intervals for the Eulerian test
-(below).  :func:`build_poset` builds the root's poset;
-:func:`flag_vector_of` computes the root's table instead, and
-:func:`eulerian_of` tests the root.  All raise the same errors in the
-same order, because they share the walk.  With
+(below).  A built poset is one more leaf, ``_built_plan``: a glue whose
+chains can cross parts, and, on the command line, a JSON file; its table
+and sums come from the poset.  :func:`build_poset` builds the root's
+poset; :func:`flag_vector_of` computes the root's table instead
+(``_Plan.flags``), and :func:`eulerian_of` tests the root
+(``_Plan.eulerian``).  All raise the same errors in the same order,
+because they share the walk.  With
 n the number of proper ranks and masks as in :mod:`cdposets.subsets`,
 the tables are:
 
@@ -506,17 +509,43 @@ def lemma3_poset(copies: int, *, budget: int | None = None) -> RankedPoset:
 class _Plan(NamedTuple):
     """A node as the walk sees it: level sizes and number of maximal
     chains, checked; ``table(dtype)`` computes the 2^n flag table in that
-    dtype, n = len(sizes) - 2; ``poset()`` builds the node;
-    ``sums(r1, r2, c, dtype)`` gives the sums over the closed intervals
-    of the node's quotient between levels r1 < r2 that
-    :func:`~cdposets.poset._eulerian_test` takes, for the weights c, a
-    list of one int per level (module docstring)."""
+    dtype, n = len(sizes) - 2, as a fresh array that the caller may write
+    to; ``poset()`` builds the node; ``sums(r1, r2, c, dtype)`` gives the
+    sums over the closed intervals of the node's quotient between levels
+    r1 < r2 that :func:`~cdposets.poset._eulerian_test` takes, for the
+    weights c, a list of one int per level (module docstring)."""
 
     sizes: list[int]
     chains: int
     table: Callable[[type], np.ndarray]
     poset: Callable[[], RankedPoset]
     sums: Callable[[int, int, list[int], type], np.ndarray | int]
+
+    def flags(self) -> FlagVector:
+        """The flag vector, once the flag rank limit is checked: int64
+        below ``_INT64_SAFE`` maximal chains, Python ints from there on."""
+        n = len(self.sizes) - 2
+        check_flag_ranks(n)
+        dtype = np.int64 if self.chains < _INT64_SAFE else object
+        return FlagVector._from_array(n, self.table(dtype))
+
+    def eulerian(self) -> EulerianResult:
+        return _eulerian_test(self.sizes, self.sums)
+
+
+def _built_plan(poset: RankedPoset) -> _Plan:
+    """A built poset as a leaf of the walk: a JSON file, or a glue whose
+    chains can cross parts.  Its table is a copy of
+    :func:`~cdposets.flags.flag_vector`'s, since the nodes above write
+    into their child's table, and its sums are
+    :meth:`~cdposets.poset.RankedPoset._interval_sums`."""
+    return _Plan(
+        list(poset.level_sizes),
+        poset.count_maximal_chains(),
+        lambda dtype: flag_vector(poset).array.astype(dtype),
+        lambda: poset,
+        poset._interval_sums,
+    )
 
 
 def flag_vector_of(node: Node, *, budget: int | None = None) -> FlagVector:
@@ -529,17 +558,7 @@ def flag_vector_of(node: Node, *, budget: int | None = None) -> FlagVector:
     the flag rank limit is checked, and only then are the tables computed
     by the identities in the module docstring.
     """
-    return _sized_flag_vector(node, budget)[1]
-
-
-def _sized_flag_vector(node: Node, budget: int | None) -> tuple[list[int], FlagVector]:
-    """The level sizes of ``build_poset(node)`` and :func:`flag_vector_of`,
-    from one walk of the tree."""
-    plan = _plan(node, budget)
-    n = len(plan.sizes) - 2
-    check_flag_ranks(n)
-    dtype = np.int64 if plan.chains < _INT64_SAFE else object
-    return plan.sizes, FlagVector._from_array(n, plan.table(dtype))
+    return _plan(node, budget).flags()
 
 
 def eulerian_of(node: Node, *, budget: int | None = None) -> EulerianResult:
@@ -548,8 +567,7 @@ def eulerian_of(node: Node, *, budget: int | None = None) -> EulerianResult:
     from the same test over the sums of the quotients of the nodes (module
     docstring).  Only the glues are built, and their parts.  The walk
     raises the errors of :func:`build_poset` in its order."""
-    plan = _plan(node, budget)
-    return _eulerian_test(plan.sizes, plan.sums)
+    return _plan(node, budget).eulerian()
 
 
 def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
@@ -622,14 +640,7 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
         glued = functools.cache(lambda: _glued(layout))
         if _chains_stay_in_parts(layout.sets):
             return _glued_plan(plans, layout, glued)
-        poset = glued()
-        return _Plan(
-            layout.sizes,
-            poset.count_maximal_chains(),
-            lambda dtype: flag_vector(poset).array.astype(dtype),
-            glued,
-            poset._interval_sums,
-        )
+        return _built_plan(glued())
     raise ValueError(f"unknown node kind {kind!r}")
 
 

@@ -224,15 +224,17 @@ class LVector(_IntTable):
     def __repr__(self) -> str:
         return f"LVector(n={self.n}, {np.count_nonzero(self.array)} nonzero)"
 
+    def _dense(self) -> bool:
+        """Whether more than 2^n / 8 entries are nonzero: then their labels
+        are read from ``subset_labels(n)``, whose entries cost about an
+        eighth of a ``subset_label`` call each."""
+        return 8 * np.count_nonzero(self.array) > len(self.array)
+
     def to_dict(self) -> dict:
         """n plus the nonzero entries as exact rational strings."""
         n = self.n
-        entries = list(self._nonzero_numerators())
-        # an entry of subset_labels costs about an eighth of a subset_label call
-        if 8 * len(entries) > len(self.array):
-            label = subset_labels(n).__getitem__
-        else:
-            label = subset_label
+        label = subset_labels(n).__getitem__ if self._dense() else subset_label
+        entries = self._nonzero_numerators()
         return {"n": n, "entries": {label(m): _dyadic_str(v, n) for m, v in entries}}
 
 

@@ -738,6 +738,11 @@ def test_python_m_end_to_end(tmp_path, module):
 # -- flag data from the expression tree ------------------------------------
 
 
+# a glue whose chains run from part 0's rank 1 through shared rank 2 to
+# part 1's rank 3, so the walk builds it
+_CROSSING_GLUE = "glue([boolean(4), boolean(4)], [[0, 2, 4], [0, 2, 4]])"
+
+
 @pytest.mark.parametrize(
     "argv,code,fragment",
     [
@@ -771,19 +776,25 @@ def test_python_m_end_to_end(tmp_path, module):
         (["l-vector", "double(double(double(chain(6))))", "--format", "table"], 0, ""),
         (["check-inequality", "dp(6, [[1, 2], [3, 6]], 2)", "--all"], 0, ""),
         (["check-inequality", "boolean(5)", "--T", "[1]", "--V", "[1,2]", "--format", "table"], 0, ""),
+        # the Eulerian test and build, from the tree and from the built poset
+        (["check-eulerian", "double(boolean(12))", "--max-elements", "5000"], 2, "replicate_interval"),
+        (["check-eulerian", "dni(lemma2(7, 2), 2, 5, 2)"], 1, ""),
+        (["check-eulerian", "join(lemma3(2), dual(boolean(3)))", "--format", "table"], 0, ""),
+        (["build", "dp(8, [[1, 8]], 1000)", "--max-elements", "5000"], 2, "replicate_interval"),
+        (["build", "dual(dni(lemma3(2), 2, 3, 2))"], 0, ""),
+        # nodes above a glue whose chains cross parts write into its table
+        (["flags", f"dni({_CROSSING_GLUE}, 1, 2, 2)"], 0, ""),
+        (["flags", f"glue([{_CROSSING_GLUE}, {_CROSSING_GLUE}], [[0, 4], [0, 4]])"], 0, ""),
+        (["check-eulerian", f"glue([{_CROSSING_GLUE}, {_CROSSING_GLUE}], [[0, 4], [0, 4]])"], 1, ""),
     ],
 )
 def test_tree_path_output_matches_built_poset(run, monkeypatch, argv, code, fragment):
-    from cdposets import cli
-    from cdposets.exprs import build_poset
-    from cdposets.flags import flag_vector
-
     tree = run(*argv)
     assert tree[0] == code and fragment in tree[2]
     monkeypatch.setattr(
         cli,
-        "flag_vector_of",
-        lambda node, *, budget=None: flag_vector(build_poset(node, budget=budget)),
+        "_load_plan",
+        lambda text, budget: exprs._built_plan(build_poset(parse_expression(text), budget=budget)),
     )
     assert run(*argv) == tree
 
@@ -1430,10 +1441,10 @@ def test_out_of_memory_is_a_usage_error(argv, gib):
 
 
 def test_bare_memory_error_is_one_error_line(run, monkeypatch):
-    def exhausted(node, budget):
+    def exhausted(text, budget):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "eulerian_of", exhausted)
+    monkeypatch.setattr(cli, "_load_plan", exhausted)
     assert run("check-eulerian", "boolean(3)") == (2, "", "error: out of memory\n")
 
 

@@ -154,6 +154,12 @@ def trees(draw, depth=3):
     return f"join({inner}, {other})", r + r2 - 1
 
 
+def sized_flags(node, budget):
+    """The level sizes and the flag vector of one plan of the walk."""
+    plan = exprs._plan(node, budget)
+    return plan.sizes, plan.flags()
+
+
 def outcome(compute):
     try:
         return compute()
@@ -418,7 +424,7 @@ def test_glue_from_its_parts_matches_the_built_glue(tree, budget):
         poset = build_poset(node, budget=budget)
         return list(poset.level_sizes), flag_vector(poset)
 
-    assert outcome(lambda: exprs._sized_flag_vector(node, budget)) == outcome(built)
+    assert outcome(lambda: sized_flags(node, budget)) == outcome(built)
 
 
 @pytest.mark.parametrize(
@@ -457,7 +463,7 @@ def test_glue_is_built_only_when_a_chain_can_cross_parts(monkeypatch, text, from
         return glued(layout)
 
     monkeypatch.setattr(exprs, "_glued", spy)
-    sizes, table = exprs._sized_flag_vector(node, None)
+    sizes, table = sized_flags(node, None)
     assert (sizes, table) == (list(expected.level_sizes), flag_vector(expected))
     assert len(builds) == (0 if from_parts else 1)
     # either way the poset is built once
