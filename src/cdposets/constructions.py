@@ -29,10 +29,14 @@ posets of equal rank along chosen levels, index by index.
 
 The paper's families (``dp``, ``lemma2``, ``lemma3``) are expression
 trees over these constructions, defined in :mod:`cdposets.exprs`.  When
-flag vectors are computed from such a tree, only the parts of a glue are
-built, for its checks, and the glue itself only when a chain of it can
-cross parts; the others have identities there.  The walk runs the glue's
-checks through the same helper as :func:`glue`, once per glue.
+flag vectors or the Eulerian test are computed from such a tree, only the
+parts of a glue are built, for its checks, and the glue itself only when
+a chain of it can cross parts; the others have identities there.  The
+walk runs the glue's checks through the same helper as :func:`glue`,
+once per glue.  The Eulerian test of a glue whose chains stay in parts
+reads a part's comparability between two levels from
+:func:`_comparability_rows`, which carries rows up the cover arrays as
+the check does, with no matrix product.
 """
 
 from __future__ import annotations
@@ -291,11 +295,9 @@ def _disagreements(
     other part whose comparability between the two levels differs from it.
 
     Each part carries the rows of its glued levels, those that another
-    part glues at too, up its cover arrays, all of them at once: at level
-    r2 the rows of level r are the 0/1 comparabilities of level r with
-    level r2.  Between two levels, the rows are gathered by the lower
-    element of each cover and summed, as a logical or, by its upper
-    element."""
+    part glues at too, up its cover arrays (:func:`_carried`), all of
+    them at once: at level r2 the rows of level r are the 0/1
+    comparabilities of level r with level r2."""
     rank = posets[0].rank
     shared = [r for r in range(rank) if sum(r in gs for gs in glue_sets) > 1]
     if not shared:  # a single part
@@ -306,10 +308,7 @@ def _disagreements(
     out = []
     for r2 in range(1, rank + 1):
         for k, poset in enumerate(posets):
-            covers = poset.cover_arrays[r2 - 1]
-            row, cover = reach[k][:, covers[:, 0]].nonzero()
-            reach[k] = np.zeros((len(reach[k]), poset.level_sizes[r2]), dtype=bool)
-            reach[k][row, covers[cover, 1]] = True
+            reach[k] = _carried(reach[k], poset, r2 - 1)
         for r in shared:
             if r >= r2:
                 break
@@ -326,6 +325,27 @@ def _disagreements(
                     rows = np.eye(shared_size[r2], dtype=bool)
                     reach[k] = np.concatenate([reach[k], rows])
     return out
+
+
+def _carried(reach: np.ndarray, poset: RankedPoset, r: int) -> np.ndarray:
+    """0/1 rows over level r of ``poset`` carried up to level r + 1: each
+    row is gathered by the lower element of each cover and summed, as a
+    logical or, by its upper element."""
+    covers = poset.cover_arrays[r]
+    row, cover = reach[:, covers[:, 0]].nonzero()
+    out = np.zeros((len(reach), poset.level_sizes[r + 1]), dtype=bool)
+    out[row, covers[cover, 1]] = True
+    return out
+
+
+def _comparability_rows(poset: RankedPoset, r1: int, r2: int) -> np.ndarray:
+    """The 0/1 comparability of level r1 with level r2 of ``poset``: the
+    rows of level r1 carried up its cover arrays one level at a time,
+    with no matrix product."""
+    reach = np.eye(poset.level_sizes[r1], dtype=bool)
+    for r in range(r1, r2):
+        reach = _carried(reach, poset, r)
+    return reach
 
 
 def _glued(layout: _GlueLayout) -> RankedPoset:

@@ -104,13 +104,13 @@ loop of :meth:`~cdposets.poset.RankedPoset.is_eulerian`,
 gives.  A node's *quotient* is its poset with one representative, copy
 0, of each element that ``double`` and ``dni`` copy: the quotient of
 ``double(Q)`` or ``dni(Q, ...)`` is that of Q, of ``dual(Q)`` its dual,
-of ``join(P, Q)`` the join of theirs, and a glue is built and is its own
-quotient.  For levels r1 < r2 and integer weights c on the levels, the
-walk gives, for each pair u, v of the quotient at those ranks, the sum
-of c(rank z) over the closed interval [u, v] of the root, each copy
-counted, and 0 where u and v do not compare.  With c(r) = (-1)^(r - r1)
-it is the even minus the odd count of the root's interval [x, y], and
-with c = 1 its size.  Each node computes its sums from its children's,
+of ``join(P, Q)`` the join of theirs, and a glue is its own quotient.
+For levels r1 < r2 and integer weights c on the levels, the walk gives,
+for each pair u, v of the quotient at those ranks, the sum of c(rank z)
+over the closed interval [u, v] of the root, each copy counted, and 0
+where u and v do not compare.  With c(r) = (-1)^(r - r1) it is the even
+minus the odd count of the root's interval [x, y], and with c = 1 its
+size.  Each node computes its sums from its children's,
 with the weights that the nodes above it have set:
 
 * ``chain``: the sum of c(r) over r1 <= r <= r2, the same for every pair.
@@ -140,33 +140,78 @@ with the weights that the nodes above it have set:
   P and [bottom, v] of Q less that top and that bottom, which are not in
   the join: P's sum to its top less c(a) plus Q's sum from its bottom
   less c(a - 1).
-* ``glue``: the glue is built, as the walk builds its parts, and its sums
+* ``glue`` whose chains stay in parts (the one-run condition above):
+  the sums come from the parts' sums, and the glue is not built.  Level
+  r of the glue is a shared block, of the parts that glue at r, then
+  each other part's own block, in part order.  For a block X of level
+  r1 and a block Y of level r2, let J be the parts of both.  The sums on
+  X × Y are 0 when J is empty, and C ⊙ Σ_{j∈J} Q_j otherwise: C is the
+  0/1 comparability of part min J between the two levels, and Q_j is
+  part j's sums for the weights c_j, which are c but 0 on the ranks that
+  j glues at with an earlier part of J.  For x in X and y in Y, three
+  facts make this the sum over [x, y] of the glue:
+
+  - *Shared blocks agree.*  Every chain from x to y extends to a maximal
+    chain, which lies in one part, so in a part of J.  When J has more than one
+    part, X and Y are shared blocks, every part of J glues at r1 and r2,
+    and the glue's check makes them agree on comparability between those
+    levels.  So x < y in the glue exactly when x < y in part min J,
+    where C is 1.
+  - *Masked weights.*  [x, y] is the union over j in J of the images A_j
+    of [x, y] of part j.  An element z of A_j lies in A_k too, k in J,
+    exactly when j and k both glue at rank z: then z is shared, and it
+    lies in [x, y] of part k because the two parts agree between each
+    two of the levels r1, rank z and r2, which both glue at; otherwise z
+    is an image of part j only.  So counting each z in the first A_j that
+    holds it counts z in A_j when no earlier k in J glues at rank z with
+    j: the sum of c_j over A_j, which is Q_j at x, y.  The pieces are
+    disjoint, so each partial sum counts elements of [x, y].
+  - *Indices modulo the quotient.*  Q_j is indexed by part j's quotient,
+    and element i of a level of part j copies element i mod q of it, q
+    the quotient's level size: ``double`` and ``dni`` put copy a of i at
+    a·L + i, L the child's level size and a multiple of q, and ``dual``
+    and ``join`` keep indices.  The sums of two comparable copies are
+    those of the elements they copy (below), so Q_j is read at (x mod
+    its rows, y mod its columns), x and y indices in part j; a one-row
+    or one-column matrix (a join's) is read at row or column 0.
+
+  A block whose Q_j are all ints is their sum times C; when every block
+  is 0 the glue's sums are the int 0, and no matrix is made, so the
+  Eulerian glues of ``lemma2`` and ``lemma3`` make none.  Otherwise C is
+  made from the parts, which the walk has built, by carrying the rows of
+  level r1 up part min J's cover arrays as the glue's check does: no
+  product runs, on the glue's levels or the parts'.
+* a built leaf, a glue whose chains can cross parts or a file: its sums
   are :meth:`~cdposets.poset.RankedPoset._interval_sums`: (c(r1) +
   c(r2)) C(r1, r2) + Σ_r c(r) C(r1, r) C(r, r2) over its 0/1
   comparability matrices, whose products count the elements of level r
-  in [u, v].  These are the only matrix products, on the glue's own
+  in [u, v].  These are the only matrix products, on the leaf's own
   levels.
 
 The sum is one int for all comparable pairs of a chain or a boolean
-lattice, (0, 0) among them, and every rule keeps it so except a join
-with a glue on one side; so only glues and such joins hold matrices.
-In such a join numpy broadcasts the side that is one int, and the other
-side is a column (below, to P's one top) or a row (above, from Q's one
-bottom): the sum is a matrix of one row that stands for identical rows,
-or of one column for identical columns, and is never spread to the full
-shape, which would take the quotient's level sizes, not the node's.
+lattice, (0, 0) among them, and every rule keeps it so except a glue, a
+built leaf and a join with one of those on one side: a glue's or a
+leaf's sums are a matrix of its own levels (a glue's are the int 0 when
+every one is 0, one int for every pair as well).  In such a join numpy
+broadcasts the side that is one int, and the other side is a column
+(below, to P's one top) or a row (above, from Q's one bottom): the sum
+is a matrix of one row that stands for identical rows, or of one column
+for identical columns, and is never spread to the full shape, which
+would take the quotient's level sizes, not the node's.
 The first nonzero entry of the full matrix lies in its first row (or
 column), at the same place as in the one-row (one-column) matrix, and
 with the same counts.
 
 Every partial sum is at most the size of one interval of the root in
 absolute value: a side of a join less its end counts elements of [u,
-v], and the weight of that end counts copies at its level inside [u, v].
-So the sums run in :func:`~cdposets.poset.exact_float_dtype` of the
-root's number of elements below 2^53, and in Python ints from 2^53 on.
-The weights need not be exact in a glue's own dtype (float32 cannot hold
-2^40 + 1), so each product of a glue is put in the root's dtype before
-its weight multiplies it, into Python ints by way of int64.
+v], and the weight of that end counts copies at its level inside [u, v];
+a glue adds its parts' sums over disjoint pieces of [u, v].  So the sums
+run in :func:`~cdposets.poset.exact_float_dtype` of the root's number of
+elements below 2^53, and in Python ints from 2^53 on.  The weights need
+not be exact in a leaf's own dtype (float32 cannot hold 2^40 + 1), so
+each product of a built leaf is put in the root's dtype before its
+weight multiplies it, into Python ints by way of int64, and so is a
+glue's 0/1 comparability before it multiplies its parts' sums.
 
 Why copy 0 is the first violation.  Copy a of element i of a level of L
 elements sits at a·L + i (:mod:`cdposets.constructions`), so copy 0 keeps
@@ -196,6 +241,7 @@ import numpy as np
 
 from .constructions import (
     Interval,
+    _comparability_rows,
     _glue_layout,
     _glued,
     doubled_sizes,
@@ -211,6 +257,7 @@ from .poset import (
     EulerianResult,
     RankedPoset,
     _eulerian_test,
+    _in_dtype,
     boolean,
     boolean_sizes,
     chain,
@@ -565,8 +612,9 @@ def eulerian_of(node: Node, *, budget: int | None = None) -> EulerianResult:
     """``build_poset(node, budget=budget).is_eulerian()`` from the tree:
     the same verdict and the same first violation with the same counts,
     from the same test over the sums of the quotients of the nodes (module
-    docstring).  Only the glues are built, and their parts.  The walk
-    raises the errors of :func:`build_poset` in its order."""
+    docstring).  Only the parts of glues are built, and the glues whose
+    chains can cross parts.  The walk raises the errors of
+    :func:`build_poset` in its order."""
     return _plan(node, budget).eulerian()
 
 
@@ -726,8 +774,9 @@ def _chains_stay_in_parts(glue_sets: Sequence[frozenset[int]]) -> bool:
 def _glued_plan(plans: Sequence[_Plan], layout, glued: Callable[[], RankedPoset]) -> _Plan:
     """A glue whose maximal chains each lie in one part, from its parts'
     plans: its flag table adds theirs, except that an S within the glue
-    sets of several parts counts in the first of them only.  ``glued()``
-    builds the glue, for its poset and its sums."""
+    sets of several parts counts in the first of them only, and so do its
+    sums (:func:`_glued_sums`).  ``glued()`` builds the glue, for its
+    poset only."""
     n = len(layout.sizes) - 2
     # the glue sets as masks of proper ranks
     masks = [sum(1 << (r - 1) for r in gs if 1 <= r <= n) for gs in layout.sets]
@@ -749,13 +798,58 @@ def _glued_plan(plans: Sequence[_Plan], layout, glued: Callable[[], RankedPoset]
             earlier |= inside
         return out
 
-    return _Plan(
-        layout.sizes,
-        chains,
-        table,
-        glued,
-        lambda r1, r2, c, dtype: glued()._interval_sums(r1, r2, c, dtype),
+    return _Plan(layout.sizes, chains, table, glued, _glued_sums(plans, layout))
+
+
+def _glued_sums(plans: Sequence[_Plan], layout) -> Callable:
+    """The sums of a glue whose maximal chains each lie in one part, from
+    its parts' sums (module docstring).  Level r of the glue is a shared
+    block, of the parts that glue at r, then each other part's own block.
+    For a block X of level r1 and a block Y of level r2 with parts J in
+    common, the sums are C ⊙ Σ_{j∈J} Q_j: C is the 0/1 comparability of
+    part min J between the two levels, and Q_j is part j's sums with the
+    weights of the ranks that j glues at with an earlier part of J set to
+    0, read at each index modulo its shape.  Blocks with no common part
+    are 0.  When every block is 0, so are the sums, as one int."""
+    sets = layout.sets
+    blocks = [
+        [(0, frozenset(k for k, gs in enumerate(sets) if r in gs))]
+        + [(layout.offsets[k][r], frozenset([k])) for k, gs in enumerate(sets) if r not in gs]
+        for r in range(len(layout.sizes))
+    ]
+    comparability = functools.cache(
+        lambda k, r1, r2: _comparability_rows(layout.posets[k], r1, r2)
     )
+
+    def sums(r1, r2, c, dtype):
+        found = []
+        for x, x_parts in blocks[r1]:
+            for y, y_parts in blocks[r2]:
+                common = sorted(x_parts & y_parts)
+                if not common:
+                    continue
+                sizes = layout.posets[common[0]].level_sizes
+                total = 0
+                for i, j in enumerate(common):
+                    # ranks counted in an earlier part of the block
+                    once = {r for k in common[:i] for r in sets[j] & sets[k]}
+                    weights = [0 if r in once else w for r, w in enumerate(c)]
+                    part = plans[j].sums(r1, r2, weights, dtype)
+                    if isinstance(part, np.ndarray):
+                        rows, cols = part.shape
+                        part = np.tile(part, (sizes[r1] // rows, sizes[r2] // cols))
+                    total = total + part
+                if total.any() if isinstance(total, np.ndarray) else total:
+                    found.append((x, y, common[0], total))
+        if not found:
+            return 0
+        out = np.zeros((layout.sizes[r1], layout.sizes[r2]), dtype)
+        for x, y, k, total in found:
+            comp = _in_dtype(comparability(k, r1, r2), dtype)
+            out[x : x + comp.shape[0], y : y + comp.shape[1]] = comp * total
+        return out
+
+    return sums
 
 
 def _boolean_table(k: int, dtype) -> np.ndarray:

@@ -164,6 +164,26 @@ def first_violation(level_sizes, covers):
     return None
 
 
+def interval_sums(level_sizes, covers, r1, r2, weights):
+    """For each x of level r1 and y of level r2, the sum of
+    ``weights[rank z]`` over the closed interval [x, y], 0 where x and y
+    do not compare, as a list of rows."""
+    rel = closure(level_sizes, covers)
+    out = []
+    for i in range(level_sizes[r1]):
+        row = []
+        for j in range(level_sizes[r2]):
+            x, y = (r1, i), (r2, j)
+            between = [z for z in rel if z[0] == x and (z[1], y) in rel]
+            row.append(
+                weights[r1] + weights[r2] + sum(weights[z[1][0]] for z in between)
+                if (x, y) in rel
+                else 0
+            )
+        out.append(row)
+    return out
+
+
 def h_from_f(f, n):
     """Flag h by the literal alternating sum over subsets."""
     out = {}

@@ -1014,7 +1014,9 @@ def test_witnesses_build_no_glue(run, monkeypatch):
     assert json.loads(expected["ccdccccc"][1])["coefficient"] == -2 * (3 - 1) ** 2
 
 
-def test_built_glue_runs_its_checks_once(run, monkeypatch):
+def test_glue_checks_run_once_and_only_build_builds_the_glue(run, monkeypatch):
+    # check-eulerian takes a glue's sums from its parts, which the glue's
+    # checks build; build builds the glue itself, once
     calls = []
 
     def counted(name):
@@ -1028,8 +1030,16 @@ def test_built_glue_runs_its_checks_once(run, monkeypatch):
 
     counted("_glue_layout")
     counted("_glued")
-    code, out, err = run("check-eulerian", "lemma2(7,3)")
-    assert (code, json.loads(out), err) == (0, {"eulerian": True}, "")
+    for text, code in [
+        ("lemma2(7,3)", 0),
+        ("dni(lemma2(7,3),2,5,2)", 1),
+        ("join(boolean(3),dni(lemma3(2),3,3,2))", 1),
+    ]:
+        calls.clear()
+        assert run("check-eulerian", text)[0] == code, text
+        assert calls == ["_glue_layout"], text
+    calls.clear()
+    assert run("build", "lemma2(7,3)")[0] == 0
     assert calls == ["_glue_layout", "_glued"]
 
 
@@ -1412,12 +1422,12 @@ def _limit_address_space():
     "argv,gib",
     [
         (["build", "double(dp(64,[[2,25]],2147483648))", "--max-elements", str(10**20)], "400."),
-        # an expression's test builds its glues: this one's two 300,000-element
-        # levels take a 335 GiB comparability matrix
+        # a glue whose chains can cross parts is built for its test: the
+        # comparability of its two 300,000-element levels takes 335 GiB
         (
             [
                 "check-eulerian",
-                "glue([dni(chain(4),1,3,150000), dni(chain(4),1,3,150000)], [[0,4],[0,4]])",
+                "glue([dni(chain(5),1,2,150000), dni(chain(5),1,2,150000)], [[0,3,5],[0,3,5]])",
             ],
             "335.",
         ),
@@ -1440,12 +1450,91 @@ def test_out_of_memory_is_a_usage_error(argv, gib):
     assert result.stderr.count("\n") == 1 and result.stderr.count("error:") == 1
 
 
+def test_glue_of_wide_parts_answers_under_the_memory_limit():
+    # each chain of this glue lies in one part, so its sums come from the
+    # parts' and the comparability of its bottom with one of its
+    # 300,000-element levels; building it took a 335 GiB matrix
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "cdposets",
+            "check-eulerian",
+            "glue([dni(chain(4),1,3,150000), dni(chain(4),1,3,150000)], [[0,4],[0,4]])",
+        ],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (1, "")
+    interval = json.loads(result.stdout)["interval"]
+    assert interval == {"low": [0, 0], "high": [2, 0], "even_count": 2, "odd_count": 1}
+
+
 def test_bare_memory_error_is_one_error_line(run, monkeypatch):
     def exhausted(text, budget):
         raise MemoryError
 
     monkeypatch.setattr(cli, "_load_plan", exhausted)
     assert run("check-eulerian", "boolean(3)") == (2, "", "error: out of memory\n")
+
+
+@st.composite
+def grammar_trees(draw, depth=3):
+    """Expression text over every constructor of the grammar, with small
+    arguments, some out of range, and glue sets of any small ranks; now
+    and then one character is dropped or repeated."""
+    small = st.integers(0, 4)
+    names = ["chain", "boolean", "dp", "lemma2", "lemma3"]
+    if depth:
+        names += ["dual", "double", "dni", "join", "glue"]
+    name = draw(st.sampled_from(names))
+    if name in ("chain", "boolean", "lemma3"):
+        text = f"{name}({draw(small)})"
+    elif name == "lemma2":
+        text = f"lemma2({draw(st.sampled_from([5, 7, 8, 9]))}, {draw(st.integers(0, 2))})"
+    elif name == "dp":
+        intervals = draw(st.lists(st.lists(small, min_size=2, max_size=2), max_size=2))
+        text = f"dp({draw(small)}, {intervals}, {draw(st.integers(0, 2))})"
+    elif name in ("dual", "double"):
+        text = f"{name}({draw(grammar_trees(depth - 1))})"
+    elif name == "dni":
+        text = f"dni({draw(grammar_trees(depth - 1))}, {draw(small)}, {draw(small)}, {draw(small)})"
+    elif name == "join":
+        text = f"join({draw(grammar_trees(depth - 1))}, {draw(grammar_trees(depth - 1))})"
+    else:
+        parts = draw(st.lists(grammar_trees(depth - 1), min_size=1, max_size=3))
+        sets = draw(st.lists(st.lists(small, max_size=4), min_size=len(parts) - 1, max_size=len(parts) + 1))
+        text = f"glue([{', '.join(parts)}], {sets})"
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + text[at] * draw(st.integers(0, 2)) + text[at + 1 :]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(["check-eulerian", "flags", "cd-index"]), grammar_trees()),
+        st.builds(
+            lambda word, copies: ("witness", word, "--N", str(copies)),
+            st.text("cd", min_size=1, max_size=7),
+            st.integers(0, 3),
+        ),
+    )
+)
+def test_random_commands_keep_the_exit_contract(argv):
+    # exit 0, 1 or 2 with at most one error line and no traceback: any
+    # exception cli.main lets escape fails the test.  A failing exit says
+    # why on stderr, except check-eulerian's "not Eulerian"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("error:") <= 1 and "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue() or argv[0] == "check-eulerian"
 
 
 def test_verify_duality_fails_when_the_dual_table_is_not_reversed(run, monkeypatch):

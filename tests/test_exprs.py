@@ -687,6 +687,121 @@ def test_eulerian_of_matches_the_built_test(text, budget):
         assert _violation_tuple(got) == oracles.first_violation(list(poset.level_sizes), covers)
 
 
+@st.composite
+def ranked_trees(draw, rank, depth=2):
+    """A tree of the given rank, at least 2, from chain, boolean, dni and
+    join, and glues of two parts whose sums hold matrices: glued at 0 and
+    the top only, or a part glued to itself at one more rank, whose chains
+    cross parts."""
+    kinds = ["chain", "boolean"] if rank <= 4 else ["chain"]
+    if depth:
+        kinds += ["dni", "join", "glue"] if rank >= 3 else ["dni", "glue"]
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("chain", "boolean"):
+        return f"{kind}({rank})"
+    if kind == "glue":
+        first = draw(ranked_trees(rank, depth - 1))
+        if rank >= 4 and draw(st.booleans()):
+            middle = draw(st.integers(2, rank - 2))
+            return f"glue([{first}, {first}], [[0, {middle}, {rank}], [0, {middle}, {rank}]])"
+        return f"glue([{first}, {draw(ranked_trees(rank, depth - 1))}], [[0, {rank}], [0, {rank}]])"
+    if kind == "dni":
+        low = draw(st.integers(1, rank - 1))
+        high = draw(st.integers(low, rank - 1))
+        inner = draw(ranked_trees(rank, depth - 1))
+        return f"dni({inner}, {low}, {high}, {draw(st.integers(1, 3))})"
+    left = draw(st.integers(2, rank - 1))
+    return f"join({draw(ranked_trees(left, depth - 1))}, {draw(ranked_trees(rank - left + 1, depth - 1))})"
+
+
+@st.composite
+def one_run_glues(draw):
+    """(glue, rank, glue sets): 2-3 parts, each glued at a prefix and a
+    suffix of the ranks, {0..a} and {b..rank}, every a below every b, so
+    that for every two parts the ranks outside both glue sets form one run.  A part glued at 0 and the top
+    only is any tree of the rank; the others are one base tree replicated
+    only strictly between their own a and b, which keeps the levels that
+    they glue at with each other, and the comparabilities between them."""
+    rank = draw(st.integers(2, 5))
+    base = draw(ranked_trees(rank))
+    cut = draw(st.integers(1, rank))
+    parts, sets = [], []
+    for _ in range(draw(st.integers(2, 3))):
+        a = draw(st.integers(0, cut - 1))
+        b = draw(st.integers(cut, rank))
+        if (a, b) == (0, rank):
+            part = draw(ranked_trees(rank))
+        else:
+            part = base
+            for _ in range(draw(st.integers(0, 2)) if b - a >= 2 else 0):
+                low = draw(st.integers(a + 1, b - 1))
+                high = draw(st.integers(low, b - 1))
+                part = f"dni({part}, {low}, {high}, {draw(st.integers(1, 3))})"
+        parts.append(part)
+        sets.append(list(range(a + 1)) + list(range(b, rank + 1)))
+    return f"glue([{', '.join(parts)}], {sets})", rank, sets
+
+
+@st.composite
+def wrapped_one_run_glues(draw):
+    glue_text, rank, _ = draw(one_run_glues())
+    low = draw(st.integers(1, rank - 1))
+    high = draw(st.integers(low, rank - 1))
+    wrap = draw(
+        st.sampled_from(
+            [
+                "{}",
+                "double({})",
+                "dual({})",
+                f"dni({{}}, {low}, {high}, {draw(st.integers(2, 3))})",
+                "join({}, boolean(2))",
+                "join(chain(3), dual({}))",
+                f"join(boolean(3), dni({{}}, {low}, {high}, 2))",
+            ]
+        )
+    )
+    return wrap.format(glue_text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wrapped_one_run_glues())
+def test_eulerian_of_one_run_glues_matches_the_built_test(text):
+    # the glue's sums come from its parts: the same verdict and the same
+    # first violation with the same counts as the built poset
+    node = parse_expression(text)
+    poset = build_poset(node)
+    got = eulerian_of(node)
+    assert got == poset.is_eulerian()
+    if poset.num_elements <= 40:
+        covers = [sorted(level) for level in poset.covers]
+        assert _violation_tuple(got) == oracles.first_violation(list(poset.level_sizes), covers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_run_glues(), st.data())
+def test_one_run_glue_sums_match_the_built_glue(glue_tree, data):
+    # entry by entry, for random integer weights, in each dtype of the
+    # test; an int is 0 and stands for an all-zero matrix
+    text, rank, sets = glue_tree
+    assert exprs._chains_stay_in_parts([frozenset(s) for s in sets])
+    plan = exprs._plan(parse_expression(text), None)
+    poset = plan.poset()
+    covers = [sorted(level) for level in poset.covers]
+    for r1 in range(rank):
+        for r2 in range(r1 + 1, rank + 1):
+            c = data.draw(st.lists(st.integers(-3, 3), min_size=rank + 1, max_size=rank + 1))
+            dtype = data.draw(st.sampled_from([np.float32, np.float64, object]))
+            got = plan.sums(r1, r2, c, dtype)
+            want = poset._interval_sums(r1, r2, c, dtype)
+            if isinstance(got, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            else:
+                assert got == 0 and not want.any()
+            if poset.num_elements <= 40:
+                expected = oracles.interval_sums(list(poset.level_sizes), covers, r1, r2, c)
+                assert want.tolist() == expected
+
+
 # the glue's first violation is at index 3 of rank 2, the chain part's
 # element there; the glue is replicated, dualized and joined
 _GLUE_WITH_A_CHAIN = "glue([boolean(3), chain(3)], [[0, 3], [0, 3]])"
