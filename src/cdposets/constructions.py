@@ -29,14 +29,14 @@ posets of equal rank along chosen levels, index by index.
 
 The paper's families (``dp``, ``lemma2``, ``lemma3``) are expression
 trees over these constructions, defined in :mod:`cdposets.exprs`.  When
-flag vectors or the Eulerian test are computed from such a tree, only the
-parts of a glue are built, for its checks, and the glue itself only when
-a chain of it can cross parts; the others have identities there.  The
-walk runs the glue's checks through the same helper as :func:`glue`,
-once per glue.  The Eulerian test of a glue whose chains stay in parts
-reads a part's comparability between two levels from
-:func:`_comparability_rows`, which carries rows up the cover arrays as
-the check does, with no matrix product.
+flag vectors or the Eulerian test are computed from such a tree, nothing
+is built but a glue whose chains can cross parts, with its parts; the
+other nodes have identities there.  The walk runs a glue's checks
+through the same helper as :func:`glue`, once per glue, on its parts'
+plans: their level sizes and their comparabilities between two levels,
+which the plans give by closed forms.  :func:`glue` checks its posets
+as built plans, whose comparabilities come from their cover arrays
+(:func:`_comparability_rows`), with no matrix product.
 """
 
 from __future__ import annotations
@@ -200,48 +200,63 @@ def glue(
     the resulting level.  Parts not gluing at a rank keep disjoint blocks,
     laid out in part order.
 
-    Raises :class:`GlueMismatchError` on level-size disagreement and
+    Raises ``ValueError("invalid poset: ...")`` for an invalid part,
+    :class:`GlueMismatchError` on level-size disagreement and
     :class:`GlueInconsistentError` when two parts glued at ranks r < r'
-    induce different comparabilities between the shared levels.  The
-    comparabilities come from the cover arrays: the elements of every
-    level that two parts glue at are carried up each part, one cover
-    level at a time, as 0/1 rows over the level reached.  No dense
-    comparability matrix of a part's own levels is made, so a part with
-    wide unshared levels (``lemma2``'s third part has 4096-element levels
-    at N = 8) costs rows, not 4096 x 4096 matrices.  When several pairs
-    of ranks disagree, the first pair (r, r') in lexicographic order is
-    reported.
+    induce different comparabilities between the shared levels.  Each
+    part is checked as a built leaf of :mod:`cdposets.exprs`, the plan an
+    expression's glue is checked on: its comparability between two levels
+    comes from its cover arrays (:func:`_comparability_rows`), the rows of
+    the lower level carried up one cover level at a time.  No dense
+    comparability matrix of a part's own levels is multiplied, so a part
+    with wide unshared levels (``lemma2``'s third part has 4096-element
+    levels at N = 8) costs rows, not 4096 x 4096 products.  When several
+    pairs of ranks disagree, the first pair (r, r') in lexicographic order
+    is reported.
     """
-    return _glued(_glue_layout(parts, budget=budget))
+    from .exprs import _built_plan  # exprs imports this module
+
+    posets, plans = [], []
+    for poset, ranks in parts:
+        poset._require_valid()
+        posets.append(poset)
+        plans.append((_built_plan(poset), ranks))
+    return _glued(_glue_layout(plans, budget=budget), posets)
 
 
 class _GlueLayout(NamedTuple):
-    """The checked parts of a glue, their glue sets, the glue's level sizes,
-    and where each part's level r starts in level r of the glue."""
+    """The glue sets of a checked glue, its level sizes, and where each
+    part's level r starts in level r of the glue."""
 
-    posets: list[RankedPoset]
     sets: list[frozenset[int]]
     sizes: list[int]
     offsets: list[list[int]]
 
 
-def _glue_layout(
-    parts: Sequence[tuple[RankedPoset, Iterable[int]]], *, budget: int | None = None
-) -> _GlueLayout:
-    """Every check of :func:`glue`, in its order: parts, ranks, glue sets,
-    level sizes, comparabilities, budget; then the layout it builds."""
+def _glue_layout(parts: Sequence[tuple], *, budget: int | None = None) -> _GlueLayout:
+    """Every check of :func:`glue` after its parts' validation, in its
+    order: parts, ranks, glue sets, level sizes, comparabilities, budget;
+    then the layout it builds.  Each part is a plan of
+    :mod:`cdposets.exprs` with its ranks: ``sizes``, its level sizes, and
+    ``compare(r1, r2)``, its 0/1 comparability between levels r1 < r2.  No
+    part is built: the walk's plans give ``compare`` by closed forms, and
+    :func:`glue`'s built leaves from their cover arrays.
+
+    Only the levels that two parts glue at are compared, and two parts
+    agree between levels r < r2 exactly when their ``compare(r, r2)`` are
+    equal, index by index, since the glue identifies those levels index
+    by index."""
     if not parts:
         raise ValueError("glue needs at least one part")
-    posets = []
-    glue_sets = []
-    for poset, ranks in parts:
-        poset._require_valid()
-        posets.append(poset)
-        glue_sets.append(frozenset(int(r) for r in ranks))
-    rank = posets[0].rank
-    for p in posets[1:]:
-        if p.rank != rank:
-            raise ValueError(f"all parts must share one rank, got {p.rank} and {rank}")
+    plans = [plan for plan, _ in parts]
+    level_sizes = [plan.sizes for plan in plans]
+    glue_sets = [frozenset(int(r) for r in ranks) for _, ranks in parts]
+    rank = len(level_sizes[0]) - 1
+    for sizes in level_sizes[1:]:
+        if len(sizes) - 1 != rank:
+            raise ValueError(
+                f"all parts must share one rank, got {len(sizes) - 1} and {rank}"
+            )
     for k, gs in enumerate(glue_sets):
         if any(r < 0 or r > rank for r in gs):
             raise ValueError(f"part {k} glue ranks {sorted(gs)} outside [0, {rank}]")
@@ -252,79 +267,42 @@ def _glue_layout(
     for r in range(rank + 1):
         gluing = [k for k, gs in enumerate(glue_sets) if r in gs]
         if gluing:
-            size = posets[gluing[0]].level_sizes[r]
+            size = level_sizes[gluing[0]][r]
             for k in gluing[1:]:
-                if posets[k].level_sizes[r] != size:
+                if level_sizes[k][r] != size:
                     raise GlueMismatchError(
                         f"parts {gluing[0]} and {k} glue at rank {r} with level sizes "
-                        f"{size} and {posets[k].level_sizes[r]}"
+                        f"{size} and {level_sizes[k][r]}"
                     )
             shared_size.append(size)
         else:
             shared_size.append(0)
 
     # comparability between two glued levels must not depend on the part
-    disagreements = _disagreements(posets, glue_sets, shared_size)
-    if disagreements:
-        r, r2, first, k = min(disagreements)
-        raise GlueInconsistentError(
-            f"parts {first} and {k} disagree on comparability between "
-            f"glued ranks {r} and {r2}"
-        )
+    for r, r2 in combinations(range(rank + 1), 2):
+        both = [k for k, gs in enumerate(glue_sets) if r in gs and r2 in gs]
+        if len(both) > 1:
+            first = plans[both[0]].compare(r, r2)
+            for k in both[1:]:
+                if not np.array_equal(first, plans[k].compare(r, r2)):
+                    raise GlueInconsistentError(
+                        f"parts {both[0]} and {k} disagree on comparability between "
+                        f"glued ranks {r} and {r2}"
+                    )
 
-    offsets = [[0] * (rank + 1) for _ in posets]
+    offsets = [[0] * (rank + 1) for _ in plans]
     sizes = []
     for r in range(rank + 1):
         total = shared_size[r]
-        for k, poset in enumerate(posets):
+        for k, part_sizes in enumerate(level_sizes):
             if r in glue_sets[k]:
                 offsets[k][r] = 0
             else:
                 offsets[k][r] = total
-                total += poset.level_sizes[r]
+                total += part_sizes[r]
         sizes.append(total)
     _check_budget(sum(sizes), budget, "glue")
-    return _GlueLayout(posets, glue_sets, sizes, offsets)
-
-
-def _disagreements(
-    posets: Sequence[RankedPoset], glue_sets: Sequence[frozenset[int]], shared_size: Sequence[int]
-) -> list[tuple[int, int, int, int]]:
-    """(r, r2, first, k) for every two ranks r < r2 at which parts
-    disagree: ``first`` is the first part glued at both and k the first
-    other part whose comparability between the two levels differs from it.
-
-    Each part carries the rows of its glued levels, those that another
-    part glues at too, up its cover arrays (:func:`_carried`), all of
-    them at once: at level r2 the rows of level r are the 0/1
-    comparabilities of level r with level r2."""
-    rank = posets[0].rank
-    shared = [r for r in range(rank) if sum(r in gs for gs in glue_sets) > 1]
-    if not shared:  # a single part
-        return []
-    # every part glues at rank 0, which is shared, so every part carries rows
-    reach = [np.ones((1, 1), dtype=bool) for _ in posets]
-    start = [{0: 0} for _ in posets]
-    out = []
-    for r2 in range(1, rank + 1):
-        for k, poset in enumerate(posets):
-            reach[k] = _carried(reach[k], poset, r2 - 1)
-        for r in shared:
-            if r >= r2:
-                break
-            both = [k for k, gs in enumerate(glue_sets) if r in gs and r2 in gs]
-            block = [reach[k][start[k][r] : start[k][r] + shared_size[r]] for k in both]
-            for k, rows in zip(both[1:], block[1:]):
-                if not np.array_equal(block[0], rows):
-                    out.append((r, r2, both[0], k))
-                    break
-        if r2 in shared:
-            for k, gs in enumerate(glue_sets):
-                if r2 in gs:
-                    start[k][r2] = len(reach[k])
-                    rows = np.eye(shared_size[r2], dtype=bool)
-                    reach[k] = np.concatenate([reach[k], rows])
-    return out
+    return _GlueLayout(glue_sets, sizes, offsets)
 
 
 def _carried(reach: np.ndarray, poset: RankedPoset, r: int) -> np.ndarray:
@@ -348,11 +326,11 @@ def _comparability_rows(poset: RankedPoset, r1: int, r2: int) -> np.ndarray:
     return reach
 
 
-def _glued(layout: _GlueLayout) -> RankedPoset:
-    """The glue of a checked layout."""
+def _glued(layout: _GlueLayout, posets: Sequence[RankedPoset]) -> RankedPoset:
+    """The glue of a checked layout, from its parts' posets."""
     # parts glued at both ends of a level repeat their (equal) covers there;
     # the constructor sorts the rows and drops the repeats
-    posets, offsets = layout.posets, layout.offsets
+    offsets = layout.offsets
     covers = [
         np.concatenate(
             [p.cover_arrays[r] + offsets[k][r : r + 2] for k, p in enumerate(posets)]

@@ -25,10 +25,11 @@ more than 98 intervals is refused too.
 One walk, ``_plan``, is the only code that dispatches on the kinds.  For
 each node it checks arguments and budgets and carries level sizes, the
 number of maximal chains, how to compute the 2^n flag table, how to
-build the poset and how to sum over its intervals for the Eulerian test
-(below).  A built poset is one more leaf, ``_built_plan``: a glue whose
-chains can cross parts, and, on the command line, a JSON file; its table
-and sums come from the poset.  :func:`build_poset` builds the root's
+build the poset, how to sum over its intervals for the Eulerian test and
+how its levels compare (below).  A built poset is one more leaf,
+``_built_plan``: a glue whose chains can cross parts, a part of
+:func:`~cdposets.constructions.glue`, and, on the command line, a JSON
+file; its table, sums and comparabilities come from the poset.  :func:`build_poset` builds the root's
 poset; :func:`flag_vector_of` computes the root's table instead
 (``_Plan.flags``), and :func:`eulerian_of` tests the root
 (``_Plan.eulerian``).  All raise the same errors in the same order,
@@ -45,18 +46,20 @@ the tables are:
   and is unchanged otherwise.
 * ``join(P, Q)``: f_S = f^P of the low n_P bits of S times f^Q of the
   rest, so the table is the outer product of the two.
-* ``glue`` of parts P_1, ..., P_p with glue sets G_1, ..., G_p: the walk
-  builds the parts, because :func:`~cdposets.constructions.glue`'s checks
-  read their cover arrays.  When for every two parts j != k the ranks
+* ``glue`` of parts P_1, ..., P_p with glue sets G_1, ..., G_p: the
+  glue's checks run on the parts' plans, their level sizes and their
+  comparabilities between the levels that two parts glue at (``compare``,
+  below), so no part is built.  When for every two parts j != k the ranks
   outside G_j ∩ G_k form one run of consecutive ranks (or none), then
 
       f_S = sum over nonempty J of (-1)^(|J|+1) [|J| = 1 or S ⊆ ∩_{j∈J} G_j] f_S(P_min J),
 
   and the walk computes it from the parts' tables as
   f_S = sum over j of [S ⊄ G_j or S ⊄ G_k for every k < j] f_S(P_j), the
-  inclusion-exclusion grouped by min J.  Otherwise the glue is built and
-  its table computed by :func:`~cdposets.flags.flag_vector`, the only
-  table the walk takes from a poset.
+  inclusion-exclusion grouped by min J.  Otherwise the glue is built,
+  from its parts' posets, and its table computed by
+  :func:`~cdposets.flags.flag_vector`, the only table the walk takes from
+  a poset.
 
 Why the identity holds.  A chain of the glue lies in part j when all its
 elements are images of elements of P_j and each two of them compare
@@ -178,15 +181,46 @@ with the weights that the nodes above it have set:
   A block whose Q_j are all ints is their sum times C; when every block
   is 0 the glue's sums are the int 0, and no matrix is made, so the
   Eulerian glues of ``lemma2`` and ``lemma3`` make none.  Otherwise C is
-  made from the parts, which the walk has built, by carrying the rows of
-  level r1 up part min J's cover arrays as the glue's check does: no
-  product runs, on the glue's levels or the parts'.
+  part min J's ``compare`` (below): no part is built, and no product
+  runs, on the glue's levels or the parts'.
 * a built leaf, a glue whose chains can cross parts or a file: its sums
   are :meth:`~cdposets.poset.RankedPoset._interval_sums`: (c(r1) +
   c(r2)) C(r1, r2) + Σ_r c(r) C(r1, r) C(r, r2) over its 0/1
   comparability matrices, whose products count the elements of level r
   in [u, v].  These are the only matrix products, on the leaf's own
   levels.
+
+A glue's checks and its sums read a node's comparability between two
+levels r1 < r2, ``compare``: a bool matrix in the built poset's indices,
+where copy a of element i of a level of L elements is at a·L + i.  It
+comes from the children's by closed forms, each with its reason:
+
+* ``chain``: a 1 × 1 one; a chain is a total order.
+* ``boolean(k)``: u ⊆ v for the r1- and r2-subsets in the order of
+  ``itertools.combinations``, the order :func:`~cdposets.poset.boolean`
+  lists each level in; the order is inclusion.
+* ``double(Q)``: Q's, tiled over the copies: every cover goes to all the
+  copy pairs of its levels, so copies compare exactly when the elements
+  they copy do.
+* ``dni(Q, low, high, N)``: ``kron(eye(N), C)``, C Q's, when both levels
+  are in [low, high], since a chain between them stays in its copy; else
+  C tiled, since one end is outside the copies and a chain from it
+  reaches every copy.
+* ``dual(Q)``: the transpose of Q's at levels (n - r2, n - r1), n the
+  rank; the dual reverses the order and the levels.
+* ``join(P, Q)``, P of rank a: all ones when r1 < a <= r2, since every
+  element below a is below every element from a on; otherwise that
+  side's, because a chain between two levels on one side stays there.
+* a one-run glue: on the block of X at r1 and Y at r2, part min J's,
+  and 0 when J is empty: every chain lies in one part, which is in J,
+  and the parts of J agree (*shared blocks agree*, above).
+* a built leaf: the rows of level r1 carried up its cover arrays
+  (:func:`~cdposets.constructions._comparability_rows`); x < y exactly
+  when a saturated chain joins them.
+
+So a poset is built only by :func:`build_poset` (and the CLI's
+``build``, on the same plan) and by a glue whose chains can cross parts,
+which is a built leaf.
 
 The sum is one int for all comparable pairs of a chain or a boolean
 lattice, (0, 0) among them, and every rule keeps it so except a glue, a
@@ -444,9 +478,9 @@ def build_poset(node: Node, *, budget: int | None = None) -> RankedPoset:
     construction functions.
 
     The walk behind :func:`flag_vector_of` checks the whole tree first
-    (sizes, arguments, budgets and nesting; it builds only the parts of
-    ``glue`` nodes, and the glues whose chains can cross parts); then each
-    node is built from its children's posets, each glue once."""
+    (sizes, arguments, budgets and nesting; it builds only the glues whose
+    chains can cross parts, with their parts); then each node is built
+    from its children's posets, each glue once."""
     return _plan(node, budget).poset()
 
 
@@ -560,13 +594,16 @@ class _Plan(NamedTuple):
     to; ``poset()`` builds the node; ``sums(r1, r2, c, dtype)`` gives the
     sums over the closed intervals of the node's quotient between levels
     r1 < r2 that :func:`~cdposets.poset._eulerian_test` takes, for the
-    weights c, a list of one int per level (module docstring)."""
+    weights c, a list of one int per level; ``compare(r1, r2)`` gives the
+    node's 0/1 comparability between levels r1 < r2 as a bool matrix, in
+    the built poset's indices (module docstring)."""
 
     sizes: list[int]
     chains: int
     table: Callable[[type], np.ndarray]
     poset: Callable[[], RankedPoset]
     sums: Callable[[int, int, list[int], type], np.ndarray | int]
+    compare: Callable[[int, int], np.ndarray]
 
     def flags(self) -> FlagVector:
         """The flag vector, once the flag rank limit is checked: int64
@@ -592,13 +629,14 @@ def _built_plan(poset: RankedPoset) -> _Plan:
         lambda dtype: flag_vector(poset).array.astype(dtype),
         lambda: poset,
         poset._interval_sums,
+        functools.partial(_comparability_rows, poset),
     )
 
 
 def flag_vector_of(node: Node, *, budget: int | None = None) -> FlagVector:
     """``flag_vector(build_poset(node, budget=budget))`` without building
-    the poset: only the parts of ``glue`` nodes are built, and a glue
-    itself only when a chain of it can cross parts (module docstring).
+    the poset: only a glue whose chains can cross parts is built, with
+    its parts (module docstring).
 
     Both run the same walk, which carries level sizes and the number of
     maximal chains and so raises the same errors in the same order; then
@@ -612,8 +650,8 @@ def eulerian_of(node: Node, *, budget: int | None = None) -> EulerianResult:
     """``build_poset(node, budget=budget).is_eulerian()`` from the tree:
     the same verdict and the same first violation with the same counts,
     from the same test over the sums of the quotients of the nodes (module
-    docstring).  Only the parts of glues are built, and the glues whose
-    chains can cross parts.  The walk raises the errors of
+    docstring).  Only the glues whose chains can cross parts are built,
+    with their parts.  The walk raises the errors of
     :func:`build_poset` in its order."""
     return _plan(node, budget).eulerian()
 
@@ -633,6 +671,7 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
             lambda dtype: np.ones(1 << (rank - 1), dtype),
             lambda: chain(rank, budget=budget),
             lambda r1, r2, c, dtype: sum(c[r1 : r2 + 1]),
+            lambda r1, r2: np.ones((1, 1), dtype=bool),
         )
     if kind == "boolean":
         k = args[0]
@@ -644,6 +683,7 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
             lambda r1, r2, c, dtype: sum(
                 math.comb(r2 - r1, r - r1) * c[r] for r in range(r1, r2 + 1)
             ),
+            functools.partial(_boolean_compare, k),
         )
     if kind == "dual":
         inner = _plan(args[0], budget, depth + 1)
@@ -659,6 +699,7 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
             lambda dtype: reversed_table(inner.table(dtype)),
             lambda: inner.poset().dual(),
             sums,
+            lambda r1, r2: inner.compare(n - r2, n - r1).T,
         )
     if kind == "double":
         return _doubled(_plan(args[0], budget, depth + 1), budget)
@@ -668,12 +709,23 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
     if kind == "join":
         left = _plan(args[0], budget, depth + 1)
         right = _plan(args[1], budget, depth + 1)
+        sizes = joined_sizes(left.sizes, right.sizes, budget=budget)
+        a = len(left.sizes) - 1
+
+        def compare(r1, r2):
+            if r2 < a:
+                return left.compare(r1, r2)
+            if r1 >= a:
+                return right.compare(r1 - a + 1, r2 - a + 1)
+            return np.ones((sizes[r1], sizes[r2]), dtype=bool)
+
         return _Plan(
-            joined_sizes(left.sizes, right.sizes, budget=budget),
+            sizes,
             left.chains * right.chains,
             lambda dtype: np.outer(right.table(dtype), left.table(dtype)).ravel(),
             lambda: join(left.poset(), right.poset(), budget=budget),
             _joined_sums(left, right),
+            compare,
         )
     if kind == "glue":
         parts, rank_sets = args
@@ -682,10 +734,8 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
                 f"glue got {len(parts)} parts but {len(rank_sets)} rank sets"
             )
         plans = [_plan(part, budget, depth + 1) for part in parts]
-        layout = _glue_layout(
-            [(plan.poset(), ranks) for plan, ranks in zip(plans, rank_sets)], budget=budget
-        )
-        glued = functools.cache(lambda: _glued(layout))
+        layout = _glue_layout(list(zip(plans, rank_sets)), budget=budget)
+        glued = functools.cache(lambda: _glued(layout, [plan.poset() for plan in plans]))
         if _chains_stay_in_parts(layout.sets):
             return _glued_plan(plans, layout, glued)
         return _built_plan(glued())
@@ -701,8 +751,9 @@ def _doubled(inner: _Plan, budget: int | None) -> _Plan:
             weights = np.concatenate([weights, 2 * weights])
         return inner.table(dtype) * weights
 
+    sizes = doubled_sizes(inner.sizes, budget=budget)
     return _Plan(
-        doubled_sizes(inner.sizes, budget=budget),
+        sizes,
         inner.chains << n,
         table,
         lambda: horizontal_double(inner.poset(), budget=budget),
@@ -710,6 +761,8 @@ def _doubled(inner: _Plan, budget: int | None) -> _Plan:
         lambda r1, r2, c, dtype: inner.sums(
             r1, r2, c[: r1 + 1] + [2 * w for w in c[r1 + 1 : r2]] + c[r2:], dtype
         ),
+        # every cover goes to all the copy pairs of its levels
+        lambda r1, r2: _tiled(inner, sizes, r1, r2),
     )
 
 
@@ -727,14 +780,37 @@ def _replicated(inner: _Plan, low: int, high: int, copies: int, budget: int | No
             c = [w * copies if low <= r <= high else w for r, w in enumerate(c)]
         return inner.sums(r1, r2, c, dtype)
 
+    sizes = replicated_sizes(inner.sizes, low, high, copies, budget=budget)
+
+    def compare(r1, r2):
+        # covers inside [low, high] stay in their copy, the others go to
+        # every copy
+        if low <= r1 and r2 <= high:
+            # kron(eye(copies), comp), without np.kron's overhead
+            comp = inner.compare(r1, r2)
+            blocks = np.eye(copies, dtype=bool)[:, None, :, None] & comp[None, :, None, :]
+            return blocks.reshape(sizes[r1], sizes[r2])
+        return _tiled(inner, sizes, r1, r2)
+
     return _Plan(
-        replicated_sizes(inner.sizes, low, high, copies, budget=budget),
+        sizes,
         # every maximal chain runs through the replicated levels
         inner.chains * copies,
         table,
         lambda: replicate_interval(inner.poset(), low, high, copies, budget=budget),
         sums,
+        compare,
     )
+
+
+def _tiled(inner: _Plan, sizes: Sequence[int], r1: int, r2: int) -> np.ndarray:
+    """``inner``'s comparability between levels r1 and r2 at every pair of
+    copies, levels of ``sizes``: copy a of element i is at a·L + i."""
+    comp = inner.compare(r1, r2)
+    reps = (sizes[r1] // comp.shape[0], sizes[r2] // comp.shape[1])
+    # no copies at either level: the comparability itself (no caller
+    # writes to one)
+    return comp if reps == (1, 1) else np.tile(comp, reps)
 
 
 def _joined_sums(left: _Plan, right: _Plan) -> Callable:
@@ -775,8 +851,9 @@ def _glued_plan(plans: Sequence[_Plan], layout, glued: Callable[[], RankedPoset]
     """A glue whose maximal chains each lie in one part, from its parts'
     plans: its flag table adds theirs, except that an S within the glue
     sets of several parts counts in the first of them only, and so do its
-    sums (:func:`_glued_sums`).  ``glued()`` builds the glue, for its
-    poset only."""
+    sums (:func:`_glued_sums`); its comparability between two levels is,
+    block by block, that of the first part of both blocks.  ``glued()``
+    builds the glue, for its poset only."""
     n = len(layout.sizes) - 2
     # the glue sets as masks of proper ranks
     masks = [sum(1 << (r - 1) for r in gs if 1 <= r <= n) for gs in layout.sets]
@@ -798,28 +875,47 @@ def _glued_plan(plans: Sequence[_Plan], layout, glued: Callable[[], RankedPoset]
             earlier |= inside
         return out
 
-    return _Plan(layout.sizes, chains, table, glued, _glued_sums(plans, layout))
+    blocks = _level_blocks(layout)
+
+    def compare(r1, r2):
+        # a block pair compares as the first part of both (module docstring)
+        out = np.zeros((layout.sizes[r1], layout.sizes[r2]), dtype=bool)
+        for x, x_parts in blocks[r1]:
+            for y, y_parts in blocks[r2]:
+                common = x_parts & y_parts
+                if common:
+                    comp = plans[min(common)].compare(r1, r2)
+                    out[x : x + comp.shape[0], y : y + comp.shape[1]] = comp
+        return out
+
+    return _Plan(
+        layout.sizes, chains, table, glued, _glued_sums(plans, layout, blocks), compare
+    )
 
 
-def _glued_sums(plans: Sequence[_Plan], layout) -> Callable:
-    """The sums of a glue whose maximal chains each lie in one part, from
-    its parts' sums (module docstring).  Level r of the glue is a shared
-    block, of the parts that glue at r, then each other part's own block.
-    For a block X of level r1 and a block Y of level r2 with parts J in
-    common, the sums are C ⊙ Σ_{j∈J} Q_j: C is the 0/1 comparability of
-    part min J between the two levels, and Q_j is part j's sums with the
-    weights of the ranks that j glues at with an earlier part of J set to
-    0, read at each index modulo its shape.  Blocks with no common part
-    are 0.  When every block is 0, so are the sums, as one int."""
+def _level_blocks(layout) -> list[list[tuple[int, frozenset[int]]]]:
+    """For each level r of a glue, its blocks as (first index, parts): the
+    shared block, of the parts that glue at r, then each other part's own
+    block, in part order."""
     sets = layout.sets
-    blocks = [
+    return [
         [(0, frozenset(k for k, gs in enumerate(sets) if r in gs))]
         + [(layout.offsets[k][r], frozenset([k])) for k, gs in enumerate(sets) if r not in gs]
         for r in range(len(layout.sizes))
     ]
-    comparability = functools.cache(
-        lambda k, r1, r2: _comparability_rows(layout.posets[k], r1, r2)
-    )
+
+
+def _glued_sums(plans: Sequence[_Plan], layout, blocks) -> Callable:
+    """The sums of a glue whose maximal chains each lie in one part, from
+    its parts' sums (module docstring).  For a block X of level r1 and a
+    block Y of level r2 (:func:`_level_blocks`) with parts J in common,
+    the sums are C ⊙ Σ_{j∈J} Q_j: C is part min J's ``compare`` between
+    the two levels, and Q_j is part j's sums with the weights of the ranks
+    that j glues at with an earlier part of J set to 0, read at each index
+    modulo its shape.  Blocks with no common part are 0.  When every block
+    is 0, so are the sums, as one int."""
+    sets = layout.sets
+    comparability = functools.cache(lambda k, r1, r2: plans[k].compare(r1, r2))
 
     def sums(r1, r2, c, dtype):
         found = []
@@ -828,7 +924,7 @@ def _glued_sums(plans: Sequence[_Plan], layout) -> Callable:
                 common = sorted(x_parts & y_parts)
                 if not common:
                     continue
-                sizes = layout.posets[common[0]].level_sizes
+                sizes = plans[common[0]].sizes
                 total = 0
                 for i, j in enumerate(common):
                     # ranks counted in an earlier part of the block
@@ -850,6 +946,19 @@ def _glued_sums(plans: Sequence[_Plan], layout) -> Callable:
         return out
 
     return sums
+
+
+def _boolean_compare(k: int, r1: int, r2: int) -> np.ndarray:
+    """Inclusion of the r1-subsets of {0, ..., k-1} in the r2-subsets, each
+    level in the order of ``itertools.combinations``, as
+    :func:`~cdposets.poset.boolean` lists them."""
+    lower, upper = (list(combinations(range(k), r)) for r in (r1, r2))
+    members = np.zeros((len(upper), k), dtype=bool)  # members[v, e]: e in v
+    members[np.arange(len(upper)).repeat(r2), np.array(upper, dtype=np.intp).ravel()] = True
+    out = np.ones((len(lower), len(upper)), dtype=bool)
+    for t in range(r1):  # u ⊆ v when each element of u is in v
+        out &= members[:, [u[t] for u in lower]].T
+    return out
 
 
 def _boolean_table(k: int, dtype) -> np.ndarray:

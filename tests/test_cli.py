@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdposets
 from cdposets import (
     CdPolynomial,
     FlagVector,
@@ -382,6 +383,30 @@ def test_witness_prefix_budget_names_the_boolean(run):
     assert err == "error: boolean(2) would have 4 elements, budget is 3\n"
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        # lemma2(7,15) joined with boolean(2): 839,056 elements
+        (("witness", "dcccd", "--N", "15"), 0, None),
+        # a part of lemma2(7,16), whose glue would have 1,083,664 elements
+        (("witness", "dcccd", "--N", "16"), 2, "replicate_interval would have 1018111"),
+        (("check-eulerian", "lemma2(7,19)"), 2, "glue would have 1071609"),
+        (("check-eulerian", "lemma2(7,20)"), 2, "replicate_interval would have 1120002"),
+    ],
+)
+def test_default_budget_boundaries_are_the_walks_size_checks(run, argv, code, message):
+    # the walk checks every node's level sizes against the budget and
+    # builds no glue part, so these are the sizes of the tree's nodes
+    got_code, out, err = run(*argv)
+    assert got_code == code
+    if message is None:
+        assert err == ""
+        assert json.loads(out)["coefficient"] == -201600
+        assert json.loads(out)["elements"] == 839056
+    else:
+        assert (out, err) == ("", f"error: {message} elements, budget is 1000000\n")
+
+
 def test_witness_refuses_wrong_class(run):
     code, _, err = run("witness", "cdc", "--N", "2")
     assert code == 2
@@ -409,6 +434,104 @@ def test_check_eulerian_tests_an_expression_on_its_tree(run, monkeypatch):
     for name in ("chain", "replicate_interval", "horizontal_double"):
         monkeypatch.setattr(exprs, name, refuse)
     assert run("check-eulerian", "dp(8,[[1,8]],60000)") == (0, '{\n  "eulerian": true\n}\n', "")
+
+
+# glues whose chains stay in parts, bare and wrapped; the dni is not
+# Eulerian (exit 1, one violation), and so are the join and the dual
+_GLUES_ON_THEIR_PARTS = [
+    "lemma2(7,3)",
+    "lemma3(2)",
+    "dni(lemma2(7,3),2,5,2)",
+    "join(boolean(3),dni(lemma3(2),3,3,2))",
+    "dual(dni(lemma2(7,2),4,6,3))",
+]
+
+# Part3 words whose witnesses are lemma2 and lemma3 glues under joins
+_GLUE_WITNESSES = ["dcccdd", "ccdccccc", "dcccccd", "cdcccdd"]
+
+
+def _commands_on_glues():
+    for text in _GLUES_ON_THEIR_PARTS:
+        for command in ("check-eulerian", "flags", "l-vector", "cd-index"):
+            yield command, text
+        yield "check-inequality", text, "--all"
+    for word in _GLUE_WITNESSES:
+        yield "witness", word, "--N", "3"
+
+
+def test_no_command_but_build_builds_a_poset(run, monkeypatch):
+    # a glue's checks and its sums read its parts' plans, so no poset is
+    # built, neither the glue nor its parts; the outputs are those of the
+    # real constructions
+    expected = {argv: run(*argv) for argv in _commands_on_glues()}
+    assert expected[("check-eulerian", "dni(lemma2(7,3),2,5,2)")][0] == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a poset")
+
+    for name in ("chain", "replicate_interval", "horizontal_double", "join", "boolean", "_glued"):
+        monkeypatch.setattr(exprs, name, refuse)
+    for argv, output in expected.items():
+        assert run(*argv)[:2] == output[:2], argv
+    with pytest.raises(AssertionError, match="built a poset"):
+        run("build", "lemma3(2)")
+
+
+def _record_poset_calls(monkeypatch):
+    """Patch the walk's plans so that every ``poset()`` call records what
+    reached it: ``build`` (``build_poset`` or the CLI's ``build``), a
+    ``crossing glue`` (the walk, at a glue whose chains can cross parts),
+    the ``walk`` elsewhere, or ``elsewhere``."""
+    entries = {
+        exprs.build_poset.__code__: "build",
+        cli._cmd_build.__code__: "build",
+        exprs._plan.__code__: "walk",
+    }
+    seen = []
+    plan_type = exprs._Plan
+
+    def plan(*fields):
+        made = plan_type(*fields)
+
+        def poset():
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in entries:
+                frame = frame.f_back
+            where = "elsewhere" if frame is None else entries[frame.f_code]
+            if where == "walk" and frame.f_locals["kind"] == "glue":
+                if not exprs._chains_stay_in_parts(frame.f_locals["layout"].sets):
+                    where = "crossing glue"
+            seen.append(where)
+            return made.poset()
+
+        return made._replace(poset=poset)
+
+    monkeypatch.setattr(exprs, "_Plan", plan)
+    return seen
+
+
+_CROSSING = "glue([boolean(4), boolean(4)], [[0, 2, 4], [0, 2, 4]])"
+
+
+def test_only_build_a_crossing_glue_and_a_witness_poset_reach_plan_poset(run, monkeypatch):
+    seen = _record_poset_calls(monkeypatch)
+    for argv in _commands_on_glues():
+        run(*argv)
+    assert seen == []
+    # a crossing glue is built in the walk, with its parts
+    for command in ("check-eulerian", "flags", "l-vector"):
+        assert run(command, f"join(boolean(2),{_CROSSING})")[2] == ""
+        assert set(seen) == {"crossing glue"}
+        seen.clear()
+    assert run("build", "dni(lemma2(7,2),2,5,2)")[0] == 0
+    assert run("build", f"double({_CROSSING})")[0] == 0
+    assert set(seen) == {"build", "crossing glue"}
+    seen.clear()
+    # a witness builds its poset only when read, through build_poset
+    report = cdposets.negative_witness("dcccdd", 2)
+    assert seen == []
+    assert report.poset.level_sizes == report.level_sizes
+    assert seen and set(seen) == {"build"}
 
 
 def test_budget_exhaustion_is_usage_error(run):
@@ -1004,7 +1127,7 @@ def test_one_parser_serves_every_command(capsys, monkeypatch, tmp_path):
 def test_witnesses_build_no_glue(run, monkeypatch):
     expected = {word: run("witness", word, "--N", "3") for word in ("dcccdd", "ccdccccc")}
 
-    def refuse(layout):
+    def refuse(layout, posets):
         raise AssertionError("built a glue")
 
     monkeypatch.setattr(exprs, "_glued", refuse)
@@ -1015,8 +1138,9 @@ def test_witnesses_build_no_glue(run, monkeypatch):
 
 
 def test_glue_checks_run_once_and_only_build_builds_the_glue(run, monkeypatch):
-    # check-eulerian takes a glue's sums from its parts, which the glue's
-    # checks build; build builds the glue itself, once
+    # check-eulerian takes a glue's sums from its parts' plans, on which
+    # the glue's checks run too, so it builds neither the glue nor its
+    # parts; build builds the parts and then the glue, once
     calls = []
 
     def counted(name):
@@ -1028,8 +1152,8 @@ def test_glue_checks_run_once_and_only_build_builds_the_glue(run, monkeypatch):
 
         monkeypatch.setattr(exprs, name, spy)
 
-    counted("_glue_layout")
-    counted("_glued")
+    for name in ("_glue_layout", "_glued", "chain", "replicate_interval"):
+        counted(name)
     for text, code in [
         ("lemma2(7,3)", 0),
         ("dni(lemma2(7,3),2,5,2)", 1),
@@ -1040,7 +1164,9 @@ def test_glue_checks_run_once_and_only_build_builds_the_glue(run, monkeypatch):
         assert calls == ["_glue_layout"], text
     calls.clear()
     assert run("build", "lemma2(7,3)")[0] == 0
-    assert calls == ["_glue_layout", "_glued"]
+    # three chains, replicated four, three and one times
+    parts = ["chain", *["replicate_interval"] * 4, "chain", *["replicate_interval"] * 3]
+    assert calls == ["_glue_layout", *parts, "chain", "replicate_interval", "_glued"]
 
 
 # -- JSON output ----------------------------------------------------------

@@ -4,6 +4,7 @@ computed from the expression tree."""
 import collections
 import contextlib
 import io
+import json
 import os
 import random
 import tempfile
@@ -36,6 +37,7 @@ from cdposets import (
     replicate_interval,
 )
 from cdposets import cli, exprs
+from cdposets.constructions import _comparability_rows
 from cdposets.exprs import _lemma2_glue, _lemma3_glue
 
 
@@ -390,13 +392,13 @@ def twins(rank):
 
 
 @st.composite
-def glue_trees(draw):
-    """A glue of 2-4 parts, maybe under a double, dual or join.  Parts are
-    drawn from two expressions, so that repeats glue consistently: two
-    random parts, whose level sizes often differ, or two twins, which
-    often disagree on comparabilities (the split twin needs rank 3).
-    Every glue set is one set with at most one rank flipped, so the glue
-    sets fall on both sides of the one-run condition."""
+def bare_glues(draw):
+    """(parts, glue sets) of a glue of 2-4 parts.  Parts are drawn from two
+    expressions, so that repeats glue consistently: two random parts,
+    whose level sizes often differ, or two twins, which often disagree on
+    comparabilities (the split twin needs rank 3).  Every glue set is one
+    set with at most one rank flipped, so the glue sets fall on both sides
+    of the one-run condition."""
     rank = draw(st.integers(2, 5))
     if rank > 2 and draw(st.booleans()):
         pool = draw(st.lists(st.sampled_from(twins(rank)), min_size=2, max_size=2))
@@ -408,6 +410,13 @@ def glue_trees(draw):
     for _ in range(draw(st.integers(2, 4))):
         parts.append(draw(st.sampled_from(pool)))
         sets.append(sorted(common ^ draw(st.sets(inner, max_size=1))))
+    return parts, sets
+
+
+@st.composite
+def glue_trees(draw):
+    """A glue of :func:`bare_glues`, maybe under a double, dual or join."""
+    parts, sets = draw(bare_glues())
     tree = f"glue([{', '.join(parts)}], {sets})"
     wrap = draw(
         st.sampled_from(["{}", "double({})", "dual({})", "join({}, chain(2))", "join(boolean(2), {})"])
@@ -458,9 +467,9 @@ def test_glue_is_built_only_when_a_chain_can_cross_parts(monkeypatch, text, from
     builds = []
     glued = exprs._glued
 
-    def spy(layout):
+    def spy(layout, posets):
         builds.append(layout)
-        return glued(layout)
+        return glued(layout, posets)
 
     monkeypatch.setattr(exprs, "_glued", spy)
     sizes, table = sized_flags(node, None)
@@ -800,6 +809,105 @@ def test_one_run_glue_sums_match_the_built_glue(glue_tree, data):
             if poset.num_elements <= 40:
                 expected = oracles.interval_sums(list(poset.level_sizes), covers, r1, r2, c)
                 assert want.tolist() == expected
+
+
+def _subtrees(node):
+    yield node
+    for arg in node.args:
+        for child in arg if isinstance(arg, tuple) else (arg,):
+            if isinstance(child, exprs.Node):
+                yield from _subtrees(child)
+
+
+def _replaced(node, target, leaf):
+    """``node`` with the subtree ``target`` (that object) replaced by ``leaf``."""
+    if node is target:
+        return leaf
+
+    def swap(arg):
+        if isinstance(arg, exprs.Node):
+            return _replaced(arg, target, leaf)
+        if isinstance(arg, tuple):
+            return tuple(swap(item) for item in arg)
+        return arg
+
+    return exprs.Node(node.kind, tuple(swap(arg) for arg in node.args))
+
+
+@contextlib.contextmanager
+def json_leaves():
+    """A walk that also reads ``Node("json", (text,))``: the poset of a
+    JSON file, as the CLI loads one, a built leaf (``_built_plan``)."""
+    walk = exprs._plan
+
+    def plan(node, budget, depth=1):
+        if node.kind == "json":
+            return exprs._built_plan(RankedPoset.from_dict(json.loads(node.args[0])))
+        return walk(node, budget, depth)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exprs, "_plan", plan)
+        yield
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(trees().map(lambda tree: tree[0]), glue_trees(), wrapped_one_run_glues()),
+    st.data(),
+)
+def test_compare_is_the_built_comparability(text, data):
+    # every node kind's closed form, and a JSON-style built leaf put in for
+    # a random subtree, against the rows carried up the built poset
+    node = parse_expression(text)
+    if data.draw(st.booleans()):
+        target = data.draw(st.sampled_from(list(_subtrees(node))))
+        try:
+            built = build_poset(target)
+        except (ValueError, BudgetError):
+            return
+        node = _replaced(node, target, exprs.Node("json", (json.dumps(built.to_dict()),)))
+    with json_leaves():
+        try:
+            plan = exprs._plan(node, None)
+            poset = plan.poset()
+        except (ValueError, BudgetError):
+            return
+    assert plan.sizes == list(poset.level_sizes)
+    for r1 in range(poset.rank):
+        for r2 in range(r1 + 1, poset.rank + 1):
+            got = plan.compare(r1, r2)
+            assert got.dtype == bool
+            assert np.array_equal(got, _comparability_rows(poset, r1, r2)), (r1, r2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bare_glues(), st.data())
+def test_glue_errors_are_the_same_on_plans_posets_and_the_library_glue(glue_parts, data):
+    # mismatched level sizes and parts that disagree between shared levels:
+    # the walk on the parts' plans, build and constructions.glue over the
+    # built parts raise the same error, or give the same glue
+    parts, sets = glue_parts
+    node = parse_expression(f"glue([{', '.join(parts)}], {sets})")
+    posets = [build(part) for part in parts]
+    on_plans = outcome(lambda: exprs._plan(node, None).sizes)
+    built = outcome(lambda: build_poset(node))
+    library = outcome(lambda: glue(list(zip(posets, sets))))
+    if isinstance(built, RankedPoset):
+        assert on_plans == list(built.level_sizes)
+        assert library == built
+    else:
+        assert on_plans == built == library
+    # an invalid part, which only the library takes, is refused first, in
+    # part order, before any size or comparability check
+    bad = data.draw(st.sets(st.integers(0, len(posets) - 1), min_size=1))
+    for k in bad:
+        p = posets[k]
+        covers = [cs.tolist() for cs in p.cover_arrays]
+        covers[0].append([0, p.level_sizes[1]])  # out of range
+        posets[k] = RankedPoset(p.rank, p.level_sizes, covers)
+    first = posets[min(bad)]
+    expected = (ValueError, "invalid poset: " + "; ".join(first.validate()))
+    assert outcome(lambda: glue(list(zip(posets, sets)))) == expected
 
 
 # the glue's first violation is at index 3 of rank 2, the chain part's
