@@ -92,7 +92,7 @@ def doubled_sizes(sizes: Sequence[int], *, budget: int | None = None) -> list[in
     for r in range(1, len(out) - 1):
         total += out[r]
         out[r] *= 2
-        _check_budget(total, budget, "replicate_interval")
+        _check_budget(total, budget, "horizontal_double")
     return out
 
 

@@ -21,10 +21,38 @@ for the number of d's,
 
     [w] = (-2)^r * sum of L_Q over Q evenly containing supp(w).
 
+Here Q evenly contains S when S and Q - S are even subsets of Q.
 :func:`cd_from_l` performs exactly that conversion, refusing input whose
 L table does not vanish off even sets.  :func:`expand_cd_to_ab` goes the
 other way, expanding c -> a + b and d -> ab + ba, which recovers the
 generating polynomial of the h table.
+
+Pair-start masks.  Write a set of pairs {p, p + 1} by the mask P of their
+first elements, bit p - 1 for the pair at p.
+- Even sets are these unions.  A maximal run [a, b] of an even set Q has
+  even length, so it is the union of the pairs at a, a + 2, ..., b - 1;
+  call the mask of all these first elements P(Q), so Q = P | P << 1.
+  Conversely, let P be a mask of [1, n - 1] with no two adjacent bits.
+  Then Q = P | P << 1 is a union of disjoint pairs, and each maximal run
+  of Q is a union of whole pairs, so Q is even.  A run's first rank a is
+  a pair's first element, since a - 1 is not in Q, and the pairs of the
+  run follow at a + 2, a + 4, ...; so P(Q) = P.  Q -> P(Q) is therefore
+  a bijection from the even subsets of [1, n] onto the masks of
+  [1, n - 1] with no two adjacent bits.
+- A cd word w has one pair per d, at the d's first position.  Its d's
+  in a row make one run of supp(w), aligned from the first of them, so
+  P(supp(w)), written P(w), is the mask of the d's first positions.
+- Q evenly contains supp(w) exactly when P(w) is a subset of P(Q).  If
+  it is, then supp(w) is a subset of Q, and Q - supp(w) is the union of
+  the other pairs of Q, which is even by the first point.  Conversely,
+  let supp(w) and Q - supp(w) be even subsets of Q.  Their maximal runs
+  lie inside the runs of Q and tile each run [a, b] of Q in turn.  Every
+  tile has even length, so every tile starts at a plus an even number.
+  The pairs of supp(w) run from the start of each of its tiles, so they
+  start at a, a + 2, ...: they are pairs of Q.
+
+So [w] is a superset sum over pair-start masks, which :func:`cd_from_l`
+takes as one butterfly (below).
 
 Exactness of the numpy kernels.  :func:`flag_vector` fills one table per
 rank s whose entry (M, y) counts the chains with intermediate ranks
@@ -44,12 +72,22 @@ int64 when 2^n, respectively 3^n, times the largest input stays below
 turns to Python integers only at the first stage that could reach 2^63,
 if any.  Each result is held as it comes out, an int64 array when every
 entry fits (see :class:`FlagVector`).
+
+The superset sum of :func:`cd_from_l` is a butterfly of the same kind,
+over the n - 1 bits of a pair-start mask, with the stage (a, b) ->
+(a + b, b).  After the stages of the bits below k, the entry at P sums
+the numerators at the masks that contain P and agree with it from bit k
+on.  These are distinct masks, so each entry is a sum of distinct L
+numerators, and a stage adds two such sums over disjoint sets of masks.
+A stage therefore at most doubles the largest absolute value, and
+2^(n - 1) times the largest numerator bounds every entry: the growth-2
+rule of the h transform applies as it stands.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -58,7 +96,6 @@ from .errors import BudgetError, NotCdExpressibleError
 from .poset import _FLOAT64_EXACT, RankedPoset, exact_float_dtype
 from .subsets import (
     as_mask,
-    maximal_runs,
     parse_subset,
     subset_label,
     subset_labels,
@@ -343,20 +380,21 @@ def _largest(table: np.ndarray) -> int:
     return max(int(table.max()), -int(table.min()))
 
 
-def _butterflies(flags: FlagVector, growth: int, stage) -> np.ndarray:
-    """A copy of the entries of ``flags`` with ``stage(low, high)`` applied
-    in place for each of the n mask bits, to the views pairing every mask without the
-    bit with the mask that adds it; each stage grows the largest absolute
-    value by at most ``growth``.
+def _butterflies(table: np.ndarray, growth: int, stage) -> np.ndarray:
+    """``table``, 2^k entries that the caller hands over, with
+    ``stage(low, high)`` applied in place for each of the k mask bits, to
+    the views pairing every mask without the bit with the mask that adds
+    it; each stage grows the largest absolute value by at most ``growth``.
 
-    An int64 table stays int64 when ``growth^n`` times its largest entry is
+    An int64 table stays int64 when ``growth^k`` times its largest entry is
     below 2^63, and then nothing is checked between stages.  Otherwise the
     largest entry is checked before each stage, and the table becomes an
-    object array of Python ints at the first stage that could reach 2^63.
+    object array of Python ints at the first stage that could reach 2^63;
+    that array is returned in place of ``table``.
     """
-    table = flags.array.copy()
-    checked = table.dtype == np.int64 and growth**flags.n * _largest(table) >= 2**63
-    for bit in range(flags.n):
+    bits = len(table).bit_length() - 1
+    checked = table.dtype == np.int64 and growth**bits * _largest(table) >= 2**63
+    for bit in range(bits):
         if checked and table.dtype == np.int64 and growth * _largest(table) >= 2**63:
             table = table.astype(object)
         halves = table.reshape(-1, 2, 1 << bit)
@@ -376,14 +414,18 @@ def _l_stage(low: np.ndarray, high: np.ndarray) -> None:
     low[...], high[...] = high, 2 * low - high
 
 
+def _superset_stage(low: np.ndarray, high: np.ndarray) -> None:
+    low += high
+
+
 def flag_h(flags: FlagVector) -> FlagVector:
     """Signed transform h_S = sum over T in S of (-1)^|S - T| f_T."""
-    return FlagVector._from_array(flags.n, _butterflies(flags, 2, _h_stage))
+    return FlagVector._from_array(flags.n, _butterflies(flags.array.copy(), 2, _h_stage))
 
 
 def flag_from_h(h: FlagVector) -> FlagVector:
     """Inverse of :func:`flag_h`: f_S = sum over T in S of h_T."""
-    return FlagVector._from_array(h.n, _butterflies(h, 2, _f_stage))
+    return FlagVector._from_array(h.n, _butterflies(h.array.copy(), 2, _f_stage))
 
 
 def l_vector(flags: FlagVector) -> LVector:
@@ -393,7 +435,7 @@ def l_vector(flags: FlagVector) -> LVector:
     character step (x, y) -> (x + y, x - y) is (a, b) -> (b, 2a - b), and
     n such stages give the numerators 2^n * L directly.
     """
-    return LVector._from_array(flags.n, _butterflies(flags, 3, _l_stage))
+    return LVector._from_array(flags.n, _butterflies(flags.array.copy(), 3, _l_stage))
 
 
 # -- cd words and polynomials ------------------------------------------
@@ -446,10 +488,34 @@ def cd_words(n: int) -> list[str]:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if n > MAX_FLAG_RANKS:
         raise BudgetError(f"enumerating cd words of degree {n} is out of budget")
-    words: list[list[str]] = [[""], ["c"]]
-    for m in range(2, n + 1):
-        words.append(["c" + w for w in words[m - 1]] + ["d" + w for w in words[m - 2]])
-    return words[n]
+    return list(_cd_word_starts(n)[0])
+
+
+# one entry per degree a flag table can have: listing the words costs
+# more than a whole small cd_from_l call
+@lru_cache(maxsize=MAX_FLAG_RANKS + 1)
+def _cd_word_starts(n: int) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]:
+    """The cd words of degree n in the order of :func:`cd_words`, each
+    one's pair-start mask (bit p - 1 set for a d at positions p, p + 1) as
+    a read-only int64 array, and each one's number of d's.
+
+    The words of degree m are c times those of degree m - 1, then d times
+    those of degree m - 2: a c shifts the masks by one position and a d by
+    two, setting bit 0.  Each block is in order, so the list is sorted.
+    """
+    layouts = [((word,), np.zeros(1, dtype=np.int64), (0,)) for word in ("", "c")]
+    for _ in range(2, n + 1):
+        (c_words, c_starts, c_ds), (d_words, d_starts, d_ds) = layouts[-1], layouts[-2]
+        layouts.append(
+            (
+                tuple(["c" + w for w in c_words] + ["d" + w for w in d_words]),
+                np.concatenate((c_starts << 1, d_starts << 2 | 1)),
+                c_ds + tuple([d + 1 for d in d_ds]),
+            )
+        )
+    words, starts, ds = layouts[n]
+    starts.setflags(write=False)
+    return words, starts, ds
 
 
 class CdPolynomial:
@@ -612,27 +678,32 @@ class AbPolynomial:
 
 
 def expand_cd_to_ab(poly: CdPolynomial) -> AbPolynomial:
-    """Substitute c = a + b and d = ab + ba."""
-    total: dict[int, int] = {}
+    """Substitute c = a + b and d = ab + ba.
+
+    Write an ab monomial as the set S of its b positions.  A word w
+    expands, each monomial once, into the S that hold exactly one of p,
+    p + 1 for each d at positions p, p + 1 and anything at the c's.
+    Exactly one of p, p + 1 lies in S when bit p - 1 of X(S) = S ^ (S >> 1)
+    is set, so with X(S) cut to the n - 1 bits of a pair-start mask
+    (module docstring), S gets the coefficients of the words w with P(w) a
+    subset of X(S).  That is a subset sum over the pair-start masks, one
+    butterfly ``high += low`` under the growth-2 rule (each entry is a sum
+    of distinct coefficients), read at X(S) for all 2^n sets S.
+
+    Raises :class:`BudgetError` past ``MAX_FLAG_RANKS``, where the 2^n
+    monomials outgrow a dense table.
+    """
+    n = poly.n
+    if n > MAX_FLAG_RANKS:
+        raise BudgetError(f"expanding a cd polynomial of degree {n} is out of budget")
+    coefficients = [0] * (1 << max(n - 1, 0))
     for word, coeff in poly.terms.items():
-        partial = {0: 1}
-        pos = 0
-        for ch in word:
-            nxt: dict[int, int] = {}
-            if ch == "c":
-                for mask, c in partial.items():
-                    nxt[mask] = nxt.get(mask, 0) + c
-                    nxt[mask | 1 << pos] = nxt.get(mask | 1 << pos, 0) + c
-                pos += 1
-            else:
-                for mask, c in partial.items():
-                    nxt[mask | 1 << (pos + 1)] = nxt.get(mask | 1 << (pos + 1), 0) + c
-                    nxt[mask | 1 << pos] = nxt.get(mask | 1 << pos, 0) + c
-                pos += 2
-            partial = nxt
-        for mask, c in partial.items():
-            total[mask] = total.get(mask, 0) + coeff * c
-    return AbPolynomial(poly.n, total)
+        coefficients[sum(1 << (low - 1) for low, _ in d_intervals(word))] = coeff
+    sums = _butterflies(_exact_array(coefficients), 2, _f_stage)
+    sets = np.arange(1 << n)
+    monomials = sums[(sets ^ sets >> 1) & (len(sums) - 1)]
+    masks = np.flatnonzero(monomials)
+    return AbPolynomial(n, dict(zip(masks.tolist(), monomials[masks].tolist())))
 
 
 # -- the cd-index -------------------------------------------------------
@@ -641,53 +712,52 @@ def expand_cd_to_ab(poly: CdPolynomial) -> AbPolynomial:
 def cd_from_l(table: LVector) -> CdPolynomial:
     """Assemble the cd polynomial from an L table.
 
-    Each nonzero L_Q is expanded forward: the words w whose support Q
-    evenly contains have c at every position outside Q and, on each
-    maximal run of Q of length 2k, a word of (cc - 2d)^k, whose
-    coefficient is the (-2)^r of the formula above.  The sums are taken in
-    numerators over 2^n and divided at the end.
+    With a_Q = 2^n * L_Q the numerators, P(Q) the pair-start mask of an
+    even set Q (module docstring) and r the number of d's of a word w,
 
-    Raises :class:`NotCdExpressibleError` when the table is nonzero on a
-    rank set that is not even, and an internal error if a coefficient
-    fails to come out integral (impossible for consistent input).
+        [w] = (-2)^r * 2^(-n) * sum of a_Q over P(Q) containing P(w)
+            = (-1)^r * Z[P(w)] / 2^(n - r),
+
+    where Z is the superset sum of a moved onto the pair-start masks:
+    a_Q sits at P(Q) and every other mask holds 0.  Z is one butterfly,
+    ``low += high`` over the n - 1 bits a pair start can have, under the
+    growth-2 rule of :func:`_butterflies`, which holds because each entry
+    is at every stage a sum of distinct numerators.  Z is read at the
+    words' masks in the order of :func:`cd_words`, so the terms come out
+    in that order.
+
+    Raises :class:`NotCdExpressibleError` for the first rank set in mask
+    order that is not even and has a nonzero L value, and an internal
+    error for the first word whose coefficient fails to come out integral
+    (impossible for consistent input): its low n - r bits of Z are not 0.
     """
     n = table.n
-    scale = 1 << n
-    # runs[k]: the words of (cc - 2d)^k with their coefficients
-    runs = [[("", 1)]]
-    for _ in range(n // 2):
-        runs.append([(p + w, pc * c) for p, pc in (("cc", 1), ("d", -2)) for w, c in runs[-1]])
-    sums: dict[str, int] = {}
-    for mask, a in table._nonzero_numerators():
-        # one scan both proves Q even and gives the runs to expand
-        mask_runs = maximal_runs(mask)
-        if any((high - low + 1) % 2 for low, high in mask_runs):
-            raise NotCdExpressibleError(
-                f"L value {Fraction(a, scale)} on non-even rank set {subset_label(mask)}",
-                mask,
-            )
-        words = [("", a)]
-        pos = 1
-        # the empty run (n + 1, n) adds the c's after the last run
-        for low, high in mask_runs + [(n + 1, n)]:
-            gap = "c" * (low - pos)
-            words = [
-                (w + gap + piece, c * pc)
-                for w, c in words
-                for piece, pc in runs[(high - low + 1) // 2]
-            ]
-            pos = high + 1
-        for word, c in words:
-            sums[word] = sums.get(word, 0) + c
+    words, starts, ds = _cd_word_starts(n)
+    numerators = table.array
+    # the even sets, in the order of their words
+    sets = starts | starts << 1
+    even = numerators[sets]
+    if np.count_nonzero(even) != np.count_nonzero(numerators):
+        odd = numerators.copy()
+        odd[sets] = 0
+        mask = int(np.flatnonzero(odd)[0])
+        raise NotCdExpressibleError(
+            f"L value {Fraction(int(odd[mask]), 1 << n)} on non-even rank set "
+            f"{subset_label(mask)}",
+            mask,
+        )
+    sums = np.zeros(1 << max(n - 1, 0), dtype=numerators.dtype)
+    sums[starts] = even
+    sums = _butterflies(sums, 2, _superset_stage)[starts].tolist()
     terms = {}
-    for word in sorted(sums):  # the order of cd_words
-        coeff, rest = divmod(sums[word], scale)
-        if rest:
+    for word, d, z in zip(words, ds, sums):
+        if z & ((1 << (n - d)) - 1):
             raise RuntimeError(
                 f"internal error: coefficient of {word!r} is non-integral "
-                f"({Fraction(sums[word], scale)})"
+                f"({Fraction((-2) ** d * z, 1 << n)})"
             )
-        terms[word] = coeff
+        if z:
+            terms[word] = -(z >> (n - d)) if d & 1 else z >> (n - d)
     return CdPolynomial(n, terms)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from cdposets import RankedPoset, chain, glue
 from cdposets import validate_even_interval_system
 from cdposets.constructions import joined_sizes, replicated_sizes
-from cdposets.errors import NotCdExpressibleError
+from cdposets.errors import BudgetError, NotCdExpressibleError
 from cdposets.exprs import ExpressionError, Node, _Token, _tokenize
 from cdposets.flags import CdPolynomial, cd_support, cd_words
 from cdposets.subsets import (
@@ -226,6 +226,17 @@ def ab_words_of_cd(word):
     return results
 
 
+def ab_of_cd(poly):
+    """The ab polynomial of a cd polynomial as {mask of the b positions:
+    coefficient}, word by word through ``ab_words_of_cd``."""
+    total = {}
+    for word, coeff in poly.terms.items():
+        for ab_word, mult in ab_words_of_cd(word).items():
+            mask = sum(1 << k for k, ch in enumerate(ab_word) if ch == "b")
+            total[mask] = total.get(mask, 0) + coeff * mult
+    return {mask: c for mask, c in total.items() if c}
+
+
 def is_even_runs(ranks):
     """Check that a set of ranks splits into runs of even length."""
     ordered = sorted(ranks)
@@ -399,10 +410,14 @@ def replicate_interval_stepwise(poset, low, high, copies, *, budget=None):
 
 def horizontal_double_stepwise(poset, *, budget=None):
     """Two copies of each proper level, one replication at a time; a
-    rank-1 poset is returned as it is, unvalidated."""
+    rank-1 poset is returned as it is, unvalidated.  A replication's
+    budget trip is reported under the double's name."""
     out = poset
-    for r in range(1, poset.rank):
-        out = replicate_interval_stepwise(out, r, r, 2, budget=budget)
+    try:
+        for r in range(1, poset.rank):
+            out = replicate_interval_stepwise(out, r, r, 2, budget=budget)
+    except BudgetError as exc:
+        raise BudgetError(str(exc).replace("replicate_interval", "horizontal_double")) from None
     return out
 
 

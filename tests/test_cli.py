@@ -389,7 +389,7 @@ def test_witness_prefix_budget_names_the_boolean(run):
         # lemma2(7,15) joined with boolean(2): 839,056 elements
         (("witness", "dcccd", "--N", "15"), 0, None),
         # a part of lemma2(7,16), whose glue would have 1,083,664 elements
-        (("witness", "dcccd", "--N", "16"), 2, "replicate_interval would have 1018111"),
+        (("witness", "dcccd", "--N", "16"), 2, "horizontal_double would have 1018111"),
         (("check-eulerian", "lemma2(7,19)"), 2, "glue would have 1071609"),
         (("check-eulerian", "lemma2(7,20)"), 2, "replicate_interval would have 1120002"),
     ],
@@ -870,11 +870,11 @@ _CROSSING_GLUE = "glue([boolean(4), boolean(4)], [[0, 2, 4], [0, 2, 4]])"
     "argv,code,fragment",
     [
         # budget trips inside double, dni, join and dp
-        (["flags", "double(boolean(12))", "--max-elements", "5000"], 2, "replicate_interval would have"),
+        (["flags", "double(boolean(12))", "--max-elements", "5000"], 2, "horizontal_double would have"),
         (["cd-index", "dni(boolean(10), 3, 6, 4)", "--max-elements", "3000"], 2, "replicate_interval"),
         (["l-vector", "join(boolean(8), boolean(8))", "--max-elements", "500"], 2, "join would have"),
         (["flags", "dp(8, [[1, 8]], 1000)", "--max-elements", "5000"], 2, "replicate_interval"),
-        (["flags", "dp(8, [[1, 8]], 200)", "--max-elements", "3000"], 2, "replicate_interval"),
+        (["flags", "dp(8, [[1, 8]], 200)", "--max-elements", "3000"], 2, "horizontal_double"),
         (["flags", "chain(3)", "--max-elements", "3"], 2, "chain(3) would have"),
         (["flags", "boolean(3)", "--max-elements", "7"], 2, "boolean(3) would have"),
         # bad dni ranges and zero copies
@@ -900,7 +900,7 @@ _CROSSING_GLUE = "glue([boolean(4), boolean(4)], [[0, 2, 4], [0, 2, 4]])"
         (["check-inequality", "dp(6, [[1, 2], [3, 6]], 2)", "--all"], 0, ""),
         (["check-inequality", "boolean(5)", "--T", "[1]", "--V", "[1,2]", "--format", "table"], 0, ""),
         # the Eulerian test and build, from the tree and from the built poset
-        (["check-eulerian", "double(boolean(12))", "--max-elements", "5000"], 2, "replicate_interval"),
+        (["check-eulerian", "double(boolean(12))", "--max-elements", "5000"], 2, "horizontal_double"),
         (["check-eulerian", "dni(lemma2(7, 2), 2, 5, 2)"], 1, ""),
         (["check-eulerian", "join(lemma3(2), dual(boolean(3)))", "--format", "table"], 0, ""),
         (["build", "dp(8, [[1, 8]], 1000)", "--max-elements", "5000"], 2, "replicate_interval"),
@@ -930,7 +930,7 @@ def test_budget_trip_above_a_large_lattice_is_quick(run):
     assert time.perf_counter() - start < 10
     assert code == 2 and out == ""
     assert err == (
-        "error: replicate_interval would have 1004779 elements, budget is 1000000\n"
+        "error: horizontal_double would have 1004779 elements, budget is 1000000\n"
     )
 
 

@@ -634,6 +634,26 @@ def test_ab_index_equals_expanded_cd_index(corpus):
         assert expand_cd_to_ab(cd_index(p)) == AbPolynomial.from_h_table(h), name
 
 
+@st.composite
+def cd_polys(draw):
+    """Polynomials of degree at most 10, small or past int64."""
+    n = draw(st.integers(0, 10))
+    shift = draw(st.sampled_from([0, 40, 62, 70]))
+    terms = draw(st.dictionaries(st.sampled_from(cd_words(n)), st.integers(-9, 9), max_size=20))
+    return CdPolynomial(n, {w: c << shift for w, c in terms.items()})
+
+
+@given(cd_polys())
+def test_expand_cd_to_ab_is_the_substitution(poly):
+    assert expand_cd_to_ab(poly).terms == oracles.ab_of_cd(poly)
+
+
+def test_expand_cd_to_ab_refuses_degrees_past_the_flag_rank_cap():
+    assert len(expand_cd_to_ab(CdPolynomial.monomial("d" * 10)).terms) == 2**10
+    with pytest.raises(BudgetError, match="degree 22 is out of budget"):
+        expand_cd_to_ab(CdPolynomial.monomial("d" * 11))
+
+
 # -- cd extraction ------------------------------------------------------------
 
 
@@ -710,6 +730,113 @@ def test_cd_index_of_join_is_product(joins):
 
     for name, left, right in joins:
         assert cd_index(join(left, right)) == cd_index(left) * cd_index(right), name
+
+
+_EVEN_SETS = [[m for m in range(1 << n) if is_even_set(m)] for n in range(13)]
+
+
+@st.composite
+def even_tables(draw, min_ranks=0):
+    """L numerators on up to 12 even sets of at most 12 ranks, in units of
+    1 (whose words are mostly non-integral), 2^n (integral) or 2^61 to
+    2^70 (int64 input, a switch to Python ints partway, or object input)."""
+    n = draw(st.integers(min_ranks, 12))
+    unit = draw(
+        st.one_of(st.just(1), st.just(1 << n), st.integers(61, 70).map(lambda k: 1 << k))
+    )
+    entries = draw(
+        st.dictionaries(st.sampled_from(_EVEN_SETS[n]), st.integers(-9, 9), max_size=12)
+    )
+    numerators = [0] * (1 << n)
+    for mask, k in entries.items():
+        numerators[mask] = k * unit
+    return numerators
+
+
+def _outcome(convert, table):
+    try:
+        poly = convert(table)
+    except (RuntimeError, NotCdExpressibleError) as exc:
+        return type(exc), str(exc), getattr(exc, "mask", None)
+    return poly.n, list(poly.terms.items())
+
+
+@given(even_tables())
+def test_cd_from_l_is_the_scan_on_even_tables(numerators):
+    table = LVector.from_numerators(len(numerators).bit_length() - 1, numerators)
+    assert _outcome(cd_from_l, table) == _outcome(oracles.cd_from_l_scan, table)
+
+
+@given(even_tables(min_ranks=1), st.data())
+def test_cd_from_l_reports_one_odd_set_like_scan(numerators, data):
+    odd = data.draw(st.sampled_from([m for m in range(len(numerators)) if not is_even_set(m)]))
+    numerators[odd] = data.draw(st.integers(1, 2**70)) * data.draw(st.sampled_from([-1, 1]))
+    table = LVector.from_numerators(len(numerators).bit_length() - 1, numerators)
+    got = _outcome(cd_from_l, table)
+    assert got[0] is NotCdExpressibleError and got[2] == odd
+    assert got == _outcome(oracles.cd_from_l_scan, table)
+
+
+@pytest.mark.parametrize("unit", [2**40, 2**57, 2**63], ids=["int64", "switch", "object"])
+def test_superset_sums_turn_to_python_ints_at_the_first_stage_that_could_overflow(
+    monkeypatch, unit
+):
+    # unit on every even set of [1, 10], moved onto the pair-start masks
+    # of [1, 9]; the sums grow to 89 units at the empty mask
+    table = LVector.from_numerators(10, [unit * is_even_set(m) for m in range(1 << 10)])
+    sums, largest = [0] * (1 << 9), []
+    for pairs in range(1 << 9):
+        sums[pairs] = table.numerators[pairs | pairs << 1] * (pairs & pairs >> 1 == 0)
+    for bit in range(9):
+        largest.append(max(map(abs, sums)))
+        for pairs in range(1 << 9):
+            if not pairs >> bit & 1:
+                sums[pairs] += sums[pairs | 1 << bit]
+    # the table turns at the first stage that could double past 2^63; an
+    # input past int64 is an object array from the start
+    first = next((k for k, big in enumerate(largest) if 2 * big >= 2**63), 9)
+    assert {2**40: first == 9, 2**57: 0 < first < 9, 2**63: first == 0}[unit]
+    stage, dtypes = flags_mod._superset_stage, []
+
+    def recording(low, high):
+        dtypes.append(low.dtype)
+        stage(low, high)
+
+    monkeypatch.setattr(flags_mod, "_superset_stage", recording)
+    got = cd_from_l(table)
+    assert dtypes == [np.int64] * first + [object] * (9 - first)
+    assert list(got.terms.items()) == list(oracles.cd_from_l_scan(table).terms.items())
+
+
+def test_cd_from_l_converts_a_sparse_table_past_the_flag_rank_cap():
+    # the L table of dp(21, {[1,2], ..., [19,20]}, N): L_Q = (-N)^|K|
+    # (N+1)^(10-|K|) on each union Q of a set K of the pairs, whose
+    # cd-index is (cc + 2N d)^10 c
+    n, N = 21, 3
+    numerators = [0] * (1 << n)
+    for pairs in range(1 << 10):
+        k = bin(pairs).count("1")
+        mask = sum(0b11 << 2 * i for i in range(10) if pairs >> i & 1)
+        numerators[mask] = (-N) ** k * (N + 1) ** (10 - k) << n
+    table = LVector.from_numerators(n, numerators)
+    cc, d, c = (CdPolynomial.monomial(w) for w in ("cc", "d", "c"))
+    assert cd_from_l(table) == (cc + 2 * N * d) ** 10 * c
+
+
+def test_cd_index_at_the_flag_rank_cap_is_the_product_of_the_parts():
+    def l_of(text):
+        return l_vector(flag_vector_of(parse_expression(text)))
+
+    # 20 proper ranks, and an L table nonzero on most of the even sets
+    table = l_of("join(boolean(10),boolean(12))")
+    assert table.n == 20 and 2 * np.count_nonzero(table.array) > len(cd_words(20))
+    product = cd_from_l(l_of("boolean(10)")) * cd_from_l(l_of("boolean(12)"))
+    assert cd_from_l(table) == product
+
+
+def test_cd_index_of_boolean_19_expands_to_its_h_table():
+    f = flag_vector_of(parse_expression("boolean(19)"))
+    assert expand_cd_to_ab(cd_from_l(l_vector(f))) == AbPolynomial.from_h_table(flag_h(f))
 
 
 @pytest.mark.parametrize("nonzero", [0, 1, 7, 8, 9, 40, 64])
