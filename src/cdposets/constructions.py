@@ -32,15 +32,17 @@ trees over these constructions, defined in :mod:`cdposets.exprs`.  When
 flag vectors or the Eulerian test are computed from such a tree, nothing
 is built but a glue whose chains can cross parts, with its parts; the
 other nodes have identities there.  The walk runs a glue's checks
-through the same helper as :func:`glue`, once per glue, on its parts'
-plans: their level sizes and their comparabilities between two levels,
-which the plans give by closed forms.  :func:`glue` checks its posets
-as built plans, whose comparabilities come from their cover arrays
-(:func:`_comparability_rows`), with no matrix product.
+through the same helper as :func:`glue`, :func:`_glue_layout`, once per
+glue.  The helper takes each part's level sizes and comparabilities
+between two levels, and nothing else: the walk gives them from its
+parts' plans, by closed forms, and :func:`glue` from its posets' cover
+arrays (:func:`_comparability_rows`), with no matrix product.  So this
+module imports nothing from :mod:`cdposets.exprs`.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -203,25 +205,23 @@ def glue(
     Raises ``ValueError("invalid poset: ...")`` for an invalid part,
     :class:`GlueMismatchError` on level-size disagreement and
     :class:`GlueInconsistentError` when two parts glued at ranks r < r'
-    induce different comparabilities between the shared levels.  Each
-    part is checked as a built leaf of :mod:`cdposets.exprs`, the plan an
-    expression's glue is checked on: its comparability between two levels
-    comes from its cover arrays (:func:`_comparability_rows`), the rows of
-    the lower level carried up one cover level at a time.  No dense
+    induce different comparabilities between the shared levels.  The
+    checks are those of an expression's glue (:func:`_glue_layout`), on
+    each part's level sizes and its comparability between two levels,
+    which comes from its cover arrays (:func:`_comparability_rows`), the
+    rows of the lower level carried up one cover level at a time.  No dense
     comparability matrix of a part's own levels is multiplied, so a part
     with wide unshared levels (``lemma2``'s third part has 4096-element
     levels at N = 8) costs rows, not 4096 x 4096 products.  When several
     pairs of ranks disagree, the first pair (r, r') in lexicographic order
     is reported.
     """
-    from .exprs import _built_plan  # exprs imports this module
-
-    posets, plans = [], []
+    posets, checked = [], []
     for poset, ranks in parts:
         poset._require_valid()
         posets.append(poset)
-        plans.append((_built_plan(poset), ranks))
-    return _glued(_glue_layout(plans, budget=budget), posets)
+        checked.append((poset.level_sizes, functools.partial(_comparability_rows, poset), ranks))
+    return _glued(_glue_layout(checked, budget=budget), posets)
 
 
 class _GlueLayout(NamedTuple):
@@ -236,11 +236,11 @@ class _GlueLayout(NamedTuple):
 def _glue_layout(parts: Sequence[tuple], *, budget: int | None = None) -> _GlueLayout:
     """Every check of :func:`glue` after its parts' validation, in its
     order: parts, ranks, glue sets, level sizes, comparabilities, budget;
-    then the layout it builds.  Each part is a plan of
-    :mod:`cdposets.exprs` with its ranks: ``sizes``, its level sizes, and
-    ``compare(r1, r2)``, its 0/1 comparability between levels r1 < r2.  No
-    part is built: the walk's plans give ``compare`` by closed forms, and
-    :func:`glue`'s built leaves from their cover arrays.
+    then the layout it builds.  Each part is ``(sizes, compare, ranks)``:
+    its level sizes, ``compare(r1, r2)``, its 0/1 comparability between
+    levels r1 < r2, and the ranks it glues at.  No part is built: the
+    walk of :mod:`cdposets.exprs` gives ``compare`` by closed forms, and
+    :func:`glue` from its posets' cover arrays.
 
     Only the levels that two parts glue at are compared, and two parts
     agree between levels r < r2 exactly when their ``compare(r, r2)`` are
@@ -248,9 +248,8 @@ def _glue_layout(parts: Sequence[tuple], *, budget: int | None = None) -> _GlueL
     by index."""
     if not parts:
         raise ValueError("glue needs at least one part")
-    plans = [plan for plan, _ in parts]
-    level_sizes = [plan.sizes for plan in plans]
-    glue_sets = [frozenset(int(r) for r in ranks) for _, ranks in parts]
+    level_sizes, compares, rank_sets = zip(*parts)
+    glue_sets = [frozenset(int(r) for r in ranks) for ranks in rank_sets]
     rank = len(level_sizes[0]) - 1
     for sizes in level_sizes[1:]:
         if len(sizes) - 1 != rank:
@@ -282,15 +281,15 @@ def _glue_layout(parts: Sequence[tuple], *, budget: int | None = None) -> _GlueL
     for r, r2 in combinations(range(rank + 1), 2):
         both = [k for k, gs in enumerate(glue_sets) if r in gs and r2 in gs]
         if len(both) > 1:
-            first = plans[both[0]].compare(r, r2)
+            first = compares[both[0]](r, r2)
             for k in both[1:]:
-                if not np.array_equal(first, plans[k].compare(r, r2)):
+                if not np.array_equal(first, compares[k](r, r2)):
                     raise GlueInconsistentError(
                         f"parts {both[0]} and {k} disagree on comparability between "
                         f"glued ranks {r} and {r2}"
                     )
 
-    offsets = [[0] * (rank + 1) for _ in plans]
+    offsets = [[0] * (rank + 1) for _ in parts]
     sizes = []
     for r in range(rank + 1):
         total = shared_size[r]

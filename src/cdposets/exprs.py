@@ -27,10 +27,10 @@ each node it checks arguments and budgets and carries level sizes, the
 number of maximal chains, how to compute the 2^n flag table, how to
 build the poset, how to sum over its intervals for the Eulerian test and
 how its levels compare (below).  A built poset is one more leaf,
-``_built_plan``: a glue whose chains can cross parts, a part of
-:func:`~cdposets.constructions.glue`, and, on the command line, a JSON
-file; its table, sums and comparabilities come from the poset.  :func:`build_poset` builds the root's
-poset; :func:`flag_vector_of` computes the root's table instead
+``_built_plan``: a glue whose chains can cross parts and, on the command
+line, a JSON file; its table, sums and comparabilities come from the
+poset.  :func:`build_poset` builds the root's poset;
+:func:`flag_vector_of` computes the root's table instead
 (``_Plan.flags``), and :func:`eulerian_of` tests the root
 (``_Plan.eulerian``).  All raise the same errors in the same order,
 because they share the walk.  With
@@ -734,7 +734,10 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
                 f"glue got {len(parts)} parts but {len(rank_sets)} rank sets"
             )
         plans = [_plan(part, budget, depth + 1) for part in parts]
-        layout = _glue_layout(list(zip(plans, rank_sets)), budget=budget)
+        layout = _glue_layout(
+            [(plan.sizes, plan.compare, ranks) for plan, ranks in zip(plans, rank_sets)],
+            budget=budget,
+        )
         glued = functools.cache(lambda: _glued(layout, [plan.poset() for plan in plans]))
         if _chains_stay_in_parts(layout.sets):
             return _glued_plan(plans, layout, glued)
@@ -768,9 +771,12 @@ def _doubled(inner: _Plan, budget: int | None) -> _Plan:
 
 def _replicated(inner: _Plan, low: int, high: int, copies: int, budget: int | None) -> _Plan:
     def table(dtype):
+        # the sets meeting [low, high] have a nonzero middle index; a view's
+        # shape is set in place or raises, so the multiply never hits a copy
         out = inner.table(dtype)
-        interval = (1 << high) - (1 << (low - 1))
-        out[(np.arange(len(out)) & interval) != 0] *= copies
+        view = out.view()
+        view.shape = (-1, 1 << (high - low + 1), 1 << (low - 1))
+        view[:, 1:] *= copies
         return out
 
     def sums(r1, r2, c, dtype):

@@ -24,8 +24,8 @@ for the number of d's,
 Here Q evenly contains S when S and Q - S are even subsets of Q.
 :func:`cd_from_l` performs exactly that conversion, refusing input whose
 L table does not vanish off even sets.  :func:`expand_cd_to_ab` goes the
-other way, expanding c -> a + b and d -> ab + ba, which recovers the
-generating polynomial of the h table.
+other way, expanding c -> a + b and d -> ab + ba, which returns the h
+table.
 
 Pair-start masks.  Write a set of pairs {p, p + 1} by the mask P of their
 first elements, bit p - 1 for the pair at p.
@@ -169,9 +169,9 @@ class FlagVector(_IntTable):
     """Dense table over all 2^n subsets of the proper ranks.
 
     Also used as the container for the signed h table, which shares the
-    indexing.  Entries are exact: :attr:`array` holds them (see
-    :class:`_IntTable`), and ``values``, indexing and :meth:`items` give
-    them as Python ints.
+    indexing, and so for the ab-index of :func:`expand_cd_to_ab`.
+    Entries are exact: :attr:`array` holds them (see :class:`_IntTable`),
+    and ``values``, indexing and :meth:`items` give them as Python ints.
     """
 
     __slots__ = ()
@@ -442,7 +442,7 @@ def l_vector(flags: FlagVector) -> LVector:
 
 
 def _check_word(word: str) -> None:
-    if not isinstance(word, str) or any(ch not in "cd" for ch in word):
+    if not isinstance(word, str) or word.strip("cd"):
         raise ValueError(f"cd word must consist of letters c and d, got {word!r}")
 
 
@@ -638,51 +638,14 @@ def cd_product(left: CdPolynomial, right: CdPolynomial) -> CdPolynomial:
     return left * right
 
 
-class AbPolynomial:
-    """Homogeneous polynomial in noncommuting a, b; a monomial is stored as
-    the bitmask of its b positions (position p = bit p - 1)."""
+def expand_cd_to_ab(poly: CdPolynomial) -> FlagVector:
+    """Substitute c = a + b and d = ab + ba: the ab polynomial, as the
+    table of its coefficients indexed by the set S of each monomial's b
+    positions.  For the cd-index of a poset that table is the h table,
+    ``flag_h(flag_vector(P))``.
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[int, int]):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(
-            self, "terms", {int(m): int(c) for m, c in terms.items() if int(c)}
-        )
-        for mask in self.terms:
-            if mask >> self.n:
-                raise ValueError(f"monomial mask {mask:#b} exceeds degree {self.n}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AbPolynomial is immutable")
-
-    @classmethod
-    def from_h_table(cls, h: FlagVector) -> "AbPolynomial":
-        """Generating polynomial of an h table: b's mark the ranks in S."""
-        return cls(h.n, {m: v for m, v in h.items() if v})
-
-    def coefficient(self, key: int | Iterable[int]) -> int:
-        return self.terms.get(as_mask(key), 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AbPolynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        words = {
-            "".join("b" if m >> p & 1 else "a" for p in range(self.n)): c
-            for m, c in self.terms.items()
-        }
-        return f"AbPolynomial({self.n}, {words!r})"
-
-
-def expand_cd_to_ab(poly: CdPolynomial) -> AbPolynomial:
-    """Substitute c = a + b and d = ab + ba.
-
-    Write an ab monomial as the set S of its b positions.  A word w
-    expands, each monomial once, into the S that hold exactly one of p,
-    p + 1 for each d at positions p, p + 1 and anything at the c's.
+    A word w expands, each monomial once, into the S that hold exactly one
+    of p, p + 1 for each d at positions p, p + 1 and anything at the c's.
     Exactly one of p, p + 1 lies in S when bit p - 1 of X(S) = S ^ (S >> 1)
     is set, so with X(S) cut to the n - 1 bits of a pair-start mask
     (module docstring), S gets the coefficients of the words w with P(w) a
@@ -701,9 +664,7 @@ def expand_cd_to_ab(poly: CdPolynomial) -> AbPolynomial:
         coefficients[sum(1 << (low - 1) for low, _ in d_intervals(word))] = coeff
     sums = _butterflies(_exact_array(coefficients), 2, _f_stage)
     sets = np.arange(1 << n)
-    monomials = sums[(sets ^ sets >> 1) & (len(sums) - 1)]
-    masks = np.flatnonzero(monomials)
-    return AbPolynomial(n, dict(zip(masks.tolist(), monomials[masks].tolist())))
+    return FlagVector._from_array(n, sums[(sets ^ sets >> 1) & (len(sums) - 1)])
 
 
 # -- the cd-index -------------------------------------------------------

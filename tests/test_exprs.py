@@ -211,6 +211,23 @@ def test_tree_path_matches_oracle(text):
     assert {frozenset(ranks_from_mask(m)): v for m, v in table.items()} == counts
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dni(boolean(5), 1, 2, 3)",  # low = 1
+        "dni(boolean(5), 3, 4, 2)",  # high = n
+        "dni(dual(boolean(5)), 1, 4, 2)",  # every proper rank
+        "dni(boolean(5), 2, 2, 3)",  # low = high
+        "dni(boolean(5), 2, 3, 1)",  # copies = 1
+        "dni(dni(boolean(4), 1, 1, 2), 3, 3, 3)",
+        # 3 * 2^65 maximal chains: an object table
+        "dni(double(double(double(double(double(chain(14)))))), 2, 12, 3)",
+    ],
+)
+def test_dni_table_matches_built_flag_vector(text):
+    assert flag_vector_of(parse_expression(text)) == flag_vector(build(text))
+
+
 def test_tree_path_builds_no_poset_without_glued_nodes(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a poset")
