@@ -25,7 +25,8 @@ them, in the bytes of that call on their ``to_dict()``: json indents only
 in its Python encoder, which costs more than computing a 2^n table.  A
 flag table (``flags``) is one ``%`` of a label template cached per n
 (:func:`_flag_template`) with its entries in label order; an L table
-(``l-vector``) takes its nonzero entries in that order, or sorts a few; a
+(``l-vector``) takes its nonzero entries in that order
+(:func:`_label_order`, also cached per n), or sorts a few; a
 cd-index (``cd-index``) and a ``limit-l`` table write their entries as
 sorted ``"key": value`` lines; a poset (``build``) writes each cover level
 as one ``%`` of a pattern of its pairs, and ``check-inequality --all``
@@ -134,14 +135,15 @@ def _flag_template(n: int) -> tuple[str, np.ndarray]:
         masks = _label_order(n)
         lines = [labels[m] for m in masks.tolist()]
         template = '{\n  "' + '": "%d",\n  "'.join(lines) + '": "%d"\n}'
-        masks.setflags(write=False)
         _FLAG_TEMPLATES[n] = template, masks
     return _FLAG_TEMPLATES[n]
 
 
+@functools.cache
 def _label_order(n: int) -> np.ndarray:
     """The masks below 2^n in the order of their labels as strings, as
-    one intp array, generated in that order.
+    one read-only intp array, generated in that order and kept; n is at
+    most ``MAX_FLAG_RANKS``.
 
     After its ``[``, a label is one token per rank, ``s,`` for each rank
     but the last and ``s]`` for the last, or the token ``]`` alone.  Each
@@ -161,7 +163,9 @@ def _label_order(n: int) -> np.ndarray:
             ]
         )
     # the token "]" of the empty set comes after every digit
-    return np.concatenate([tails[0], np.zeros(1, np.intp)])
+    order = np.concatenate([tails[0], np.zeros(1, np.intp)])
+    order.setflags(write=False)
+    return order
 
 
 def _flag_table_json(table: FlagVector) -> str:
@@ -188,13 +192,13 @@ def _l_table_json(table: LVector) -> str:
     """``json.dumps(table.to_dict(), sort_keys=True, indent=2)``.
 
     A dense table, whose ``LVector.to_dict`` reads its labels from
-    ``subset_labels(n)``, takes its entries in label order from the flag
-    template's mask order, with no sort.  A sparse one writes the entries
-    of ``to_dict``, sorted.
+    ``subset_labels(n)``, takes its nonzero entries in label order
+    (:func:`_label_order`), with no sort and no flag template.  A sparse
+    one writes the entries of ``to_dict``, sorted.
     """
     n, array = table.n, table.array
     if table._dense():
-        order = _flag_template(n)[1]
+        order = _label_order(n)
         masks = order[array[order] != 0]
         labels = subset_labels(n)
         lines = [

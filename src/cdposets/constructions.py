@@ -225,20 +225,25 @@ def glue(
 
 
 class _GlueLayout(NamedTuple):
-    """The glue sets of a checked glue, its level sizes, and where each
-    part's level r starts in level r of the glue."""
+    """The glue sets of a checked glue, its level sizes, and the blocks of
+    each level r as (first index, parts): the shared block of the parts
+    that glue at r, when any does, then each other part's own block, in
+    part order.  Each part's level r is the block of level r that holds
+    it, element i at the block's first index plus i."""
 
     sets: list[frozenset[int]]
     sizes: list[int]
-    offsets: list[list[int]]
+    blocks: list[list[tuple[int, frozenset[int]]]]
 
 
 def _glue_layout(parts: Sequence[tuple], *, budget: int | None = None) -> _GlueLayout:
     """Every check of :func:`glue` after its parts' validation, in its
     order: parts, ranks, glue sets, level sizes, comparabilities, budget;
-    then the layout it builds.  Each part is ``(sizes, compare, ranks)``:
-    its level sizes, ``compare(r1, r2)``, its 0/1 comparability between
-    levels r1 < r2, and the ranks it glues at.  No part is built: the
+    then the glue's level sizes and the blocks of each level
+    (:class:`_GlueLayout`), found with the level sizes.  Each part is
+    ``(sizes, compare, ranks)``: its level sizes, ``compare(r1, r2)``,
+    its 0/1 comparability between levels r1 < r2, and the ranks it glues
+    at.  No part is built: the
     walk of :mod:`cdposets.exprs` gives ``compare`` by closed forms, and
     :func:`glue` from its posets' cover arrays.
 
@@ -262,20 +267,25 @@ def _glue_layout(parts: Sequence[tuple], *, budget: int | None = None) -> _GlueL
         if 0 not in gs or rank not in gs:
             raise ValueError(f"part {k} must glue at ranks 0 and {rank}")
 
-    shared_size: list[int] = []
+    sizes, blocks = [], []
     for r in range(rank + 1):
         gluing = [k for k, gs in enumerate(glue_sets) if r in gs]
+        level, total = [], 0
         if gluing:
-            size = level_sizes[gluing[0]][r]
+            total = level_sizes[gluing[0]][r]
             for k in gluing[1:]:
-                if level_sizes[k][r] != size:
+                if level_sizes[k][r] != total:
                     raise GlueMismatchError(
                         f"parts {gluing[0]} and {k} glue at rank {r} with level sizes "
-                        f"{size} and {level_sizes[k][r]}"
+                        f"{total} and {level_sizes[k][r]}"
                     )
-            shared_size.append(size)
-        else:
-            shared_size.append(0)
+            level.append((0, frozenset(gluing)))
+        for k, part_sizes in enumerate(level_sizes):
+            if r not in glue_sets[k]:
+                level.append((total, frozenset([k])))
+                total += part_sizes[r]
+        sizes.append(total)
+        blocks.append(level)
 
     # comparability between two glued levels must not depend on the part
     for r, r2 in combinations(range(rank + 1), 2):
@@ -289,19 +299,8 @@ def _glue_layout(parts: Sequence[tuple], *, budget: int | None = None) -> _GlueL
                         f"glued ranks {r} and {r2}"
                     )
 
-    offsets = [[0] * (rank + 1) for _ in parts]
-    sizes = []
-    for r in range(rank + 1):
-        total = shared_size[r]
-        for k, part_sizes in enumerate(level_sizes):
-            if r in glue_sets[k]:
-                offsets[k][r] = 0
-            else:
-                offsets[k][r] = total
-                total += part_sizes[r]
-        sizes.append(total)
     _check_budget(sum(sizes), budget, "glue")
-    return _GlueLayout(glue_sets, sizes, offsets)
+    return _GlueLayout(glue_sets, sizes, blocks)
 
 
 def _carried(reach: np.ndarray, poset: RankedPoset, r: int) -> np.ndarray:
@@ -326,13 +325,14 @@ def _comparability_rows(poset: RankedPoset, r1: int, r2: int) -> np.ndarray:
 
 
 def _glued(layout: _GlueLayout, posets: Sequence[RankedPoset]) -> RankedPoset:
-    """The glue of a checked layout, from its parts' posets."""
+    """The glue of a checked layout, from its parts' posets: each part's
+    covers, shifted to the first indices of its blocks."""
+    starts = [{k: x for x, ks in level for k in ks} for level in layout.blocks]
     # parts glued at both ends of a level repeat their (equal) covers there;
     # the constructor sorts the rows and drops the repeats
-    offsets = layout.offsets
     covers = [
         np.concatenate(
-            [p.cover_arrays[r] + offsets[k][r : r + 2] for k, p in enumerate(posets)]
+            [p.cover_arrays[r] + (starts[r][k], starts[r + 1][k]) for k, p in enumerate(posets)]
         )
         for r in range(posets[0].rank)
     ]

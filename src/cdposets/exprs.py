@@ -145,21 +145,24 @@ with the weights that the nodes above it have set:
   less c(a - 1).
 * ``glue`` whose chains stay in parts (the one-run condition above):
   the sums come from the parts' sums, and the glue is not built.  Level
-  r of the glue is a shared block, of the parts that glue at r, then
-  each other part's own block, in part order.  For a block X of level
-  r1 and a block Y of level r2, let J be the parts of both.  The sums on
-  X × Y are 0 when J is empty, and C ⊙ Σ_{j∈J} Q_j otherwise: C is the
-  0/1 comparability of part min J between the two levels, and Q_j is
-  part j's sums for the weights c_j, which are c but 0 on the ranks that
-  j glues at with an earlier part of J.  For x in X and y in Y, three
-  facts make this the sum over [x, y] of the glue:
+  r of the glue is a shared block, of the parts that glue at r (when
+  any does), then each other part's own block, in part order: the
+  blocks that the glue's checks lay out
+  (:class:`~cdposets.constructions._GlueLayout`).  For a block X of
+  level r1 and a block Y of level r2, let J be the parts of both.  The
+  sums on X × Y are C ⊙ Σ_{j∈J} Q_j, where the sum is 0 when J is empty:
+  C is the glue's own 0/1 comparability between the two levels, its
+  ``compare`` (below), and Q_j is part j's sums for the weights c_j,
+  which are c but 0 on the ranks that j glues at with an earlier part
+  of J.  For x in X and y in Y, three facts make this the sum over
+  [x, y] of the glue:
 
   - *Shared blocks agree.*  Every chain from x to y extends to a maximal
     chain, which lies in one part, so in a part of J.  When J has more than one
     part, X and Y are shared blocks, every part of J glues at r1 and r2,
     and the glue's check makes them agree on comparability between those
     levels.  So x < y in the glue exactly when x < y in part min J,
-    where C is 1.
+    and C is 1 there: on X × Y, C is part min J's comparability.
   - *Masked weights.*  [x, y] is the union over j in J of the images A_j
     of [x, y] of part j.  An element z of A_j lies in A_k too, k in J,
     exactly when j and k both glue at rank z: then z is shared, and it
@@ -178,11 +181,12 @@ with the weights that the nodes above it have set:
     its rows, y mod its columns), x and y indices in part j; a one-row
     or one-column matrix (a join's) is read at row or column 0.
 
-  A block whose Q_j are all ints is their sum times C; when every block
-  is 0 the glue's sums are the int 0, and no matrix is made, so the
-  Eulerian glues of ``lemma2`` and ``lemma3`` make none.  Otherwise C is
-  part min J's ``compare`` (below): no part is built, and no product
-  runs, on the glue's levels or the parts'.
+  Each block's Σ_{j∈J} Q_j is written into one matrix of the glue's
+  levels, one int filling its block when the Q_j are all ints, and C
+  multiplies that matrix once.  When every block is 0 the glue's sums
+  are the int 0, and neither matrix is made, so the Eulerian glues of
+  ``lemma2`` and ``lemma3`` make none.  No part is built, and no
+  product runs, on the glue's levels or the parts'.
 * a built leaf, a glue whose chains can cross parts or a file: its sums
   are :meth:`~cdposets.poset.RankedPoset._interval_sums`: (c(r1) +
   c(r2)) C(r1, r2) + Σ_r c(r) C(r1, r) C(r, r2) over its 0/1
@@ -245,7 +249,7 @@ elements below 2^53, and in Python ints from 2^53 on.  The weights need
 not be exact in a leaf's own dtype (float32 cannot hold 2^40 + 1), so
 each product of a built leaf is put in the root's dtype before its
 weight multiplies it, into Python ints by way of int64, and so is a
-glue's 0/1 comparability before it multiplies its parts' sums.
+glue's 0/1 comparability before it multiplies the sums of its blocks.
 
 Why copy 0 is the first violation.  Copy a of element i of a level of L
 elements sits at a·L + i (:mod:`cdposets.constructions`), so copy 0 keeps
@@ -855,11 +859,16 @@ def _chains_stay_in_parts(glue_sets: Sequence[frozenset[int]]) -> bool:
 
 def _glued_plan(plans: Sequence[_Plan], layout, glued: Callable[[], RankedPoset]) -> _Plan:
     """A glue whose maximal chains each lie in one part, from its parts'
-    plans: its flag table adds theirs, except that an S within the glue
-    sets of several parts counts in the first of them only, and so do its
-    sums (:func:`_glued_sums`); its comparability between two levels is,
-    block by block, that of the first part of both blocks.  ``glued()``
-    builds the glue, for its poset only."""
+    plans and the blocks of its levels (module docstring).  Its flag table
+    adds theirs, except that an S within the glue sets of several parts
+    counts in the first of them only.  On a block X of level r1 and a
+    block Y of level r2 with parts J in common, its comparability is part
+    min J's and its sums are Σ_{j∈J} Q_j times that comparability: Q_j is
+    part j's sums with the weights of the ranks that j glues at with an
+    earlier part of J set to 0, read at each index modulo its shape.
+    Blocks with no common part are 0, and when every block is 0, so are
+    the sums, as one int.  ``glued()`` builds the glue, for its poset
+    only."""
     n = len(layout.sizes) - 2
     # the glue sets as masks of proper ranks
     masks = [sum(1 << (r - 1) for r in gs if 1 <= r <= n) for gs in layout.sets]
@@ -881,77 +890,41 @@ def _glued_plan(plans: Sequence[_Plan], layout, glued: Callable[[], RankedPoset]
             earlier |= inside
         return out
 
-    blocks = _level_blocks(layout)
+    def block_pairs(r1, r2):
+        """Each pair of blocks of levels r1 and r2 with parts in common:
+        their first indices and the common parts, in order."""
+        for x, x_parts in layout.blocks[r1]:
+            for y, y_parts in layout.blocks[r2]:
+                if x_parts & y_parts:
+                    yield x, y, sorted(x_parts & y_parts)
 
     def compare(r1, r2):
-        # a block pair compares as the first part of both (module docstring)
         out = np.zeros((layout.sizes[r1], layout.sizes[r2]), dtype=bool)
-        for x, x_parts in blocks[r1]:
-            for y, y_parts in blocks[r2]:
-                common = x_parts & y_parts
-                if common:
-                    comp = plans[min(common)].compare(r1, r2)
-                    out[x : x + comp.shape[0], y : y + comp.shape[1]] = comp
+        for x, y, common in block_pairs(r1, r2):
+            comp = plans[common[0]].compare(r1, r2)
+            out[x : x + comp.shape[0], y : y + comp.shape[1]] = comp
         return out
-
-    return _Plan(
-        layout.sizes, chains, table, glued, _glued_sums(plans, layout, blocks), compare
-    )
-
-
-def _level_blocks(layout) -> list[list[tuple[int, frozenset[int]]]]:
-    """For each level r of a glue, its blocks as (first index, parts): the
-    shared block, of the parts that glue at r, then each other part's own
-    block, in part order."""
-    sets = layout.sets
-    return [
-        [(0, frozenset(k for k, gs in enumerate(sets) if r in gs))]
-        + [(layout.offsets[k][r], frozenset([k])) for k, gs in enumerate(sets) if r not in gs]
-        for r in range(len(layout.sizes))
-    ]
-
-
-def _glued_sums(plans: Sequence[_Plan], layout, blocks) -> Callable:
-    """The sums of a glue whose maximal chains each lie in one part, from
-    its parts' sums (module docstring).  For a block X of level r1 and a
-    block Y of level r2 (:func:`_level_blocks`) with parts J in common,
-    the sums are C ⊙ Σ_{j∈J} Q_j: C is part min J's ``compare`` between
-    the two levels, and Q_j is part j's sums with the weights of the ranks
-    that j glues at with an earlier part of J set to 0, read at each index
-    modulo its shape.  Blocks with no common part are 0.  When every block
-    is 0, so are the sums, as one int."""
-    sets = layout.sets
-    comparability = functools.cache(lambda k, r1, r2: plans[k].compare(r1, r2))
 
     def sums(r1, r2, c, dtype):
-        found = []
-        for x, x_parts in blocks[r1]:
-            for y, y_parts in blocks[r2]:
-                common = sorted(x_parts & y_parts)
-                if not common:
-                    continue
-                sizes = plans[common[0]].sizes
-                total = 0
-                for i, j in enumerate(common):
-                    # ranks counted in an earlier part of the block
-                    once = {r for k in common[:i] for r in sets[j] & sets[k]}
-                    weights = [0 if r in once else w for r, w in enumerate(c)]
-                    part = plans[j].sums(r1, r2, weights, dtype)
-                    if isinstance(part, np.ndarray):
-                        rows, cols = part.shape
-                        part = np.tile(part, (sizes[r1] // rows, sizes[r2] // cols))
-                    total = total + part
-                if total.any() if isinstance(total, np.ndarray) else total:
-                    found.append((x, y, common[0], total))
-        if not found:
-            return 0
-        out = np.zeros((layout.sizes[r1], layout.sizes[r2]), dtype)
-        for x, y, k, total in found:
-            comp = _in_dtype(comparability(k, r1, r2), dtype)
-            out[x : x + comp.shape[0], y : y + comp.shape[1]] = comp * total
-        return out
+        out = None
+        for x, y, common in block_pairs(r1, r2):
+            rows, cols = plans[common[0]].sizes[r1], plans[common[0]].sizes[r2]
+            total = 0
+            for i, j in enumerate(common):
+                # ranks counted in an earlier part of the block
+                once = {r for k in common[:i] for r in layout.sets[j] & layout.sets[k]}
+                weights = [0 if r in once else w for r, w in enumerate(c)]
+                part = plans[j].sums(r1, r2, weights, dtype)
+                if isinstance(part, np.ndarray):
+                    part = np.tile(part, (rows // part.shape[0], cols // part.shape[1]))
+                total = total + part
+            if total.any() if isinstance(total, np.ndarray) else total:
+                if out is None:
+                    out = np.zeros((layout.sizes[r1], layout.sizes[r2]), dtype)
+                out[x : x + rows, y : y + cols] = total
+        return 0 if out is None else _in_dtype(compare(r1, r2), dtype) * out
 
-    return sums
+    return _Plan(layout.sizes, chains, table, glued, sums, compare)
 
 
 def _boolean_compare(k: int, r1: int, r2: int) -> np.ndarray:

@@ -651,7 +651,8 @@ def expand_cd_to_ab(poly: CdPolynomial) -> FlagVector:
     (module docstring), S gets the coefficients of the words w with P(w) a
     subset of X(S).  That is a subset sum over the pair-start masks, one
     butterfly ``high += low`` under the growth-2 rule (each entry is a sum
-    of distinct coefficients), read at X(S) for all 2^n sets S.
+    of distinct coefficients), from the coefficients put on their words'
+    masks (:func:`_cd_word_starts`) and read at X(S) for all 2^n sets S.
 
     Raises :class:`BudgetError` past ``MAX_FLAG_RANKS``, where the 2^n
     monomials outgrow a dense table.
@@ -659,10 +660,11 @@ def expand_cd_to_ab(poly: CdPolynomial) -> FlagVector:
     n = poly.n
     if n > MAX_FLAG_RANKS:
         raise BudgetError(f"expanding a cd polynomial of degree {n} is out of budget")
-    coefficients = [0] * (1 << max(n - 1, 0))
-    for word, coeff in poly.terms.items():
-        coefficients[sum(1 << (low - 1) for low, _ in d_intervals(word))] = coeff
-    sums = _butterflies(_exact_array(coefficients), 2, _f_stage)
+    words, starts, _ = _cd_word_starts(n)
+    coefficients = _exact_array([poly.terms.get(word, 0) for word in words])
+    sums = np.zeros(1 << max(n - 1, 0), dtype=coefficients.dtype)
+    sums[starts] = coefficients
+    sums = _butterflies(sums, 2, _f_stage)
     sets = np.arange(1 << n)
     return FlagVector._from_array(n, sums[(sets ^ sets >> 1) & (len(sums) - 1)])
 

@@ -1297,7 +1297,7 @@ def test_table_commands_print_json_dumps_of_the_library_dicts(run, expr):
 def test_flag_and_l_tables_print_json_dumps_of_their_dicts(n, data):
     # a seeded base table, zero, small or anywhere in int64, with a few
     # entries overwritten: L tables with few nonzero entries sort their
-    # lines, the others take the flag template's order
+    # lines, the others take the label order
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     high = data.draw(st.sampled_from([0, 3, 2**62]), label="high")
     values = rng.integers(-high, high + 1, size=1 << n).tolist()
@@ -1373,12 +1373,13 @@ def test_flag_templates_are_built_on_use_and_hold_one_str_and_one_array(run):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (result.returncode, result.stdout) == (0, "True\n")
-    # a dense L table (2^65 chains) reads the order of the flag template
+    # a dense L table (2^65 chains) reads the label order and builds no
+    # flag template
     cli._FLAG_TEMPLATES.clear()
     assert run("flags", "dp(6,[[1,4],[3,6]],2)")[0] == 0
     assert run("l-vector", "double(" * 5 + "chain(14)" + ")" * 5)[0] == 0
     assert run("cd-index", "dp(10,[[1,2],[3,10]],1)")[0] == 0
-    assert sorted(cli._FLAG_TEMPLATES) == [6, 13]
+    assert sorted(cli._FLAG_TEMPLATES) == [6]
     for n, entry in cli._FLAG_TEMPLATES.items():
         template, order = entry
         assert (type(entry), len(entry), type(template), type(order)) == (
@@ -1388,6 +1389,30 @@ def test_flag_templates_are_built_on_use_and_hold_one_str_and_one_array(run):
         labels = subset_labels(n)
         assert order.tolist() == sorted(range(1 << n), key=labels.__getitem__)
         assert template == _dumps(dict.fromkeys(labels, "%d"))
+
+
+def test_a_dense_l_table_builds_no_flag_template_and_one_label_order():
+    # a fresh process: the L table of chain(14) is dense, and its JSON reads
+    # the label order, computed once for n = 13 and kept
+    script = (
+        "import contextlib, io\n"
+        "import cdposets.cli as cli\n"
+        "from cdposets import flag_vector_of, l_vector, parse_expression\n"
+        "assert l_vector(flag_vector_of(parse_expression('chain(14)')))._dense()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['l-vector', 'chain(14)']) for _ in range(2)]\n"
+        "info = cli._label_order.cache_info()\n"
+        "print(codes, cli._FLAG_TEMPLATES == {}, info.misses, info.hits)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[0, 0] True 1 1\n", "")
+
+
+def test_dense_l_table_of_17_ranks_prints_json_dumps_of_its_dict(run):
+    table = l_vector(flag_vector_of(parse_expression("chain(18)")))
+    assert table.n == 17 and table._dense()
+    assert run("l-vector", "chain(18)") == (0, _dumps(table.to_dict()) + "\n", "")
 
 
 @pytest.mark.parametrize("n", range(17))

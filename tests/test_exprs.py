@@ -37,7 +37,7 @@ from cdposets import (
     replicate_interval,
 )
 from cdposets import cli, exprs
-from cdposets.constructions import _comparability_rows
+from cdposets.constructions import _comparability_rows, _glue_layout
 from cdposets.exprs import _lemma2_glue, _lemma3_glue
 
 
@@ -826,6 +826,46 @@ def test_one_run_glue_sums_match_the_built_glue(glue_tree, data):
             if poset.num_elements <= 40:
                 expected = oracles.interval_sums(list(poset.level_sizes), covers, r1, r2, c)
                 assert want.tolist() == expected
+
+
+@pytest.mark.parametrize("glue_node", [_lemma2_glue(7, 2), _lemma3_glue(3)])
+def test_lemma_glue_sums_match_the_built_glue(glue_node):
+    # every rank pair, under the alternating weights and under those that a
+    # dni(., 2, 5, 2) above the glue passes down, in every dtype of the
+    # test; some pair has two or more nonzero blocks
+    plan = exprs._plan(glue_node, None)
+    poset = plan.poset()
+    parts, rank_sets = glue_node.args
+    part_plans = [exprs._plan(part, None) for part in parts]
+    layout = _glue_layout(
+        [(p.sizes, p.compare, ranks) for p, ranks in zip(part_plans, rank_sets)]
+    )
+    # each block of level r as the range of its indices
+    spans = []
+    for level, size in zip(layout.blocks, layout.sizes):
+        starts = [x for x, _ in level] + [size]
+        spans.append(list(zip(starts, starts[1:])))
+    rank = poset.rank
+    most_blocks = 0
+    for r1 in range(rank):
+        for r2 in range(r1 + 1, rank + 1):
+            signs = [(-1) ** (r - r1) for r in range(rank + 1)]
+            replicated = signs
+            if not (2 <= r1 <= 5 or 2 <= r2 <= 5):
+                replicated = [2 * w if 2 <= r <= 5 else w for r, w in enumerate(signs)]
+            for c in signs, replicated:
+                for dtype in np.float32, np.float64, object:
+                    got = plan.sums(r1, r2, c, dtype)
+                    want = poset._interval_sums(r1, r2, c, dtype)
+                    if isinstance(got, np.ndarray):
+                        assert got.dtype == want.dtype and np.array_equal(got, want)
+                    else:
+                        assert got == 0 and not want.any()
+                nonzero = sum(
+                    want[x0:x1, y0:y1].any() for x0, x1 in spans[r1] for y0, y1 in spans[r2]
+                )
+                most_blocks = max(most_blocks, nonzero)
+    assert most_blocks >= 2
 
 
 def _subtrees(node):

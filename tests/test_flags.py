@@ -659,6 +659,26 @@ def test_expand_cd_to_ab_is_the_substitution(poly):
     assert expand_cd_to_ab(poly) == want
 
 
+@pytest.mark.parametrize(
+    "poly",
+    [
+        CdPolynomial(0, {}),
+        CdPolynomial(6, {}),
+        CdPolynomial(0, {"": -5}),
+        CdPolynomial(1, {"c": 3}),
+        CdPolynomial(5, {"cdd": 2**64 + 1, "dccc": -(2**70), "ccccc": 7}),
+    ],
+)
+def test_expand_cd_to_ab_matches_the_oracle_at_the_edges(poly):
+    # the zero polynomial, the one word of degree 0 and of degree 1, and
+    # coefficients past int64, which make the table Python ints
+    ab = oracles.ab_of_cd(poly)
+    got = expand_cd_to_ab(poly)
+    assert got == FlagVector(poly.n, [ab.get(mask, 0) for mask in range(1 << poly.n)])
+    big = any(abs(c) >= 2**63 for c in poly.terms.values())
+    assert got.array.dtype == (object if big else np.int64)
+
+
 def test_expand_cd_to_ab_refuses_degrees_past_the_flag_rank_cap():
     assert np.count_nonzero(expand_cd_to_ab(CdPolynomial.monomial("d" * 10)).array) == 2**10
     with pytest.raises(BudgetError, match="degree 22 is out of budget"):
