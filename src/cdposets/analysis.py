@@ -36,6 +36,30 @@ every maximal run of V meets T at most once exactly when (V + T) & T is
 zero.  Adding T to V carries each bit of T past the top of its run,
 clearing the bits it passes, so in a run that meets T twice the carry of
 the lower bit stops at the higher one and leaves it set.
+
+Both forms of every pair come from one sweep of the table.  Give each
+rank s a digit: 0 if s is in S, 1 if s is in V - T, 2 if s is in T, and
+put the pair (T, V) at the ternary index B(V) + B(T), where B(mask) is the
+sum over s in mask of 3^(s - 1).  Each form is a product over the ranks
+of one map per rank, so n one-bit stages give all 3^n entries; the stage
+of rank s maps the entries (x0, x1) without and with s onto its digits
+0, 1, 2 as
+
+    f form:        (x1, x0, x1 - 2 x0)
+    L numerators:  (x0, x0 + x1, -x1).
+
+For the f form, a rank of S is in every S union R and a rank of V - T in
+none, and a rank of T is in R with weight 1 or out of it with weight -2,
+as it then counts in |T - R|.  For the L form, T within Q within V puts
+a rank of S in no Q, a rank of V - T in or out, and a rank of T in every
+Q, where it flips the sign once: that builds in (-1)^|T|.  A stage grows
+the largest absolute value by at most 3 in the f form and 2 in the L
+form, under the int64 rule of the other butterflies
+(:mod:`cdposets.flags`).  A per-pair form reads the sweep of a table of
+at most 10 ranks (3^10 entries, below 2^16), built on first read and
+kept on the table; a larger table sums the pair's 2^|T| or 2^|V - T|
+terms, so one pair costs no 3^n sweep.  ``check-inequality --all``
+reads one sweep, not kept, up to 14 ranks (3^14 entries, below 2^23).
 """
 
 from __future__ import annotations
@@ -43,9 +67,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
+from functools import cached_property, lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .constructions import Interval
 from .errors import BudgetError
@@ -164,17 +189,47 @@ def _raise_invalid_pair(n: int, t_mask: int, v_mask: int) -> None:
             )
 
 
+# ranks up to which a per-pair form reads the table's cached sweep
+# (3^10 entries, about 0.5 MB in int64) and --all reads one sweep (3^14
+# entries, 38 MB); one pair of a 14-rank table read through a sweep took
+# 0.27 s and 106 MB in a fresh process, against 0.16 s and 31 MB by its
+# terms
+_SWEEP_RANKS = 10
+_ALL_SWEEP_RANKS = 14
+
+
+@lru_cache(maxsize=_SWEEP_RANKS + 1)
+def _ternary_masks(n: int) -> tuple[int, ...]:
+    """B(mask) = sum over s in mask of 3^(s - 1), for every mask below
+    2^n: the pair (T, V) sits at B(V) + B(T) of a sweep."""
+    masks = [0]
+    for s in range(n):
+        masks += [b + 3**s for b in masks]
+    return tuple(masks)
+
+
+# the L forms of a table take few distinct values (58 over the corpus)
+@lru_cache(maxsize=1024)
+def _dyadic_fraction(numerator: int, n: int) -> Fraction:
+    return Fraction(numerator, 1 << n)
+
+
 def inequality_f_form(flags: FlagVector, t_set, v_set) -> int:
     """sum over R within T of (-2)^|T - R| f_(S union R), with S = [1,n] - V.
 
     Nonnegative whenever the flag vector comes from an Eulerian poset and
-    (T, V) satisfies the run condition checked here.
+    (T, V) satisfies the run condition checked here.  Up to 10 ranks the
+    value is read from the table's cached sweep (module docstring).
     """
     # valid masks pass as they are: this runs once per (T, V) pair
     t_mask = t_set if type(t_set) is int and t_set >= 0 else as_mask(t_set)
     v_mask = v_set if type(v_set) is int and v_set >= 0 else as_mask(v_set)
-    _check_inequality_pair(flags.n, t_mask, v_mask)
-    s_mask = ((1 << flags.n) - 1) ^ v_mask
+    n = flags.n
+    _check_inequality_pair(n, t_mask, v_mask)
+    if n <= _SWEEP_RANKS:
+        masks = _ternary_masks(n)
+        return flags._inequality_forms[masks[v_mask] + masks[t_mask]]
+    s_mask = ((1 << n) - 1) ^ v_mask
     values = flags.values
     total = 0
     r = t_mask
@@ -187,11 +242,19 @@ def inequality_f_form(flags: FlagVector, t_set, v_set) -> int:
 
 
 def inequality_l_form(table: LVector, t_set, v_set) -> Fraction:
-    """(-1)^|T| * sum of L_Q over T within Q within V."""
+    """(-1)^|T| * sum of L_Q over T within Q within V.
+
+    Up to 10 ranks the numerator is read from the table's cached sweep
+    (module docstring).
+    """
     # valid masks pass as they are: this runs once per (T, V) pair
     t_mask = t_set if type(t_set) is int and t_set >= 0 else as_mask(t_set)
     v_mask = v_set if type(v_set) is int and v_set >= 0 else as_mask(v_set)
-    _check_inequality_pair(table.n, t_mask, v_mask)
+    n = table.n
+    _check_inequality_pair(n, t_mask, v_mask)
+    if n <= _SWEEP_RANKS:
+        masks = _ternary_masks(n)
+        return _dyadic_fraction(table._inequality_forms[masks[v_mask] + masks[t_mask]], n)
     free = v_mask ^ t_mask
     numerators = table.numerators
     total = 0
@@ -203,7 +266,7 @@ def inequality_l_form(table: LVector, t_set, v_set) -> Fraction:
         a = (a - 1) & free
     if t_mask.bit_count() & 1:
         total = -total
-    return Fraction(total, 1 << table.n)
+    return _dyadic_fraction(total, n)
 
 
 def inequality_pairs(n: int):
@@ -214,12 +277,72 @@ def inequality_pairs(n: int):
     each rank of the run from the highest down, then none.
     """
     for v_mask in range(full_mask(n) + 1):
-        choices = [
-            [1 << (s - 1) for s in range(b, a - 1, -1)] + [0]
-            for a, b in maximal_runs(v_mask)
-        ]
-        for picks in product(*choices):
-            yield sum(picks), v_mask
+        # the lowest and highest bit of each run, lowest run first
+        starts = v_mask & ~(v_mask << 1)
+        ends = v_mask & ~(v_mask >> 1)
+        t_masks = [0]
+        while starts:
+            low, high = starts & -starts, ends & -ends
+            starts ^= low
+            ends ^= high
+            picks = [high >> k for k in range(high.bit_length() - low.bit_length() + 1)]
+            picks.append(0)
+            t_masks = [t | pick for t in t_masks for pick in picks]
+        for t_mask in t_masks:
+            yield t_mask, v_mask
+
+
+def _inequality_violations(flags: FlagVector) -> tuple[int, list[tuple[int, int, int]]]:
+    """The number of (T, V) pairs of :func:`inequality_pairs` and the
+    violated ones, (T, V, f form) in that order.
+
+    Up to 14 ranks this reads one sweep of the f forms (module docstring),
+    not kept on the table: the run condition (V + T) & T = 0 is taken over
+    the digits of every index, and the violations are sorted by V and then
+    by a key that orders the T of one V as :func:`inequality_pairs` does.
+    The key moves rank s to bit n - s, so the lowest run of V is the most
+    significant and within a run the highest rank comes first.  A run
+    that T misses gets a marker bit just above it, at the place of the
+    rank below the run, which no run holds (bit n for rank 0), so that
+    "none" comes after every rank.  Adding T to V, both moved, carries
+    T's bit of each run it meets onto that run's marker, so the markers
+    that the sum leaves clear are those of the runs T misses.  Past 14
+    ranks this calls :func:`inequality_f_form` per pair.
+    """
+    n = flags.n
+    if n > _ALL_SWEEP_RANKS:
+        pairs, violations = 0, []
+        for t_mask, v_mask in inequality_pairs(n):
+            pairs += 1
+            f_val = inequality_f_form(flags, t_mask, v_mask)
+            if f_val < 0:
+                violations.append((t_mask, v_mask, f_val))
+        return pairs, violations
+    # V and T of every index, rank 1 the lowest digit; the dtype holds
+    # 2^(n + 1), above every V + T
+    v = t = np.zeros(1, dtype=np.min_scalar_type(2 << n))
+    for s in range(n):
+        bit = 1 << s
+        v, t = np.concatenate((v, v | bit, v | bit)), np.concatenate((t, t, t | bit))
+    valid = ((v + t) & t) == 0
+    # the masks are read again from the digits of the violations alone,
+    # so the sweep is never held beside them
+    del v, t
+    forms = flags._inequality_sweep()
+    found = np.flatnonzero(valid & (forms < 0))
+    t, v, moved_t, moved_v = (np.zeros_like(found) for _ in range(4))
+    rest = found
+    for s in range(n):
+        rest, digit = np.divmod(rest, 3)
+        in_v, in_t = np.minimum(digit, 1), digit >> 1
+        v |= in_v << s
+        t |= in_t << s
+        moved_v |= in_v << (n - 1 - s)
+        moved_t |= in_t << (n - 1 - s)
+    markers = (moved_v & ~(moved_v >> 1)) << 1
+    order = np.argsort(v << (n + 1) | moved_t | (markers & ~(moved_v + moved_t)))
+    rows = zip(t[order].tolist(), v[order].tolist(), forms[found[order]].tolist())
+    return int(np.count_nonzero(valid)), list(rows)
 
 
 # -- classification of cd words ----------------------------------------

@@ -56,10 +56,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analysis import (
+    _inequality_violations,
     classify_word,
     count_part1_words,
     inequality_f_form,
-    inequality_pairs,
     limit_l_vector,
     negative_witness,
     nonneg_certificate,
@@ -390,13 +390,7 @@ def _cmd_check_inequality(args):
     if args.all != (args.T is None) or args.all != (args.V is None):
         raise ValueError("provide either --all or both --T and --V")
     if args.all:
-        pairs = 0
-        violations = []
-        for t_mask, v_mask in inequality_pairs(flags.n):
-            pairs += 1
-            f_val = inequality_f_form(flags, t_mask, v_mask)
-            if f_val < 0:
-                violations.append((t_mask, v_mask, f_val))
+        pairs, violations = _inequality_violations(flags)
 
         def table():
             print(f"checked {pairs} (T, V) pairs, {len(violations)} violations")

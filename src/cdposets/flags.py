@@ -82,6 +82,11 @@ numerators, and a stage adds two such sums over disjoint sets of masks.
 A stage therefore at most doubles the largest absolute value, and
 2^(n - 1) times the largest numerator bounds every entry: the growth-2
 rule of the h transform applies as it stands.
+
+The interval-inequality sweep of :mod:`cdposets.analysis` is a butterfly
+that turns each mask bit into a ternary digit (:func:`_ternary_butterflies`),
+under the same int64 rule at growth 3 for the f forms and 2 for the L
+numerators; the analysis docstring proves its stages.
 """
 
 from __future__ import annotations
@@ -116,10 +121,12 @@ class _IntTable:
     as one read-only ndarray, :attr:`array`: int64 when every entry fits
     and otherwise an object array of Python ints, never a dtype numpy
     infers.  The subclass gives the entries as a tuple of Python ints too,
-    a ``cached_property`` built on first read: later reads find it in the
-    instance dict with no call, which matters to the inequality sweep,
-    one read per (T, V) pair.  A ``property`` would call a function on
-    every read, and a ``__getattr__`` slows the reads of every attribute."""
+    and each table its interval-inequality sweep (``_inequality_forms``),
+    both ``cached_property``s built on first read: later reads find them
+    in the instance dict with no call, which matters to the per-pair
+    forms of :mod:`cdposets.analysis`, one read of the sweep per (T, V)
+    pair.  A ``property`` would call a function on every read, and a
+    ``__getattr__`` slows the reads of every attribute."""
 
     __slots__ = ("n", "array", "__dict__")
 
@@ -145,6 +152,13 @@ class _IntTable:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @cached_property
+    def _inequality_forms(self) -> tuple[int, ...]:
+        """The subclass's ``_inequality_sweep()`` as a tuple of Python
+        ints, one form of the interval inequality per (T, V) pair at the
+        pair's ternary index (:mod:`cdposets.analysis`)."""
+        return tuple(self._inequality_sweep().tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -185,6 +199,11 @@ class FlagVector(_IntTable):
 
     def __getitem__(self, key: int | Iterable[int]) -> int:
         return self.values[as_mask(key)]
+
+    def _inequality_sweep(self) -> np.ndarray:
+        """The f form of every (T, V) pair at its ternary index, a new
+        3^n-entry array (the table's own when n = 0)."""
+        return _ternary_butterflies(self.array, 3, _f_form_stage)
 
     def items(self):
         return enumerate(self.values)
@@ -245,6 +264,11 @@ class LVector(_IntTable):
 
     def __getitem__(self, key: int | Iterable[int]) -> Fraction:
         return Fraction(self.numerators[as_mask(key)], 1 << self.n)
+
+    def _inequality_sweep(self) -> np.ndarray:
+        """2^n times the L form of every (T, V) pair at its ternary index,
+        a new 3^n-entry array (the table's own when n = 0)."""
+        return _ternary_butterflies(self.array, 2, _l_form_stage)
 
     def items(self):
         return enumerate(self.values)
@@ -380,25 +404,65 @@ def _largest(table: np.ndarray) -> int:
     return max(int(table.max()), -int(table.min()))
 
 
+def _int64_guard(table: np.ndarray, growth: int, stages: int):
+    """The int64 rule of the butterflies, for ``table`` before ``stages``
+    stages that each grow its largest absolute value by at most
+    ``growth``: a function to apply to the table before each stage.
+
+    An int64 table stays int64 when ``growth^stages`` times its largest
+    entry is below 2^63, and then the function returns the table as it is.
+    Otherwise it checks the largest entry, and returns the table as an
+    object array of Python ints at the first stage that could reach 2^63.
+    """
+    if table.dtype != np.int64 or growth**stages * _largest(table) < 2**63:
+        return lambda table: table
+
+    def guard(table: np.ndarray) -> np.ndarray:
+        if table.dtype == np.int64 and growth * _largest(table) >= 2**63:
+            return table.astype(object)
+        return table
+
+    return guard
+
+
 def _butterflies(table: np.ndarray, growth: int, stage) -> np.ndarray:
     """``table``, 2^k entries that the caller hands over, with
     ``stage(low, high)`` applied in place for each of the k mask bits, to
     the views pairing every mask without the bit with the mask that adds
     it; each stage grows the largest absolute value by at most ``growth``.
-
-    An int64 table stays int64 when ``growth^k`` times its largest entry is
-    below 2^63, and then nothing is checked between stages.  Otherwise the
-    largest entry is checked before each stage, and the table becomes an
-    object array of Python ints at the first stage that could reach 2^63;
-    that array is returned in place of ``table``.
+    The stages keep the int64 rule of :func:`_int64_guard`, so the table
+    may come back as an object array in place of ``table``.
     """
     bits = len(table).bit_length() - 1
-    checked = table.dtype == np.int64 and growth**bits * _largest(table) >= 2**63
+    guard = _int64_guard(table, growth, bits)
     for bit in range(bits):
-        if checked and table.dtype == np.int64 and growth * _largest(table) >= 2**63:
-            table = table.astype(object)
+        table = guard(table)
         halves = table.reshape(-1, 2, 1 << bit)
         stage(halves[:, 0], halves[:, 1])
+    return table
+
+
+def _ternary_butterflies(table: np.ndarray, growth: int, stage) -> np.ndarray:
+    """The 3^k entries that ``table``, 2^k entries indexed by masks, gives
+    at the ternary indices sum over s of d_s 3^(s - 1), one digit d_s in
+    {0, 1, 2} per mask bit s - 1.
+
+    Stage s turns bit s - 1 into digit s: ``stage(x0, x1, out)`` writes
+    out[:, d] for d = 0, 1, 2 from the views x0, x1 of the entries without
+    and with the bit, the lower bits already digits and the higher ones
+    still bits.  Each stage writes a new array, so ``table`` is not
+    written to (and is returned as it is when k = 0); each grows the
+    largest absolute value by at most ``growth``, under the int64 rule of
+    :func:`_int64_guard`.
+    """
+    bits = len(table).bit_length() - 1
+    guard = _int64_guard(table, growth, bits)
+    for bit in range(bits):
+        table = guard(table)
+        halves = table.reshape(-1, 2, 3**bit)
+        out = np.empty((len(halves), 3, 3**bit), dtype=table.dtype)
+        stage(halves[:, 0], halves[:, 1], out)
+        table = out.reshape(-1)
     return table
 
 
@@ -416,6 +480,18 @@ def _l_stage(low: np.ndarray, high: np.ndarray) -> None:
 
 def _superset_stage(low: np.ndarray, high: np.ndarray) -> None:
     low += high
+
+
+def _f_form_stage(x0: np.ndarray, x1: np.ndarray, out: np.ndarray) -> None:
+    out[:, 0], out[:, 1] = x1, x0
+    np.multiply(x0, -2, out=out[:, 2])
+    out[:, 2] += x1
+
+
+def _l_form_stage(x0: np.ndarray, x1: np.ndarray, out: np.ndarray) -> None:
+    out[:, 0] = x0
+    np.add(x0, x1, out=out[:, 1])
+    np.negative(x1, out=out[:, 2])
 
 
 def flag_h(flags: FlagVector) -> FlagVector:

@@ -307,6 +307,19 @@ def f_form(f, n, t_ranks, v_ranks):
     return total
 
 
+def l_form(table, n, t_ranks, v_ranks):
+    """The L side of the interval inequality, (-1)^|T| times the sum of
+    L_Q over T within Q within V, by direct sums over a table of
+    frozenset -> L value."""
+    t = frozenset(t_ranks)
+    free = sorted(frozenset(v_ranks) - t)
+    total = 0
+    for size in range(len(free) + 1):
+        for sub in combinations(free, size):
+            total += table[t | frozenset(sub)]
+    return (-1) ** len(t) * total
+
+
 def check_inequality_pair_scan(n, t_mask, v_mask):
     """Validity of (T, V) for the interval inequality by scanning the
     maximal runs of V; raises ValueError like ``inequality_f_form``."""

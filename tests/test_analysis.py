@@ -7,8 +7,12 @@ import signal
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cdposets.flags as flags_mod
 from cdposets import (
     BudgetError,
     boolean,
@@ -28,6 +32,7 @@ from cdposets import (
     inequality_l_form,
     inequality_pairs,
     is_even_set,
+    LVector,
     l_vector,
     limit_cd_coefficient,
     limit_l_vector,
@@ -35,6 +40,7 @@ from cdposets import (
     nonneg_certificate,
 )
 from cdposets import cli
+from cdposets.exprs import build_poset, parse_expression
 from cdposets.subsets import full_mask, maximal_runs, ranks_from_mask
 
 import oracles
@@ -444,16 +450,155 @@ def test_valid_pairs_skip_the_run_scan(monkeypatch):
     def no_scan(mask):
         raise AssertionError(f"run scan reached for V = {mask}")
 
-    # inequality_pairs itself reads the runs of each V, so list the pairs
-    # before the scan is patched away
-    pairs = {n: list(inequality_pairs(n)) for n in range(11)}
+    # inequality_pairs finds the runs of each V by bit arithmetic, so it
+    # runs with the scan patched away too
     monkeypatch.setattr(analysis, "maximal_runs", no_scan)
     for n in range(11):
         f = FlagVector(n, [1] * (1 << n))
         table = l_vector(f)
-        for t_mask, v_mask in pairs[n]:
+        for t_mask, v_mask in inequality_pairs(n):
             inequality_f_form(f, t_mask, v_mask)
             inequality_l_form(table, t_mask, v_mask)
+
+
+def _assert_forms_match_oracles(f, table, pairs):
+    """Both forms of each pair equal the direct sums of tests/oracles.py,
+    as an int and a Fraction."""
+    f_sets = {frozenset(ranks_from_mask(m)): v for m, v in f.items()}
+    l_sets = {frozenset(ranks_from_mask(m)): v for m, v in table.items()}
+    for t_mask, v_mask in pairs:
+        t_ranks, v_ranks = ranks_from_mask(t_mask), ranks_from_mask(v_mask)
+        f_val = inequality_f_form(f, t_mask, v_mask)
+        l_val = inequality_l_form(table, t_mask, v_mask)
+        assert type(f_val) is int and type(l_val) is Fraction
+        assert f_val == oracles.f_form(f_sets, f.n, t_ranks, v_ranks), (t_mask, v_mask)
+        assert l_val == oracles.l_form(l_sets, table.n, t_ranks, v_ranks), (t_mask, v_mask)
+
+
+@st.composite
+def _tables_and_pairs(draw):
+    """A random flag table and a random L table of n <= 10 ranks, with
+    entries small, near 2^62 / 3^n (so the f sweep may turn to Python
+    ints partway) or past 2^63, and some of their (T, V) pairs."""
+    n = draw(st.integers(0, 10))
+    bound = draw(st.sampled_from([50, 2**62 // 3**n, 2**62 // 2**n, 2**70]))
+    entries = st.lists(st.integers(-bound, bound), min_size=1 << n, max_size=1 << n)
+    f = FlagVector(n, draw(entries))
+    table = LVector.from_numerators(n, draw(entries))
+    pairs = list(inequality_pairs(n))
+    picks = draw(st.lists(st.integers(0, len(pairs) - 1), max_size=40))
+    return f, table, [pairs[0], pairs[-1]] + [pairs[k] for k in picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables_and_pairs())
+@example((FlagVector(0, [-7]), LVector.from_numerators(0, [5]), [(0, 0)]))
+@example(
+    (FlagVector(1, [2, -9]), LVector.from_numerators(1, [4, 2**70]), list(inequality_pairs(1)))
+)
+def test_forms_read_through_the_sweep_match_the_oracles(tables_and_pairs):
+    f, table, pairs = tables_and_pairs
+    _assert_forms_match_oracles(f, table, pairs)
+    # the sweeps are cached as tuples on the tables, which stay immutable
+    # and keep their arrays as they were
+    for held in (f, table):
+        forms = held._inequality_forms
+        assert type(forms) is tuple and len(forms) == 3**held.n
+        assert held._inequality_forms is forms
+        assert not held.array.flags.writeable
+        with pytest.raises(AttributeError):
+            held._inequality_forms = ()
+
+
+def _sweep_dtypes(monkeypatch, name):
+    """The dtype each stage of the named ternary stage runs on, recorded
+    as it runs."""
+    stage, dtypes = getattr(flags_mod, name), []
+
+    def recording(x0, x1, out):
+        dtypes.append(x0.dtype)
+        stage(x0, x1, out)
+
+    monkeypatch.setattr(flags_mod, name, recording)
+    return dtypes
+
+
+@pytest.mark.parametrize(
+    "name,entries,first",
+    [
+        # m (-1)^|S| grows by exactly 3 a stage in the f sweep: x1 - 2 x0 =
+        # -3 x0, and 3^4 * 2^58 is the first to reach 2^63
+        ("_f_form_stage", [2**58 * (-1) ** bin(s).count("1") for s in range(256)], 3),
+        # a constant m grows by exactly 2 a stage in the L sweep: x0 + x1
+        ("_l_form_stage", [2**58] * 256, 4),
+    ],
+    ids=["f", "l"],
+)
+def test_sweeps_turn_to_python_ints_at_the_first_stage_that_could_overflow(
+    monkeypatch, name, entries, first
+):
+    f = FlagVector(8, entries)
+    table = LVector.from_numerators(8, entries)
+    dtypes = _sweep_dtypes(monkeypatch, name)
+    held = f if name == "_f_form_stage" else table
+    forms = held._inequality_forms
+    assert dtypes == [np.int64] * first + [object] * (8 - first)
+    assert max(map(abs, forms)) >= 2**63
+    _assert_forms_match_oracles(f, table, list(inequality_pairs(8))[::7])
+
+
+def test_forms_past_the_sweep_limit_sum_their_terms():
+    # 3^11 entries pass the 2^16 limit of a per-pair read: the forms take
+    # the loop path, build no sweep, and agree with the sweep built here
+    rng = random.Random(71)
+    f = FlagVector(11, [rng.randint(-(2**40), 2**40) for _ in range(1 << 11)])
+    table = LVector.from_numerators(11, [rng.randint(-(2**40), 2**40) for _ in range(1 << 11)])
+    f_sweep, l_sweep = f._inequality_sweep().tolist(), table._inequality_sweep().tolist()
+    masks = [sum(3 ** (s - 1) for s in ranks_from_mask(m)) for m in range(1 << 11)]
+    for t_mask, v_mask in inequality_pairs(11):
+        at = masks[v_mask] + masks[t_mask]
+        assert inequality_f_form(f, t_mask, v_mask) == f_sweep[at]
+        assert inequality_l_form(table, t_mask, v_mask) == Fraction(l_sweep[at], 2**11)
+    assert "_inequality_forms" not in f.__dict__
+    assert "_inequality_forms" not in table.__dict__
+    _assert_forms_match_oracles(f, table, list(inequality_pairs(11))[::997])
+
+
+def _violations_pair_by_pair(f):
+    pairs = list(inequality_pairs(f.n))
+    rows = [(t, v, x) for t, v in pairs if (x := inequality_f_form(f, t, v)) < 0]
+    return len(pairs), rows
+
+
+def _random_flag_table():
+    rng = random.Random(5)
+    return FlagVector(9, [rng.randint(-(2**70), 2**70) for _ in range(1 << 9)])
+
+
+@pytest.mark.parametrize(
+    "make,violated",
+    [
+        (lambda: flag_vector(chain(9)), True),
+        (lambda: flag_vector(build_poset(parse_expression("dni(boolean(4),1,2,2)"))), False),
+        (_random_flag_table, True),
+        (lambda: FlagVector(0, [-1]), True),
+        (lambda: FlagVector(1, [3, -4]), True),
+    ],
+    ids=["chain9", "dni", "random", "n0", "n1"],
+)
+def test_all_pairs_sweep_matches_the_pair_by_pair_loop(monkeypatch, make, violated):
+    import cdposets.analysis as analysis
+
+    f = make()
+    pairs, rows = analysis._inequality_violations(f)
+    assert all(type(x) is int for row in rows for x in row)
+    assert bool(rows) == violated
+    # against the forms summed pair by pair from their terms, as tables
+    # past 10 ranks do, and the loop that tables past 14 ranks take
+    monkeypatch.setattr(analysis, "_SWEEP_RANKS", -1)
+    assert (pairs, rows) == _violations_pair_by_pair(f)
+    monkeypatch.setattr(analysis, "_ALL_SWEEP_RANKS", -1)
+    assert analysis._inequality_violations(f) == (pairs, rows)
 
 
 # -- classification -----------------------------------------------------------
