@@ -274,8 +274,23 @@ def inequality_pairs(n: int):
 
     V runs through the masks below 2^n in increasing order.  For each V, T
     takes one choice per maximal run of V, lowest run varying slowest:
-    each rank of the run from the highest down, then none.
+    each rank of the run from the highest down, then none.  Up to 10
+    ranks the pairs are replayed from a cached tuple (17,711 pairs, about
+    1.4 MB, at 10).
     """
+    if isinstance(n, int) and 0 <= n <= _SWEEP_RANKS:
+        yield from _pair_tuple(n)
+    else:
+        yield from _enumerated_pairs(n)
+
+
+@lru_cache(maxsize=_SWEEP_RANKS + 1)
+def _pair_tuple(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(_enumerated_pairs(n))
+
+
+def _enumerated_pairs(n: int):
+    """The pairs of :func:`inequality_pairs`, found by bit arithmetic."""
     for v_mask in range(full_mask(n) + 1):
         # the lowest and highest bit of each run, lowest run first
         starts = v_mask & ~(v_mask << 1)

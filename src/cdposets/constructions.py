@@ -372,15 +372,30 @@ def validate_even_interval_system(n: int, intervals: Sequence[Interval]) -> list
 
 
 def even_interval_systems(n: int) -> list[tuple[Interval, ...]]:
-    """All nonempty valid even interval systems on [1, n], in a fixed order."""
+    """All nonempty valid even interval systems on [1, n], in a fixed order:
+    by size, and systems of one size in the order of
+    ``itertools.combinations`` over the intervals of even cardinality,
+    listed by low and then high end.
+
+    Validity is a condition on each interval and each pair of intervals,
+    so the systems of size k + 1 are those of size k, each extended by a
+    later interval that fits every interval in it.  Extending the systems
+    of size k in order, each by its fitting intervals in order, keeps the
+    order of ``combinations``, and the search ends at the first size that
+    has no system."""
     singles = [
         (a, b)
         for a in range(1, n + 1)
         for b in range(a + 1, n + 1, 2)
     ]
-    out = []
-    for k in range(1, len(singles) + 1):
-        for combo in combinations(singles, k):
-            if not validate_even_interval_system(n, combo):
-                out.append(combo)
+    fits = [[not validate_even_interval_system(n, (x, y)) for y in singles] for x in singles]
+    out, systems = [], [(i,) for i in range(len(singles))]
+    while systems:
+        out += [tuple(singles[i] for i in system) for system in systems]
+        systems = [
+            (*system, j)
+            for system in systems
+            for j in range(system[-1] + 1, len(singles))
+            if all(fits[i][j] for i in system)
+        ]
     return out

@@ -226,6 +226,16 @@ So a poset is built only by :func:`build_poset` (and the CLI's
 ``build``, on the same plan) and by a glue whose chains can cross parts,
 which is a built leaf.
 
+The poset that :func:`build_poset` returns keeps the root's plan, so
+:func:`~cdposets.flags.flag_vector` and
+:meth:`~cdposets.poset.RankedPoset.is_eulerian` of it are
+:func:`flag_vector_of` and :func:`eulerian_of` of its expression: the
+matrix products run only on its built leaves.  A root that is itself a
+built leaf keeps no plan, since the leaf's table and sums read its own
+poset.  The plan holds no poset but its built leaves: a one-run glue
+builds its poset anew when asked, and nothing above a leaf keeps what it
+built.
+
 The sum is one int for all comparable pairs of a chain or a boolean
 lattice, (0, 0) among them, and every rule keeps it so except a glue, a
 built leaf and a join with one of those on one side: a glue's or a
@@ -484,8 +494,17 @@ def build_poset(node: Node, *, budget: int | None = None) -> RankedPoset:
     The walk behind :func:`flag_vector_of` checks the whole tree first
     (sizes, arguments, budgets and nesting; it builds only the glues whose
     chains can cross parts, with their parts); then each node is built
-    from its children's posets, each glue once."""
-    return _plan(node, budget).poset()
+    from its children's posets, each glue once.
+
+    The poset keeps the walk, so :func:`~cdposets.flags.flag_vector` and
+    :meth:`~cdposets.poset.RankedPoset.is_eulerian` read the tree's
+    identities (``_Plan.flags`` and ``_Plan.eulerian``) instead of matrix
+    products, unless the root is a built leaf (module docstring)."""
+    plan = _plan(node, budget)
+    poset = plan.poset()
+    if not plan.leaf:
+        object.__setattr__(poset, "_walk", plan)
+    return poset
 
 
 # -- the paper's families as trees of the primitive kinds ----------------
@@ -600,7 +619,9 @@ class _Plan(NamedTuple):
     r1 < r2 that :func:`~cdposets.poset._eulerian_test` takes, for the
     weights c, a list of one int per level; ``compare(r1, r2)`` gives the
     node's 0/1 comparability between levels r1 < r2 as a bool matrix, in
-    the built poset's indices (module docstring)."""
+    the built poset's indices (module docstring); ``leaf`` marks a built
+    poset as a leaf of the walk (:func:`_built_plan`), whose table and sums
+    read that poset."""
 
     sizes: list[int]
     chains: int
@@ -608,6 +629,7 @@ class _Plan(NamedTuple):
     poset: Callable[[], RankedPoset]
     sums: Callable[[int, int, list[int], type], np.ndarray | int]
     compare: Callable[[int, int], np.ndarray]
+    leaf: bool = False
 
     def flags(self) -> FlagVector:
         """The flag vector, once the flag rank limit is checked: int64
@@ -634,6 +656,7 @@ def _built_plan(poset: RankedPoset) -> _Plan:
         lambda: poset,
         poset._interval_sums,
         functools.partial(_comparability_rows, poset),
+        leaf=True,
     )
 
 
@@ -742,7 +765,11 @@ def _plan(node: Node, budget: int | None, depth: int = 1) -> _Plan:
             [(plan.sizes, plan.compare, ranks) for plan, ranks in zip(plans, rank_sets)],
             budget=budget,
         )
-        glued = functools.cache(lambda: _glued(layout, [plan.poset() for plan in plans]))
+        # builds anew on each call and holds nothing, so a kept walk does
+        # not keep the glue alive
+        def glued():
+            return _glued(layout, [plan.poset() for plan in plans])
+
         if _chains_stay_in_parts(layout.sets):
             return _glued_plan(plans, layout, glued)
         return _built_plan(glued())

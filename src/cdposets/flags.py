@@ -325,6 +325,12 @@ def flag_vector(poset: RankedPoset) -> FlagVector:
     next call raises the same error.  :meth:`RankedPoset.dual` hands the
     dual the bit reversal of a cached table (:func:`reversed_table`).
 
+    A poset that :func:`~cdposets.exprs.build_poset` returned holds the
+    walk that built it, and its table is the walk's
+    (:func:`~cdposets.exprs.flag_vector_of`), computed by the
+    constructions' identities after the same flag rank check.  Any other
+    poset's table comes from the matrix products below.
+
     Chain counts are built level by level: the table for rank s stacks,
     for every lower rank t, the table for t times comparability(t, s), so
     its row index is the mask of the ranks below s and the top rank's
@@ -335,7 +341,9 @@ def flag_vector(poset: RankedPoset) -> FlagVector:
     there on (module docstring), so results are exact regardless of size.
     """
     if poset._flags is None:
-        object.__setattr__(poset, "_flags", _computed_flag_vector(poset))
+        walk = poset._walk
+        table = _computed_flag_vector(poset) if walk is None else walk.flags()
+        object.__setattr__(poset, "_flags", table)
     return poset._flags
 
 

@@ -45,13 +45,26 @@ tested poset's number of elements below 2^53 and in Python ints from
 product is put in that dtype, into Python ints by way of int64, before
 its weight multiplies it.
 
-Each poset also caches its flag table once :func:`~cdposets.flags.flag_vector`
-has computed it: one :class:`~cdposets.flags.FlagVector`, whose 2^n
-entries, n = rank - 1, are one read-only int64 array (Python ints from
-2^63 on), held for as long as the poset lives.
-:meth:`RankedPoset.dual` hands the dual the bit reversal of a held table,
-since f_S(P*) = f_(n+1-S)(P), so the dual's table takes no matrix
-products.  Equality and hashing do not read the cache.
+A poset caches, each filled on first need and held for as long as the
+poset lives:
+
+* its 0/1 comparability matrices, by :meth:`RankedPoset._float_comparability`;
+* its validation diagnostics, by :meth:`RankedPoset.validate`;
+* the frozensets of :attr:`RankedPoset.covers`, on first read;
+* its flag table, one :class:`~cdposets.flags.FlagVector` whose 2^n
+  entries, n = rank - 1, are one read-only int64 array (Python ints from
+  2^63 on), by :func:`~cdposets.flags.flag_vector`, or handed over by
+  :meth:`RankedPoset.dual`: the dual gets the bit reversal of a held
+  table, since f_S(P*) = f_(n+1-S)(P), and so takes no matrix products.
+
+A poset that :func:`~cdposets.exprs.build_poset` returns also holds the
+walk of its expression that built it (``_walk``), set once by
+``build_poset``: then :func:`~cdposets.flags.flag_vector` and
+:meth:`RankedPoset.is_eulerian` read the tree's identities and make no
+matrix product.  Posets read from files, built by the constructions
+directly, or taken by :meth:`RankedPoset.dual` hold none.  Equality,
+hashing and :meth:`RankedPoset.to_dict` read neither the caches nor the
+walk.
 
 Instances are immutable after construction.  Construction itself accepts
 structurally broken data so that :meth:`RankedPoset.validate` can report
@@ -236,6 +249,7 @@ class RankedPoset:
         "_float_comp",
         "_diagnostics",
         "_flags",
+        "_walk",
     )
 
     def __init__(
@@ -277,6 +291,7 @@ class RankedPoset:
         object.__setattr__(self, "_float_comp", {})
         object.__setattr__(self, "_diagnostics", None)
         object.__setattr__(self, "_flags", None)
+        object.__setattr__(self, "_walk", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RankedPoset is immutable")
@@ -468,7 +483,12 @@ class RankedPoset:
         """Exhaustively test that every interval [x, y], x < y, balances
         elements of even and odd rank.  Reports the first violation in
         (rank_low, rank_high, index_low, index_high) order, by
-        :func:`_eulerian_test` over :meth:`_interval_sums`."""
+        :func:`_eulerian_test` over :meth:`_interval_sums`; or, for a poset
+        that keeps the walk that built it, by the same test over the walk's
+        sums (:func:`~cdposets.exprs.eulerian_of`), which gives the same
+        verdict and the same first violation without matrix products."""
+        if self._walk is not None:
+            return self._walk.eulerian()
         self._require_valid()
         return _eulerian_test(self.level_sizes, self._interval_sums)
 

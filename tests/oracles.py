@@ -16,6 +16,10 @@ families from them by direct construction calls, as the library did
 before it defined them as expression trees.
 
 ``assert_same_poset`` compares a poset with a reference in every form.
+``fresh`` copies a poset without its cached flag table or the walk that
+built it, so its flag vector and Eulerian test take the matrix products.
+``even_interval_systems_filter`` is the enumerator as first written: every
+subset of the candidate intervals, filtered by the validity check.
 
 ``ranks_bitwise``, ``runs_bitwise`` and ``reverse_bitwise`` read masks one
 bit at a time by shifting, as the library first did.
@@ -55,6 +59,22 @@ def assert_same_poset(got, want, what):
     assert got.validate() == want.validate() == [], what
     for cs in got.cover_arrays:
         assert cs.dtype == np.int64 and cs.shape[1:] == (2,) and not cs.flags.writeable, what
+
+
+def fresh(p):
+    """An equal poset holding no flag table and no walk, so
+    ``flag_vector`` and ``is_eulerian`` compute by matrix products."""
+    return RankedPoset.from_dict(p.to_dict())
+
+
+def even_interval_systems_filter(n):
+    singles = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1, 2)]
+    return [
+        combo
+        for k in range(1, len(singles) + 1)
+        for combo in combinations(singles, k)
+        if not validate_even_interval_system(n, combo)
+    ]
 
 
 def random_graded(rng, level_sizes):

@@ -39,7 +39,7 @@ from cdposets import (
     negative_witness,
     nonneg_certificate,
 )
-from cdposets import cli
+from cdposets import analysis, cli
 from cdposets.exprs import build_poset, parse_expression
 from cdposets.subsets import full_mask, maximal_runs, ranks_from_mask
 
@@ -419,6 +419,19 @@ def test_inequality_pairs_match_stack_oracle(n):
 def test_inequality_pairs_rejects_bad_n(n):
     with pytest.raises(ValueError, match=r"^n must be in \[0, 62\]$"):
         list(inequality_pairs(n))
+
+
+def test_inequality_pairs_replay_the_enumeration():
+    # up to 10 ranks the pairs come from one cached tuple of the enumeration
+    for n in range(analysis._SWEEP_RANKS + 1):
+        assert list(inequality_pairs(n)) == list(analysis._enumerated_pairs(n))
+        assert analysis._pair_tuple(n) is analysis._pair_tuple(n)
+    # still a generator: a bad n raises when the first pair is read, and a
+    # float that equals a cached n is not read from the cache
+    for n, error in ((-1, ValueError), (63, ValueError), (3.0, TypeError)):
+        pairs = inequality_pairs(n)
+        with pytest.raises(error):
+            next(pairs)
 
 
 def _outcome(func, *args):

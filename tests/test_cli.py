@@ -43,6 +43,7 @@ from cdposets.flags import cd_words
 from cdposets.subsets import subset_label, subset_labels
 
 import oracles
+from oracles import fresh
 
 
 @pytest.fixture
@@ -490,8 +491,8 @@ def _record_poset_calls(monkeypatch):
     seen = []
     plan_type = exprs._Plan
 
-    def plan(*fields):
-        made = plan_type(*fields)
+    def plan(*fields, **named):
+        made = plan_type(*fields, **named)
 
         def poset():
             frame = sys._getframe(1)
@@ -914,10 +915,13 @@ _CROSSING_GLUE = "glue([boolean(4), boolean(4)], [[0, 2, 4], [0, 2, 4]])"
 def test_tree_path_output_matches_built_poset(run, monkeypatch, argv, code, fragment):
     tree = run(*argv)
     assert tree[0] == code and fragment in tree[2]
+    # a copy without the walk, so that its tables and sums come from matrices
     monkeypatch.setattr(
         cli,
         "_load_plan",
-        lambda text, budget: exprs._built_plan(build_poset(parse_expression(text), budget=budget)),
+        lambda text, budget: exprs._built_plan(
+            fresh(build_poset(parse_expression(text), budget=budget))
+        ),
     )
     assert run(*argv) == tree
 
@@ -1700,16 +1704,24 @@ def test_verify_duality_fails_when_the_dual_table_is_not_reversed(run, monkeypat
 
 
 def test_verify_duality_computes_both_tables(run, monkeypatch):
-    # each corpus poset and its dual get their tables from matrix products,
-    # not the dual from its poset's table
+    # each dual gets its table from matrix products, not from its poset's
+    # table; each corpus poset from the walk that built it, the 83 of the
+    # base corpus, or else from matrix products
     from cdposets import flags
 
     computed_flag_vector, computed = flags._computed_flag_vector, []
+    plan_flags, walked = exprs._Plan.flags, []
 
     def counting(poset):
         computed.append(poset)
         return computed_flag_vector(poset)
 
+    def walking(plan):
+        walked.append(plan)
+        return plan_flags(plan)
+
     monkeypatch.setattr(flags, "_computed_flag_vector", counting)
+    monkeypatch.setattr(exprs._Plan, "flags", walking)
     assert run("verify", "duality")[0] == 0
-    assert len(computed) == 2 * 176
+    assert len(walked) == 83
+    assert len(computed) == 2 * 176 - 83

@@ -3,6 +3,7 @@ computed from the expression tree."""
 
 import collections
 import contextlib
+import gc
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import fresh
 from cdposets import (
     BudgetError,
     ExpressionError,
@@ -173,7 +175,7 @@ def outcome(compute):
 @given(trees(), st.sampled_from([None, 40, 300]))
 def test_tree_path_matches_built_poset(tree, budget):
     node = parse_expression(tree[0])
-    expected = outcome(lambda: flag_vector(build_poset(node, budget=budget)))
+    expected = outcome(lambda: flag_vector(fresh(build_poset(node, budget=budget))))
     assert outcome(lambda: flag_vector_of(node, budget=budget)) == expected
 
 
@@ -225,7 +227,7 @@ def test_tree_path_matches_oracle(text):
     ],
 )
 def test_dni_table_matches_built_flag_vector(text):
-    assert flag_vector_of(parse_expression(text)) == flag_vector(build(text))
+    assert flag_vector_of(parse_expression(text)) == flag_vector(fresh(build(text)))
 
 
 def test_tree_path_builds_no_poset_without_glued_nodes(monkeypatch):
@@ -370,7 +372,7 @@ def test_family_argument_errors_match_direct_construction(family, args):
 @pytest.mark.parametrize("text", ["lemma2(7, 2)", "lemma3(3)", "join(boolean(2), lemma3(2))"])
 def test_tree_path_builds_only_glue(monkeypatch, text):
     node = parse_expression(text)
-    expected = flag_vector(build_poset(node))
+    expected = flag_vector(fresh(build_poset(node)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a poset outside glue")
@@ -448,7 +450,7 @@ def test_glue_from_its_parts_matches_the_built_glue(tree, budget):
 
     def built():
         poset = build_poset(node, budget=budget)
-        return list(poset.level_sizes), flag_vector(poset)
+        return list(poset.level_sizes), flag_vector(fresh(poset))
 
     assert outcome(lambda: sized_flags(node, budget)) == outcome(built)
 
@@ -490,7 +492,7 @@ def test_glue_is_built_only_when_a_chain_can_cross_parts(monkeypatch, text, from
 
     monkeypatch.setattr(exprs, "_glued", spy)
     sizes, table = sized_flags(node, None)
-    assert (sizes, table) == (list(expected.level_sizes), flag_vector(expected))
+    assert (sizes, table) == (list(expected.level_sizes), flag_vector(fresh(expected)))
     assert len(builds) == (0 if from_parts else 1)
     # either way the poset is built once
     builds.clear()
@@ -638,7 +640,7 @@ def test_build_and_flags_walk_each_expanded_node_once(monkeypatch, text, nodes):
     assert len(calls) == nodes
     monkeypatch.setattr(exprs, "build_poset", refuse)
     calls.clear()
-    assert flag_vector_of(node) == flag_vector(expected)
+    assert flag_vector_of(node) == flag_vector(fresh(expected))
     assert len(calls) == nodes
 
 
@@ -707,7 +709,7 @@ def test_eulerian_of_matches_the_built_test(text, budget):
     except (ValueError, BudgetError) as exc:
         assert got == (type(exc), str(exc))
         return
-    assert got == poset.is_eulerian()
+    assert got == fresh(poset).is_eulerian()
     if poset.num_elements <= 40:
         covers = [sorted(level) for level in poset.covers]
         assert _violation_tuple(got) == oracles.first_violation(list(poset.level_sizes), covers)
@@ -797,7 +799,7 @@ def test_eulerian_of_one_run_glues_matches_the_built_test(text):
     node = parse_expression(text)
     poset = build_poset(node)
     got = eulerian_of(node)
-    assert got == poset.is_eulerian()
+    assert got == fresh(poset).is_eulerian()
     if poset.num_elements <= 40:
         covers = [sorted(level) for level in poset.covers]
         assert _violation_tuple(got) == oracles.first_violation(list(poset.level_sizes), covers)
@@ -986,7 +988,7 @@ _GLUE_WITH_A_CHAIN = "glue([boolean(3), chain(3)], [[0, 3], [0, 3]])"
 def test_eulerian_of_reports_copy_0_of_the_first_violation(text):
     # copy 0 of every replicated element keeps its index in the quotient
     node = parse_expression(text)
-    result = build_poset(node).is_eulerian()
+    result = fresh(build_poset(node)).is_eulerian()
     assert not result.eulerian
     assert eulerian_of(node) == result
 
@@ -1008,7 +1010,9 @@ def test_eulerian_of_counts_copies_past_int64(text):
         return _violation_tuple(eulerian_of(parse_expression(text.format(copies)), budget=10**40))
 
     small = [violation(2), violation(3)]
-    assert small == [_violation_tuple(build(text.format(copies)).is_eulerian()) for copies in (2, 3)]
+    assert small == [
+        _violation_tuple(fresh(build(text.format(copies))).is_eulerian()) for copies in (2, 3)
+    ]
     for copies in 2**40, 2**40 + 1, 3**30, 2**61, 2**70:
         counts = tuple(a + (copies - 2) * (b - a) for a, b in zip(small[0][4:], small[1][4:]))
         assert violation(copies) == small[0][:4] + counts
@@ -1038,3 +1042,58 @@ def test_check_eulerian_keeps_the_exit_contract(text):
         path = os.path.join(tmp, "poset.json")
         assert _cli("build", text, *budget, "-o", path) == (0, "", "")
         assert _cli("check-eulerian", path, *budget)[:2] == (code, out)
+
+
+# -- a built poset keeps its walk ---------------------------------------------
+
+# part 0's rank 1, shared rank 2, part 1's rank 3: a glue whose chains cross parts
+_CROSSING = "glue([boolean(4), boolean(4)], [[0, 2, 4], [0, 2, 4]])"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(trees().map(lambda tree: tree[0]), glue_trees()))
+def test_walk_of_a_built_poset_matches_its_walk_free_copy(text):
+    # the built poset reads its table and its Eulerian test from the walk
+    # that built it, a copy without the walk from matrix products; a root
+    # that is a built leaf keeps no walk
+    node = parse_expression(text)
+    try:
+        poset = build_poset(node, budget=300)
+    except (ValueError, BudgetError):
+        return
+    assert (poset._walk is None) == exprs._plan(node, 300).leaf
+    copy = fresh(poset)
+    assert outcome(lambda: flag_vector(poset)) == outcome(lambda: flag_vector(copy))
+    if poset._flags is not None:
+        assert poset._flags.array.dtype == copy._flags.array.dtype
+    assert poset.is_eulerian() == copy.is_eulerian()
+
+
+def test_crossing_glue_root_keeps_no_walk():
+    # its walk's table and sums would read the poset itself, without end
+    poset = build(_CROSSING)
+    assert poset._walk is None
+    copy = fresh(poset)
+    assert flag_vector(poset) == flag_vector(copy)
+    assert poset.is_eulerian() == copy.is_eulerian()
+    assert not poset.is_eulerian()
+    # above it, the walk reads the glue as a built leaf
+    for text in (f"dni({_CROSSING}, 1, 2, 1)", f"dual(dual({_CROSSING}))"):
+        above = build(text)
+        assert above._walk is not None and above == poset
+        assert flag_vector(above) == flag_vector(copy)
+        assert above.is_eulerian() == copy.is_eulerian()
+
+
+def test_a_kept_walk_holds_no_poset_but_its_built_leaves():
+    def alive():
+        gc.collect()
+        return sum(isinstance(o, RankedPoset) for o in gc.get_objects())
+
+    before = alive()
+    # lemma2's and lemma3's glues are built for the poset and then dropped
+    kept = [build("lemma3(2)"), build("dual(join(lemma2(7, 1), boolean(2)))")]
+    assert alive() == before + 2
+    # a glue whose chains cross parts is a built leaf of the walk above it
+    kept.append(build(f"double({_CROSSING})"))
+    assert alive() == before + 4

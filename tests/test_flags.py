@@ -36,10 +36,12 @@ from cdposets import (
     inequality_pairs,
     l_vector,
 )
+from cdposets import exprs
 from cdposets.exprs import build_poset, flag_vector_of, parse_expression
 from cdposets.subsets import as_mask, is_even_set, ranks_from_mask, subset_label
 
 import oracles
+from oracles import fresh
 
 
 # -- flag vectors --------------------------------------------------------
@@ -55,11 +57,12 @@ def test_flag_vector_boolean3():
 
 
 def test_flag_vector_matches_chain_enumeration(small_corpus):
+    # the built poset reads the walk that built it, its copy the matrices
     for name, p in small_corpus:
-        f = flag_vector(p)
         want = oracles.flag_counts(p.level_sizes, [sorted(c) for c in p.covers])
-        for ranks, count in want.items():
-            assert f[ranks] == count, (name, sorted(ranks))
+        for f in (flag_vector(p), flag_vector(fresh(p))):
+            for ranks, count in want.items():
+                assert f[ranks] == count, (name, sorted(ranks))
 
 
 def _record_comparability(monkeypatch) -> list:
@@ -76,18 +79,13 @@ def _record_comparability(monkeypatch) -> list:
     return calls
 
 
-def _fresh(p: RankedPoset) -> RankedPoset:
-    """An equal poset holding no flag table, so flag_vector computes one."""
-    return RankedPoset.from_dict(p.to_dict())
-
-
 def test_flag_vector_big_integer_path_agrees(monkeypatch):
     # force the Python-integer route on a poset that takes the float route
     p = boolean(6)
     fast = flag_vector(p)
     monkeypatch.setattr(flags_mod, "_FLOAT64_EXACT", 0)
     calls = _record_comparability(monkeypatch)
-    slow = flag_vector(_fresh(p))
+    slow = flag_vector(fresh(p))
     assert calls
     assert fast == slow
 
@@ -95,8 +93,9 @@ def test_flag_vector_big_integer_path_agrees(monkeypatch):
 @pytest.mark.parametrize("k, bigint", [(14, False), (15, True)])
 def test_built_flag_vector_either_side_of_2_to_53_chains(monkeypatch, k, bigint):
     # double^4(chain(k)) has 16^(k-1) maximal chains: 2^52 takes the float64
-    # route and 2^56 the Python-integer one; f_S = 16^|S| either way
-    p = build_poset(parse_expression(f"double(double(double(double(chain({k})))))"))
+    # route and 2^56 the Python-integer one; f_S = 16^|S| either way.  A
+    # copy without the walk takes the matrix products
+    p = fresh(build_poset(parse_expression(f"double(double(double(double(chain({k})))))")))
     assert p.count_maximal_chains() == 16 ** (k - 1)
     assert (p.count_maximal_chains() >= flags_mod._FLOAT64_EXACT) == bigint
     calls = _record_comparability(monkeypatch)
@@ -113,12 +112,12 @@ def test_corpus_float_route_matches_python_int_route(monkeypatch, corpus):
     # each route runs on its own fresh posets, not on tables cached earlier
     with monkeypatch.context() as patch:
         patch.setattr(RankedPoset, "comparability", refuse)
-        fast = [(flag_vector(q), cd_index(q)) for q in (_fresh(p) for _, p in corpus)]
+        fast = [(flag_vector(q), cd_index(q)) for q in (fresh(p) for _, p in corpus)]
     monkeypatch.setattr(flags_mod, "_FLOAT64_EXACT", 0)
     calls = _record_comparability(monkeypatch)
     for (_, p), want in zip(corpus, fast):
         calls.clear()
-        q = _fresh(p)
+        q = fresh(p)
         assert (flag_vector(q), cd_index(q)) == want
         assert calls
 
@@ -167,7 +166,7 @@ def test_flag_vector_paths_agree(monkeypatch, exact, entries):
         return batched_counts(poset, comparability, at, vec, split)
 
     monkeypatch.setattr(flags_mod, "_batched_counts", recording)
-    assert [flag_vector(_fresh(p)) for p in posets] == want
+    assert [flag_vector(fresh(p)) for p in posets] == want
     assert used == [k for k, _ in splits for _ in range(1 << k)]
     assert bool(calls) == (exact is not None)
 
@@ -191,11 +190,29 @@ def _count_computed(monkeypatch) -> list:
 
 def test_flag_vector_is_computed_once_per_poset(monkeypatch):
     computed = _count_computed(monkeypatch)
+    p = fresh(build_poset(parse_expression("dp(4,[[1,2],[3,4]],2)")))
+    first = flag_vector(p)
+    assert flag_vector(p) is first
+    assert cd_index(p) == cd_index(fresh(p))
+    assert computed == [p, fresh(p)]
+
+
+def test_built_poset_reads_its_table_from_its_walk_once(monkeypatch):
+    computed = _count_computed(monkeypatch)
+    walked = []
+    plan_flags = exprs._Plan.flags
+
+    def walking(plan):
+        walked.append(plan)
+        return plan_flags(plan)
+
+    monkeypatch.setattr(exprs._Plan, "flags", walking)
     p = build_poset(parse_expression("dp(4,[[1,2],[3,4]],2)"))
     first = flag_vector(p)
     assert flag_vector(p) is first
-    assert cd_index(p) == cd_index(_fresh(p))
-    assert computed == [p, _fresh(p)]
+    assert walked == [p._walk] and computed == []
+    assert first == flag_vector(fresh(p))
+    assert len(computed) == 1
 
 
 def test_failed_flag_vector_caches_nothing():
@@ -213,13 +230,22 @@ def test_failed_flag_vector_caches_nothing():
         with pytest.raises(BudgetError, match="flag vector over 21 proper ranks is out of budget"):
             flag_vector(tall)
         assert tall._flags is None
+    # the walk checks the flag rank limit as the matrix products do
+    built = build_poset(parse_expression("chain(22)"))
+    assert built._walk is not None
+    for _ in range(2):
+        with pytest.raises(BudgetError, match="flag vector over 21 proper ranks is out of budget"):
+            flag_vector(built)
+        assert built._flags is None
 
 
 def test_equality_and_hash_ignore_the_cached_table():
     p = build_poset(parse_expression("dp(4,[[1,4]],1)"))
-    q = _fresh(p)
+    q = fresh(p)
     flag_vector(p)
     assert p._flags is not None and q._flags is None
+    assert p._walk is not None and q._walk is None
+    assert p.to_dict() == q.to_dict()
     assert p == q and hash(p) == hash(q)
     assert p.dual() == q.dual() and hash(p.dual()) == hash(q.dual())
     assert len({p, q}) == 1
@@ -235,7 +261,7 @@ def _assert_handed_dual_table_is_the_dual_table(p: RankedPoset, monkeypatch) -> 
         handed = p.dual()
         assert flag_vector(handed) is handed._flags
         assert computed == []
-        rebuilt = _fresh(p).dual()
+        rebuilt = fresh(p).dual()
         assert rebuilt._flags is None
         assert flag_vector(handed) == flag_vector(rebuilt)
         assert computed == [rebuilt]
@@ -248,7 +274,7 @@ def _assert_handed_dual_table_is_the_dual_table(p: RankedPoset, monkeypatch) -> 
 def test_handed_dual_tables_on_the_corpus(monkeypatch, corpus):
     assert len(corpus) == 176
     for _, p in corpus:
-        p = _fresh(p)
+        p = fresh(p)
         _assert_handed_dual_table_is_the_dual_table(p, monkeypatch)
         assert p._flags.array.dtype == np.int64
 
@@ -281,10 +307,11 @@ def test_split_rank_is_least_that_fits():
 
 def test_flag_vector_beyond_int64():
     # 2^65 maximal chains, so the tables hold Python integers
-    p = build_poset(parse_expression("double(double(double(double(double(chain(14))))))"))
-    assert p.count_maximal_chains() == 32**13 >= flags_mod._FLOAT64_EXACT
-    f = flag_vector(p)
-    assert all(v == 32 ** bin(m).count("1") for m, v in f.items())
+    built = build_poset(parse_expression("double(double(double(double(double(chain(14))))))"))
+    assert built.count_maximal_chains() == 32**13 >= flags_mod._FLOAT64_EXACT
+    for p in (built, fresh(built)):
+        f = flag_vector(p)
+        assert all(v == 32 ** bin(m).count("1") for m, v in f.items())
 
 
 def test_flag_vector_serialization_round_trip():

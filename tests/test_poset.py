@@ -158,10 +158,10 @@ def test_count_maximal_chains_against_enumeration(small_corpus):
 
 
 def test_eulerian_against_oracle(small_corpus):
+    # the built poset reads the walk that built it, its copy the matrices
     for name, p in small_corpus:
-        assert p.is_eulerian().eulerian == oracles.eulerian(
-            p.level_sizes, [sorted(c) for c in p.covers]
-        ), name
+        want = oracles.eulerian(p.level_sizes, [sorted(c) for c in p.covers])
+        assert p.is_eulerian().eulerian == oracles.fresh(p).is_eulerian().eulerian == want, name
 
 
 def test_eulerian_result_is_truthy():
@@ -287,7 +287,10 @@ def _non_eulerian_posets():
         "dni(lemma2(7,2),2,5,2)",
         "dual(dni(boolean(6),1,2,3))",
     ):
-        yield expr, build_poset(parse_expression(expr))
+        built = build_poset(parse_expression(expr))
+        yield expr, built
+        # without the walk, so by matrix products
+        yield f"{expr} from its covers", oracles.fresh(built)
     rng = np.random.default_rng(7)
     for k in range(12):
         sizes = [1, *rng.integers(2, 9, size=int(rng.integers(2, 6))), 1]
@@ -311,8 +314,9 @@ def test_first_violation_matches_oracle():
 
 def test_non_eulerian_wide_levels_pinned():
     # levels of up to 244 elements; counts recomputed exactly at the violation
-    v = build_poset(parse_expression("dni(lemma2(7,2),2,5,2)")).is_eulerian().violation
-    assert v == IntervalViolation(0, 0, 6, 0, 98, 94)
+    built = build_poset(parse_expression("dni(lemma2(7,2),2,5,2)"))
+    for p in (built, oracles.fresh(built)):
+        assert p.is_eulerian().violation == IntervalViolation(0, 0, 6, 0, 98, 94)
     v = _unbalanced_above_atom().is_eulerian().violation
     assert v == IntervalViolation(1, 1, 3, 0, 2, 3)
     v = _two_unbalanced_halves().is_eulerian().violation
